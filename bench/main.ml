@@ -598,10 +598,10 @@ let e11 ?(quick = false) () =
                 mname sname s.paths s.cut (per s.paths) (per leaves)
                 (per s.steps);
               cells :=
-                ( ((cname, mname, sname, "fibers", "full"), per leaves),
+                ( ((cname, mname, sname, "fibers"), per leaves),
                   Printf.sprintf
                     "    {\"config\":%S,\"mode\":%S,\"trace\":%S,\
-                     \"engine\":\"fibers\",\"fuse\":\"full\",\"paths\":%d,\
+                     \"engine\":\"fibers\",\"paths\":%d,\
                      \"cut\":%d,\"pruned\":%d,\"violations\":%d,\"replays\":%d,\
                      \"steps\":%d,\"replay_steps_saved\":%d,\"repeats\":%d,\
                      \"elapsed_s\":%.4f,\
@@ -622,19 +622,18 @@ let e11 ?(quick = false) () =
   List.rev !cells
 
 (* ------------------------------------------------------------------ *)
-(* E12: the replay tax — pooling, checkpointed replay, step fusion     *)
+(* E12: the replay tax — pooling and checkpointed replay               *)
 (* ------------------------------------------------------------------ *)
 
 (* Leaves/s with every replay device off (a fresh machine per sibling
-   branch, full prefix re-execution, one scheduler round-trip per step —
-   the PR 3 behaviour) against the defaults (pooled machines restarted in
-   place, stride-4 checkpoints feeding replayed prefixes from the response
-   log, forced runs fused into one tight loop). The stats are asserted
-   bit-identical modulo the steps/saved split. *)
+   branch, full prefix re-execution — the original explorer) against the
+   defaults (pooled machines restarted in place, stride-4 checkpoints
+   feeding replayed prefixes from the response log). The stats are
+   asserted bit-identical modulo the steps/saved split. *)
 let e12 ?(quick = false) () =
   hr
-    "E12. The replay tax: machine pooling + checkpointed suffix replay + \
-     forced-run fusion (trace=off)";
+    "E12. The replay tax: machine pooling + checkpointed suffix replay \
+     (trace=off)";
   let configs = bench_configs ~quick in
   let modes =
     [ ("naive", Ptm_machine.Explore.Naive); ("dpor", Ptm_machine.Explore.Dpor) ]
@@ -647,27 +646,23 @@ let e12 ?(quick = false) () =
     (fun (cname, mk, max_steps, max_paths) ->
       List.iter
         (fun (mname, mode) ->
-          let run1 ~pool ~stride ~fuse () =
+          let run1 ~pool ~stride () =
             Ptm_machine.Explore.run
               ~mk:(mk Ptm_machine.Trace.Off)
-              ~max_steps ~max_paths ~mode ~pool ~checkpoint_stride:stride
-              ~fuse ()
+              ~max_steps ~max_paths ~mode ~pool ~checkpoint_stride:stride ()
           in
           let off, _, _, rps_off =
-            timed_runs min_time (run1 ~pool:false ~stride:0 ~fuse:false)
+            timed_runs min_time (run1 ~pool:false ~stride:0)
           in
-          let on_, _, _, rps_on =
-            timed_runs min_time (run1 ~pool:true ~stride:4 ~fuse:true)
-          in
+          let on_, _, _, rps_on = timed_runs min_time (run1 ~pool:true ~stride:4) in
           let open Ptm_machine.Explore in
           (* the devices must not change the search (the steps/saved split
-             and the fusion instrumentation counters are the only fields
-             they may move) *)
+             is the only thing they may move) *)
           assert (
             { on_ with steps = on_.steps + on_.replay_steps_saved;
-              replay_steps_saved = 0; fused_steps = 0; batched_events = 0 }
+              replay_steps_saved = 0 }
             = { off with steps = off.steps + off.replay_steps_saved;
-                replay_steps_saved = 0; fused_steps = 0; batched_events = 0 });
+                replay_steps_saved = 0 });
           let leaves s = s.paths + s.cut in
           let l_off = float_of_int (leaves off) *. rps_off in
           let l_on = float_of_int (leaves on_) *. rps_on in
@@ -684,8 +679,7 @@ let e12 ?(quick = false) () =
   Fmt.pr
     "@.'off' re-creates a machine per sibling branch and re-executes every@.\
      prefix step; 'on' restarts pooled machines in place, feeds checkpointed@.\
-     prefixes from the response log (saved = fed fraction of all positions)@.\
-     and runs forced tails without scheduler round-trips.@.\
+     prefixes from the response log (saved = fed fraction of all positions).@.\
      target: >= 2x leaves/s on the undolog-aba and ostm DPOR cells — \
      measured %.2fx and %.2fx.@."
     (sp ("undolog-aba", "dpor"))
@@ -867,10 +861,10 @@ let e14 ?(quick = false) () =
           Fmt.pr "%-14s %-6s %10d %6d %14.0f %14.0f %7.2fx@." cname mname
             ss.paths ss.cut lf ls (ls /. lf);
           let cell engine (s : stats) reps dt lps =
-            ( ((cname, mname, "off", engine, "full"), lps),
+            ( ((cname, mname, "off", engine), lps),
               Printf.sprintf
                 "    {\"config\":%S,\"mode\":%S,\"trace\":\"off\",\
-                 \"engine\":%S,\"fuse\":\"full\",\"paths\":%d,\
+                 \"engine\":%S,\"paths\":%d,\
                  \"cut\":%d,\"pruned\":%d,\"violations\":%d,\"replays\":%d,\
                  \"steps\":%d,\"replay_steps_saved\":%d,\"repeats\":%d,\
                  \"elapsed_s\":%.4f,\
@@ -1005,10 +999,10 @@ let e15 ?(quick = false) () =
         st.Opacity_stream.events dt eps st.Opacity_stream.max_frontier
         st.Opacity_stream.max_resident;
       cells :=
-        ( (("e15-opacity", sname, "full", "stream", "full"), eps),
+        ( (("e15-opacity", sname, "full", "stream"), eps),
           Printf.sprintf
             "    {\"config\":\"e15-opacity\",\"mode\":%S,\"trace\":\"full\",\
-             \"engine\":\"stream\",\"fuse\":\"full\",\"paths\":%d,\"cut\":0,\
+             \"engine\":\"stream\",\"paths\":%d,\"cut\":0,\
              \"pruned\":0,\
              \"violations\":0,\"replays\":0,\"steps\":%d,\
              \"replay_steps_saved\":0,\"repeats\":1,\"elapsed_s\":%.4f,\
@@ -1023,131 +1017,6 @@ let e15 ?(quick = false) () =
     "@.the monitor's per-event cost is frontier size x validity-interval@.\
      work; watermark pruning keeps resident state bounded by the live@.\
      transaction window, not by history length.@.";
-  List.rev !cells
-
-(* ------------------------------------------------------------------ *)
-(* E16: fusion ablation — off / dispatch-only / +batching / full       *)
-(* ------------------------------------------------------------------ *)
-
-(* The fused inner loop, decomposed (Steps engine, trace=off, the E14
-   configurations): [off] disables forced-run fusion entirely (one
-   scheduler round-trip per step, the PR 3 shape); [dispatch] fuses with
-   the specialized per-primitive fast arm but batch 1 and per-iteration
-   recompute of the DPOR derived state; [batch16] adds deferred trace-seq
-   ticks (K=16); [full] adds incremental DPOR set maintenance — the
-   defaults, and exactly what the E14 "steps" cells measure. Every variant
-   is asserted bit-identical modulo the instrumentation counters. A fibers
-   run at defaults anchors the issue's >= 2x target. Only the non-full
-   variants are emitted as gate cells (keyed by a "fuse" field) — the full
-   rows ARE the E14 steps cells, and emitting them twice would collide in
-   the gate's duplicate-key check. *)
-let e16_variants =
-  [
-    ("off", false, 1, false);
-    ("dispatch", true, 1, false);
-    ("batch16", true, 16, false);
-    ("full", true, 16, true);
-  ]
-
-let e16 ?(quick = false) () =
-  hr
-    "E16. Fusion ablation: off / dispatch-only / +batching / \
-     +incremental-DPOR (Steps, trace=off)";
-  let configs = e14_configs ~quick in
-  let modes =
-    [ ("naive", Ptm_machine.Explore.Naive); ("dpor", Ptm_machine.Explore.Dpor) ]
-  in
-  let min_time = if quick then 0.02 else 0.2 in
-  let cells = ref [] in
-  let vs_off = ref [] in
-  let vs_fibers = ref [] in
-  Fmt.pr "%-14s %-6s %-9s %12s %9s %9s@." "config" "mode" "fuse" "leaves/s"
-    "vs off" "vs fibers";
-  List.iter
-    (fun (cname, tm, max_steps, max_paths) ->
-      List.iter
-        (fun (mname, mode) ->
-          let measure engine ~fuse ~batch ~incr_dpor =
-            timed_runs min_time (fun () ->
-                Ptm_machine.Explore.run
-                  ~mk:(bench_mk_tm_step tm engine Ptm_machine.Trace.Off)
-                  ~max_steps ~max_paths ~mode ~fuse ~batch ~incr_dpor ())
-          in
-          let _, _, _, rps_fib =
-            measure Ptm_machine.Machine.Fibers ~fuse:true ~batch:16
-              ~incr_dpor:true
-          in
-          let results =
-            List.map
-              (fun (vname, fuse, batch, incr_dpor) ->
-                let s, reps, dt, rps =
-                  measure Ptm_machine.Machine.Steps ~fuse ~batch ~incr_dpor
-                in
-                (vname, s, reps, dt, rps))
-              e16_variants
-          in
-          let open Ptm_machine.Explore in
-          (* fold the fed/executed split ([steps + saved] is the invariant
-             — fusing a forced run can move checkpointed positions between
-             the two buckets, cf. the test suite's scrub_replay) and zero
-             the instrumentation counters *)
-          let scrub s =
-            { s with steps = s.steps + s.replay_steps_saved;
-              replay_steps_saved = 0; fused_steps = 0; batched_events = 0 }
-          in
-          let _, s0, _, _, _ = List.hd results in
-          (* the ablation must not change the search *)
-          List.iter
-            (fun (_, s, _, _, _) -> assert (scrub s = scrub s0))
-            results;
-          let leaves = s0.paths + s0.cut in
-          let lps rps = float_of_int leaves *. rps in
-          let _, _, _, _, rps_off = List.hd results in
-          let l_off = lps rps_off and l_fib = lps rps_fib in
-          List.iter
-            (fun (vname, s, reps, dt, rps) ->
-              let l = lps rps in
-              Fmt.pr "%-14s %-6s %-9s %12.0f %8.2fx %8.2fx@." cname mname
-                vname l (l /. l_off) (l /. l_fib);
-              if vname = "full" then begin
-                vs_off := ((cname, mname), l /. l_off) :: !vs_off;
-                vs_fibers := ((cname, mname), l /. l_fib) :: !vs_fibers
-              end
-              else
-                cells :=
-                  ( ((cname, mname, "off", "steps", vname), l),
-                    Printf.sprintf
-                      "    {\"config\":%S,\"mode\":%S,\"trace\":\"off\",\
-                       \"engine\":\"steps\",\"fuse\":%S,\"paths\":%d,\
-                       \"cut\":%d,\"pruned\":%d,\"violations\":%d,\
-                       \"replays\":%d,\"steps\":%d,\
-                       \"replay_steps_saved\":%d,\"fused_steps\":%d,\
-                       \"batched_events\":%d,\"repeats\":%d,\
-                       \"elapsed_s\":%.4f,\"paths_per_sec\":%.1f,\
-                       \"leaves_per_sec\":%.1f,\"steps_per_sec\":%.1f}"
-                      cname mname vname s.paths s.cut s.pruned s.violations
-                      s.replays s.steps s.replay_steps_saved s.fused_steps
-                      s.batched_events reps dt
-                      (float_of_int s.paths *. rps)
-                      l
-                      (float_of_int s.steps *. rps) )
-                  :: !cells)
-            results)
-        modes)
-    configs;
-  let sp tbl k = try List.assoc k !tbl with Not_found -> 0. in
-  Fmt.pr
-    "@.the issue's target: >= 2x leaves/s over the unfused Steps loop on \
-     the@.DPOR cells — measured %.2fx (undolog) and %.2fx (ostm); vs the \
-     fibers@.baseline (the tentpole's >= 2x framing): %.2fx and %.2fx. \
-     'dispatch'@.isolates the specialized per-primitive fast arm, \
-     'batch16' the deferred@.seq ticks (DPOR forced runs keep per-step \
-     bookkeeping, so batching@.moves little there), 'full' the \
-     incremental DPOR derived state.@."
-    (sp vs_off ("undolog-step", "dpor"))
-    (sp vs_off ("ostm-step", "dpor"))
-    (sp vs_fibers ("undolog-step", "dpor"))
-    (sp vs_fibers ("ostm-step", "dpor"));
   List.rev !cells
 
 (* ------------------------------------------------------------------ *)
@@ -1239,10 +1108,10 @@ let e17 ?(quick = false) () =
             r.Load.failed r.Load.steps r.Load.wasted (Load.throughput r) mon;
           let rmr m = try List.assoc m r.Load.rmr with Not_found -> 0 in
           cells :=
-            ( ((T.name, mname, "off", "load", "full"), Load.throughput r),
+            ( ((T.name, mname, "off", "load"), Load.throughput r),
               Printf.sprintf
                 "    {\"config\":%S,\"mode\":%S,\"trace\":\"off\",\
-                 \"engine\":\"load\",\"fuse\":\"full\",\"clients\":%d,\
+                 \"engine\":\"load\",\"clients\":%d,\
                  \"txs_per_client\":%d,\"committed\":%d,\"aborted\":%d,\
                  \"failed\":%d,\"unstarted\":%d,\"steps\":%d,\
                  \"wasted\":%d,\"idle\":%d,\"abort_rate\":%.4f,\
@@ -1330,10 +1199,10 @@ let e18_load ?(quick = false) () =
           "VIOLATION"
       | Some (Opacity_stream.Inconclusive _) -> "inconcl."
     in
-    ( ((r.Load.tm, "e18-" ^ mname, "off", "load", "full"), Load.throughput r),
+    ( ((r.Load.tm, "e18-" ^ mname, "off", "load"), Load.throughput r),
       Printf.sprintf
         "    {\"config\":%S,\"mode\":%S,\"trace\":\"off\",\
-         \"engine\":\"load\",\"fuse\":\"full\",\"clients\":%d,\
+         \"engine\":\"load\",\"clients\":%d,\
          \"txs_per_client\":%d,\"committed\":%d,\"aborted\":%d,\
          \"failed\":%d,\"unstarted\":%d,\"steps\":%d,\"wasted\":%d,\
          \"abort_rate\":%.4f,\"steps_per_commit\":%.1f,\
@@ -1548,10 +1417,10 @@ let e18_explore ?(quick = false) () =
       Fmt.pr "%-16s %10d %6d %6d %14.0f %14.0f %7.2fx@." cname ss.paths ss.cut
         ss.fault_branches lf ls (ls /. lf);
       let cell engine (s : stats) reps dt lps =
-        ( ((cname, "dpor-crash1", "off", engine, "full"), lps),
+        ( ((cname, "dpor-crash1", "off", engine), lps),
           Printf.sprintf
             "    {\"config\":%S,\"mode\":\"dpor-crash1\",\"trace\":\"off\",\
-             \"engine\":%S,\"fuse\":\"full\",\"paths\":%d,\"cut\":%d,\
+             \"engine\":%S,\"paths\":%d,\"cut\":%d,\
              \"pruned\":%d,\"violations\":%d,\"fault_branches\":%d,\
              \"steps\":%d,\"repeats\":%d,\"elapsed_s\":%.4f,\
              \"leaves_per_sec\":%.1f}"
@@ -1579,11 +1448,11 @@ let write_load_json cells =
   Fmt.pr "Wrote BENCH_load.json (%d cells).@." (List.length cells)
 
 (* One BENCH_explore.json for the CI perf-smoke artifact, fed by the E11,
-   E14, E15, E16 and E18b cells together. *)
+   E14, E15 and E18b cells together. *)
 let write_explore_json cells =
   let oc = open_out "BENCH_explore.json" in
   output_string oc
-    "{\n  \"experiment\": \"E11+E14+E15+E16+E18b\",\n  \"cells\": [\n";
+    "{\n  \"experiment\": \"E11+E14+E15+E18b\",\n  \"cells\": [\n";
   output_string oc (String.concat ",\n" (List.map snd cells));
   output_string oc "\n  ]\n}\n";
   close_out oc;
@@ -1597,7 +1466,7 @@ let write_explore_json cells =
    families, gated independently with separate medians (explorer leaves/s
    and load-engine tx/s respond differently to the host):
 
-   - explore: E11 + E14 + E15 + E16 vs BENCH_explore.json (required — the
+   - explore: E11 + E14 + E15 + E18b vs BENCH_explore.json (required — the
      explorer gate has history, and losing it silently would be a hole);
    - load: E17 vs BENCH_load.json (a missing baseline file warns and
      skips the family).
@@ -1613,10 +1482,9 @@ let write_explore_json cells =
    a cell fails if its normalised throughput drops by more than 25%. The
    dpor-par2 rows are excluded: domain-spawn latency dominates those
    sub-millisecond searches and they swing several-fold run to run (see
-   EXPERIMENTS.md E11). Cells are keyed by (config, mode, trace, engine,
-   fuse); baselines predating the engine ablation carry no "engine" field
-   and default to "fibers", and ones predating the fusion ablation carry
-   no "fuse" field and default to "full". A baseline holding the same key
+   EXPERIMENTS.md E11). Cells are keyed by (config, mode, trace, engine);
+   baselines predating the engine ablation carry no "engine" field and
+   default to "fibers". A baseline holding the same key
    twice is ambiguous (which line would the fresh cell compare against?)
    and is rejected loudly. Baselines are parsed BEFORE the fresh cells
    rewrite the files.
@@ -1678,15 +1546,14 @@ let parse_baseline file =
        match
          (try
             (sfield "config", sfield "mode", sfield "trace",
-             sfield "engine", sfield "fuse", ffield "leaves_per_sec")
+             sfield "engine", ffield "leaves_per_sec")
           with Not_found | Failure _ | Invalid_argument _ ->
             incr malformed;
-            (None, None, None, None, None, None))
+            (None, None, None, None, None))
        with
-       | Some c, Some m, Some t, e, f, Some l ->
+       | Some c, Some m, Some t, e, Some l ->
            let e = Option.value e ~default:"fibers" in
-           let f = Option.value f ~default:"full" in
-           cells := ((c, m, t, e, f), l) :: !cells
+           cells := ((c, m, t, e), l) :: !cells
        | _ -> ()
      done
    with End_of_file -> ());
@@ -1697,14 +1564,14 @@ let parse_baseline file =
        commit the artifact@."
       !malformed file;
   List.iter
-    (fun (((c, m, t, e, f), _) as cell) ->
+    (fun (((c, m, t, e), _) as cell) ->
       if List.exists (fun c' -> c' != cell && fst c' = fst cell) !cells
       then begin
         Fmt.pr
           "gate: duplicate baseline key \
-           (config=%s, mode=%s, trace=%s, engine=%s, fuse=%s) in %s — \
-           ambiguous comparison; regenerate the artifact and commit it@."
-          c m t e f file;
+           (config=%s, mode=%s, trace=%s, engine=%s) in %s — ambiguous \
+           comparison; regenerate the artifact and commit it@."
+          c m t e file;
         exit 2
       end)
     !cells;
@@ -1738,7 +1605,7 @@ let gate ?(quick = false) () =
   let skipped_unknown = ref 0 in
   let ratios_of ?(warn = true) baseline fresh =
     List.filter_map
-      (fun (((c, m, t, e, f) as key), l_now) ->
+      (fun (((c, m, t, e) as key), l_now) ->
         if m = "dpor-par2" then None
         else
           match List.assoc_opt key baseline with
@@ -1748,10 +1615,10 @@ let gate ?(quick = false) () =
               if warn then begin
                 incr skipped_unknown;
                 Fmt.pr
-                  "gate: new cell (config=%s, mode=%s, trace=%s, engine=%s, \
-                   fuse=%s) absent from baseline — skipped; commit the \
-                   regenerated artifact to gate it@."
-                  c m t e f
+                  "gate: new cell (config=%s, mode=%s, trace=%s, engine=%s) \
+                   absent from baseline — skipped; commit the regenerated \
+                   artifact to gate it@."
+                  c m t e
               end;
               None)
       (List.map fst fresh)
@@ -1764,13 +1631,12 @@ let gate ?(quick = false) () =
         Some (median, List.filter (fun (_, r) -> r /. median < 0.75) ratios)
   in
   let report ratios median =
-    Fmt.pr "%-14s %-12s %-5s %-7s %-9s %9s %10s@." "config" "mode" "trace"
-      "engine" "fuse" "now/base" "normalised";
+    Fmt.pr "%-14s %-12s %-5s %-7s %9s %10s@." "config" "mode" "trace"
+      "engine" "now/base" "normalised";
     List.iter
-      (fun ((c, m, t, e, f), r) ->
+      (fun ((c, m, t, e), r) ->
         let norm = r /. median in
-        Fmt.pr "%-14s %-12s %-5s %-7s %-9s %8.2fx %9.2fx %s@." c m t e f r
-          norm
+        Fmt.pr "%-14s %-12s %-5s %-7s %8.2fx %9.2fx %s@." c m t e r norm
           (if norm < 0.75 then "FAIL" else ""))
       ratios;
     Fmt.pr
@@ -1833,8 +1699,7 @@ let gate ?(quick = false) () =
   let explore_fresh, explore_failed =
     run_family ~family:"explore" ~required:true ~baseline:explore_baseline
       ~measure:(fun () ->
-        e11 ~quick () @ e14 ~quick () @ e15 ~quick () @ e16 ~quick ()
-        @ e18_explore ~quick ())
+        e11 ~quick () @ e14 ~quick () @ e15 ~quick () @ e18_explore ~quick ())
   in
   let load_fresh, load_failed =
     run_family ~family:"load" ~required:false ~baseline:load_baseline
@@ -1923,13 +1788,11 @@ let () =
     "Progressive Transactional Memory in Time and Space — experiment suite@.";
   if arg "e11" then
     write_explore_json
-      (e11 ~quick () @ e14 ~quick () @ e15 ~quick () @ e16 ~quick ()
-      @ e18_explore ~quick ())
+      (e11 ~quick () @ e14 ~quick () @ e15 ~quick () @ e18_explore ~quick ())
   else if arg "e12" then e12 ~quick ()
   else if arg "e13" then e13 ()
   else if arg "e14" then ignore (e14 ~quick ())
   else if arg "e15" then ignore (e15 ~quick ())
-  else if arg "e16" then ignore (e16 ~quick ())
   else if arg "e17" then write_load_json (e17 ~quick () @ e18_load ~quick ())
   else if arg "e18" then begin
     ignore (e18_explore ~quick ());
@@ -1950,9 +1813,8 @@ let () =
     e13 ();
     let c14 = e14 ~quick () in
     let c15 = e15 ~quick () in
-    let c16 = e16 ~quick () in
     let c18x = e18_explore ~quick () in
-    write_explore_json (c11 @ c14 @ c15 @ c16 @ c18x);
+    write_explore_json (c11 @ c14 @ c15 @ c18x);
     write_load_json (e17 ~quick () @ e18_load ~quick ());
     if not fast then bechamel_pass ()
   end;

@@ -39,35 +39,6 @@ let sink_conv =
   in
   Arg.conv (parse, print)
 
-(* --fuse off|dispatch|batch:K|full, as the (fuse, batch, incr_dpor)
-   triple Explore.run takes. "dispatch" is the fused loop with no
-   batching and no incremental DPOR state; "batch:K" adds deferred seq
-   ticks; "full" (the default) adds incremental DPOR maintenance. All
-   settings explore the same schedules (see the E16 ablation). *)
-let fuse_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "off" -> Ok (false, 1, false)
-    | "dispatch" -> Ok (true, 1, false)
-    | "full" -> Ok (true, 16, true)
-    | s when String.length s > 6 && String.sub s 0 6 = "batch:" -> (
-        match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
-        | Some k when k >= 1 -> Ok (true, k, false)
-        | _ -> Error (`Msg "batch size must be a positive integer"))
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown fusion setting %S (off|dispatch|batch:K|full)"
-               s))
-  in
-  let print ppf = function
-    | false, _, _ -> Fmt.string ppf "off"
-    | true, 1, false -> Fmt.string ppf "dispatch"
-    | true, k, false -> Fmt.pf ppf "batch:%d" k
-    | true, _, true -> Fmt.string ppf "full"
-  in
-  Arg.conv (parse, print)
-
 let lock_conv =
   let parse s =
     match Ptm_mutex.Mutex_registry.by_name s with

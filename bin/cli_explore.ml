@@ -85,20 +85,6 @@ let explore_cmd =
              replays feed the checkpointed prefix from the response log and \
              re-execute only the suffix (0: off, default 4).")
   in
-  let fuse_arg =
-    Arg.(
-      value
-      & opt fuse_conv (true, 16, true)
-      & info [ "fuse" ] ~docv:"MODE"
-          ~doc:
-            "Forced-run fusion: $(b,off) (one scheduler round-trip per \
-             step), $(b,dispatch) (fused inner loop with specialized \
-             per-primitive application), $(b,batch:K) (also defer \
-             trace-seq ticks, flushed every K events) or $(b,full) \
-             (default: batch 16 plus incremental DPOR set maintenance). \
-             Every mode explores the same schedules — the stats line \
-             reports fused/batched instrumentation counters.")
-  in
   let crashes_arg =
     Arg.(
       value & opt int 0
@@ -196,7 +182,7 @@ let explore_cmd =
   in
   let run (module L : Ptm_mutex.Mutex_intf.S) max_steps nprocs max_paths
       reduce domains compare progress_every trace pool checkpoint_stride
-      (fuse, batch, incr_dpor) crashes stalls stall_steps checkpoint_file
+      crashes stalls stall_steps checkpoint_file
       resume tm_step cm engine check =
     let tm_step = Option.map (Cli_common.apply_cm_step cm) tm_step in
     (if check <> None && tm_step = None then begin
@@ -332,7 +318,7 @@ let explore_cmd =
     in
     let search ~mk mode =
       Ptm_machine.Explore.run ~mk ?final ~max_steps ~max_paths ~mode ~domains
-        ~pool ~checkpoint_stride ~fuse ~batch ~incr_dpor ~crashes ~stalls
+        ~pool ~checkpoint_stride ~crashes ~stalls
         ~stall_steps ?checkpoint_file ~resume ?progress
         ~progress_every:(max 1 progress_every)
         ()
@@ -412,6 +398,6 @@ let explore_cmd =
     Term.(
       const run $ lock_arg $ steps_arg $ procs_arg $ paths_arg $ reduce_arg
       $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ pool_arg
-      $ stride_arg $ fuse_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
+      $ stride_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
       $ checkpoint_arg $ resume_arg $ tm_step_arg $ Cli_common.cm_arg
       $ engine_arg $ check_arg)

@@ -9,19 +9,14 @@ type stats = {
   steps : int;
   replay_steps_saved : int;
   fault_branches : int;
-  fused_steps : int;
-  batched_events : int;
 }
 
 type mode = Naive | Dpor
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "paths=%d cut=%d pruned=%d violations=%d replays=%d steps=%d saved=%d%s%s%s%s"
+    "paths=%d cut=%d pruned=%d violations=%d replays=%d steps=%d saved=%d%s%s%s"
     s.paths s.cut s.pruned s.violations s.replays s.steps s.replay_steps_saved
-    (if s.fused_steps > 0 || s.batched_events > 0 then
-       Printf.sprintf " fused=%d batched=%d" s.fused_steps s.batched_events
-     else "")
     (if s.fault_branches > 0 then
        Printf.sprintf " faults=%d" s.fault_branches
      else "")
@@ -38,8 +33,9 @@ let reduction_ratio ~naive ~reduced =
 (* The search state is deliberately allocation-free: schedules are grow-only
    int arrays, process sets are int bitmasks (hence the [max_procs] bound),
    and pending transitions are packed into ints. The machine's own stepping
-   (with the trace sink off) allocates nothing either, and sibling replays
-   draw pooled machines from a free list instead of building fresh ones. *)
+   (with the trace sink off) allocates only the re-boxed process state, and
+   sibling replays draw pooled machines from a free list instead of building
+   fresh ones. *)
 
 let max_procs = 62
 
@@ -104,10 +100,6 @@ let lowest_bit mask =
   (* b is a power of two; return its index *)
   let rec go i v = if v <= 1 then i else go (i + 1) (v lsr 1) in
   go 0 b
-
-let popcount mask =
-  let rec go acc v = if v = 0 then acc else go (acc + 1) (v land (v - 1)) in
-  go 0 mask
 
 (* ------------------------------------------------------------------ *)
 (* Schedules: grow-only arrays used as a stack along the current path.  *)
@@ -179,8 +171,6 @@ type acc = {
   mutable a_steps : int;
   mutable a_saved : int;
   mutable a_faults : int;  (* fault branches taken (injections performed) *)
-  mutable a_fused : int;  (* steps consumed inside fused inner loops *)
-  mutable a_batched : int;  (* memory events applied by the fused fast arm *)
   mutable a_ticks : int;  (* leaves since the last progress callback *)
 }
 
@@ -191,9 +181,6 @@ type ctx = {
   max_paths : int;
   pool : bool;  (* effective: forced off when [mk] pre-steps the machine *)
   stride : int;  (* checkpoint depth stride; 0 = checkpointing off *)
-  fuse : bool;  (* effective: forced off when fault budgets are on *)
-  batch : int;  (* trace-tick batch size of fused runs (>= 1) *)
-  incr_dpor : bool;  (* incremental DPOR set maintenance in fused loops *)
   crashes : int;  (* crash-injection budget per path *)
   stalls : int;  (* stall-injection budget per path *)
   stall_steps : int;  (* slots a stall branch parks its pid for *)
@@ -214,8 +201,6 @@ let fresh_acc () =
     a_steps = 0;
     a_saved = 0;
     a_faults = 0;
-    a_fused = 0;
-    a_batched = 0;
     a_ticks = 0;
   }
 
@@ -231,8 +216,6 @@ let stats_of ctx acc =
     steps = acc.a_steps;
     replay_steps_saved = acc.a_saved;
     fault_branches = acc.a_faults;
-    fused_steps = acc.a_fused;
-    batched_events = acc.a_batched;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -488,93 +471,65 @@ let fault_branches ctx acc st m sched ~live ~cr ~sl
 (* replay); every other sibling replays its prefix on a pooled         *)
 (* machine — one replay per extra branch, not per node. Siblings are   *)
 (* visited before the in-place head branch, preserving the PR 1 leaf   *)
-(* order. When exactly one process is runnable the rest of the path is *)
-(* forced — runnability of a parked process never changes until it is  *)
-(* scheduled — so the whole tail runs as one fused                     *)
-(* [Machine.run_while_forced] loop without a scheduler round-trip per  *)
-(* step; no node below can branch, so no checkpoints are laid there.   *)
+(* order.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec naive_dfs ctx acc st m sched depth0 ~cr ~sl =
-  let depth = ref depth0 in
-  let fused = ref 0 in
-  if ctx.fuse && !depth < ctx.max_steps && not (Machine.any_crashed m) then begin
+let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
+  if Machine.any_crashed m then begin
+    leaf ctx acc;
+    acc.a_paths <- acc.a_paths + 1;
+    note_violation acc sched;
+    release ctx st m
+  end
+  else begin
     let live = live_mask m in
-    if live <> 0 && live land (live - 1) = 0 then begin
-      let p = lowest_bit live in
-      let on_step () =
-        acc.a_steps <- acc.a_steps + 1;
-        sched_push sched m p
-      in
-      let n =
-        Machine.run_fused m p ~max:(ctx.max_steps - !depth) ~batch:ctx.batch
-          ~on_step
-      in
-      acc.a_fused <- acc.a_fused + n;
-      acc.a_batched <- acc.a_batched + Machine.last_batched m;
-      depth := !depth + n;
-      fused := n
+    if live = 0 then begin
+      leaf ctx acc;
+      acc.a_paths <- acc.a_paths + 1;
+      if not (ctx.final m) then note_violation acc sched;
+      release ctx st m
     end
-  end;
-  (if Machine.any_crashed m then begin
-     leaf ctx acc;
-     acc.a_paths <- acc.a_paths + 1;
-     note_violation acc sched;
-     release ctx st m
-   end
-   else begin
-     let live = live_mask m in
-     if live = 0 then begin
-       leaf ctx acc;
-       acc.a_paths <- acc.a_paths + 1;
-       if not (ctx.final m) then note_violation acc sched;
-       release ctx st m
-     end
-     else if !depth >= ctx.max_steps then begin
-       leaf ctx acc;
-       acc.a_cut <- acc.a_cut + 1;
-       release ctx st m
-     end
-     else begin
-       maybe_ckpt ctx st m !depth;
-       if cr > 0 || sl > 0 then
-         fault_branches ctx acc st m sched ~live ~cr ~sl
-           ~go:(fun m' ~cr ~sl ->
-             naive_dfs ctx acc st m' sched (!depth + 1) ~cr ~sl);
-       let n = Machine.nprocs m in
-       let head = lowest_bit live in
-       for pid = head + 1 to n - 1 do
-         if live land (1 lsl pid) <> 0 then begin
-           let m' = replay ctx acc st sched in
-           step1 acc m' pid;
-           sched_push sched m' pid;
-           naive_dfs ctx acc st m' sched (!depth + 1) ~cr ~sl;
-           sched_pop sched
-         end
-       done;
-       (* The sibling subtrees above laid checkpoints along their own
-          branches; the in-place head branch changes position [!depth]
-          without going through [replay], so drop them explicitly. (Dpor
-          needs no such drop: its in-place branch runs first.) *)
-       while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > !depth do
-         st.n_cks <- st.n_cks - 1
-       done;
-       step1 acc m head;
-       sched_push sched m head;
-       naive_dfs ctx acc st m sched (!depth + 1) ~cr ~sl;
-       sched_pop sched
-     end
-   end);
-  for _ = 1 to !fused do
-    sched_pop sched
-  done
+    else if depth >= ctx.max_steps then begin
+      leaf ctx acc;
+      acc.a_cut <- acc.a_cut + 1;
+      release ctx st m
+    end
+    else begin
+      maybe_ckpt ctx st m depth;
+      if cr > 0 || sl > 0 then
+        fault_branches ctx acc st m sched ~live ~cr ~sl
+          ~go:(fun m' ~cr ~sl -> naive_dfs ctx acc st m' sched (depth + 1) ~cr ~sl);
+      let n = Machine.nprocs m in
+      let head = lowest_bit live in
+      for pid = head + 1 to n - 1 do
+        if live land (1 lsl pid) <> 0 then begin
+          let m' = replay ctx acc st sched in
+          step1 acc m' pid;
+          sched_push sched m' pid;
+          naive_dfs ctx acc st m' sched (depth + 1) ~cr ~sl;
+          sched_pop sched
+        end
+      done;
+      (* The sibling subtrees above laid checkpoints along their own
+         branches; the in-place head branch changes position [depth]
+         without going through [replay], so drop them explicitly. (Dpor
+         needs no such drop: its in-place branch runs first.) *)
+      while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
+        st.n_cks <- st.n_cks - 1
+      done;
+      step1 acc m head;
+      sched_push sched m head;
+      naive_dfs ctx acc st m sched (depth + 1) ~cr ~sl;
+      sched_pop sched
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* DPOR: sleep sets + dynamically computed persistent (backtrack) sets *)
-(* in the style of Flanagan–Godefroid. Each node on the current path   *)
-(* records the transition taken from it; when a new transition is      *)
-(* about to execute, the deepest earlier step it depends on (found via *)
-(* the per-address access index) gets a backtrack point, forcing the   *)
+(* in the style of Flanagan–Godefroid. The transition taken from each  *)
+(* node on the current path goes on the per-address access index; when *)
+(* a new transition is about to execute, the deepest earlier step it   *)
+(* depends on (found via that index) gets a backtrack point, forcing the *)
 (* conflicting orders to be explored. Sleep sets carry already-covered *)
 (* transitions into sibling subtrees and prune them until a dependent  *)
 (* step wakes them.                                                    *)
@@ -591,7 +546,6 @@ type node = {
   mutable n_backtrack : int;
   mutable n_done : int;
   mutable n_sleep : int;
-  mutable n_exec_pend : int;  (* transition taken from this node; -1 = none *)
   n_pend : int array;  (* packed pending transition per enabled pid *)
 }
 
@@ -601,7 +555,6 @@ let node_make nprocs =
     n_backtrack = 0;
     n_done = 0;
     n_sleep = 0;
-    n_exec_pend = pause_pend;
     n_pend = Array.make nprocs pause_pend;
   }
 
@@ -648,236 +601,108 @@ let scan_add st stack nprocs q eq =
     end
   end
 
-let rec dpor_dfs ctx acc st stack m sched depth0 sleep0 ~cr ~sl =
-  let depth = ref depth0 and sleep = ref sleep0 in
-  (* Forced-run fusion: while the only awake process [p] is forced — either
-     it is the only runnable one, or its next step is trivial and every
-     other enabled process is asleep — the branch structure is fixed: the
-     node's backtrack set starts and ends as {p} (conflict-scan additions
-     can only name enabled processes other than p, all of which are asleep
-     here and would be pruned, which the unwind below tallies). So [p] is
-     stepped in a tight loop; each fused step still records a full node and
-     runs the conflict scan for every enabled process, keeping ancestor
-     backtrack sets — and hence paths/cut/pruned/violations — bit-identical
-     to the unfused search. *)
-  let fused = ref 0 in
-  if ctx.fuse then begin
-    let continue_ = ref true in
-    (* Incremental set maintenance (on by default, [ctx.incr_dpor]): inside
-       the fused loop only the stepped process [prev_p] changed between
-       consecutive nodes, so instead of re-deriving everything from the
-       machine each iteration —
-       - crash probe: only [prev_p] can have newly failed;
-       - live mask: only [prev_p] can have left it (a parked process's
-         runnability, stall window and plan cursor are untouched until it
-         is scheduled);
-       - pending array: blit the previous node's and re-probe [prev_p]
-         alone;
-       - conflict scan: for q <> prev_p with unchanged pend, the scan's
-         [ai_query] answer changed only if the one new access-index entry
-         ([prev_ep], pushed at the previous node) sits on q's target
-         address; otherwise the previous node already performed the very
-         same backtrack-set add, and those adds are idempotent (guarded by
-         backtrack/done bits that only grow). Each push is checked against
-         each live q exactly once — at the node right after it — so the
-         skipped scans are provably no-ops and the resulting backtrack
-         sets, and hence all stats, are bit-identical.
-       The first iteration ([!fused = 0]) has no previous fused node and
-       runs the full derivation. *)
-    let prev_p = ref (-1) in
-    let prev_ep = ref pause_pend in
-    let live_c = ref 0 in
-    while !continue_ do
-      let inc = ctx.incr_dpor && !fused > 0 in
-      let crashed =
-        if inc then Machine.is_failed m !prev_p else Machine.any_crashed m
-      in
-      if !depth >= ctx.max_steps || crashed then continue_ := false
+let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
+  if Machine.any_crashed m then begin
+    leaf ctx acc;
+    acc.a_paths <- acc.a_paths + 1;
+    note_violation acc sched;
+    release ctx st m
+  end
+  else begin
+    let live = live_mask m in
+    if live = 0 then begin
+      leaf ctx acc;
+      acc.a_paths <- acc.a_paths + 1;
+      if not (ctx.final m) then note_violation acc sched;
+      release ctx st m
+    end
+    else if depth >= ctx.max_steps then begin
+      leaf ctx acc;
+      acc.a_cut <- acc.a_cut + 1;
+      release ctx st m
+    end
+    else begin
+      maybe_ckpt ctx st m depth;
+      (* Fault branches are orthogonal to the reduction: they are added at
+         every branching node while budget lasts, are never slept or
+         backtracked, and their subtrees start with an empty sleep set
+         (the coverage argument behind sleep sets does not extend across
+         an injection). The step branches below are reduced exactly as in
+         the fault-free search. *)
+      if cr > 0 || sl > 0 then begin
+        fault_branches ctx acc st m sched ~live ~cr ~sl
+          ~go:(fun m' ~cr ~sl ->
+            dpor_dfs ctx acc st stack m' sched (depth + 1) 0 ~cr ~sl);
+        (* The fault subtrees laid checkpoints along their own branches;
+           the in-place step branch below runs without a [replay] (which
+           is what otherwise trims them), so drop them explicitly. *)
+        while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
+          st.n_cks <- st.n_cks - 1
+        done
+      end;
+      let n = Machine.nprocs m in
+      let nd = stack.(depth) in
+      nd.n_enabled <- live;
+      nd.n_backtrack <- 0;
+      nd.n_done <- 0;
+      nd.n_sleep <- sleep;
+      for pid = 0 to n - 1 do
+        nd.n_pend.(pid) <-
+          (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
+           else pause_pend)
+      done;
+      for q = 0 to n - 1 do
+        if live land (1 lsl q) <> 0 then scan_add st stack n q nd.n_pend.(q)
+      done;
+      let awake = live land lnot nd.n_sleep in
+      if awake = 0 then begin
+        (* sleep-blocked: every enabled transition is covered by an
+           already-explored sibling subtree *)
+        acc.a_pruned <- acc.a_pruned + 1;
+        release ctx st m
+      end
       else begin
-        let live =
-          if inc then
-            if Machine.is_runnable m !prev_p then !live_c
-            else !live_c land lnot (1 lsl !prev_p)
-          else live_mask m
-        in
-        let awake = live land lnot !sleep in
-        if awake = 0 || awake land (awake - 1) <> 0 then continue_ := false
-        else begin
-          let p = lowest_bit awake in
-          let ep =
-            if inc && p <> !prev_p then stack.(!depth - 1).n_pend.(p)
-            else Machine.packed_pend m p
-          in
-          if not (live = awake || (ep >= 0 && ep land 1 = 1)) then
-            continue_ := false
-          else begin
-            let n = Machine.nprocs m in
-            let nd = stack.(!depth) in
-            nd.n_enabled <- live;
-            nd.n_backtrack <- 1 lsl p;
-            nd.n_done <- 1 lsl p;
-            nd.n_sleep <- !sleep;
-            nd.n_exec_pend <- ep;
-            if inc then begin
-              let prev_nd = stack.(!depth - 1) in
-              Array.blit prev_nd.n_pend 0 nd.n_pend 0 n;
-              nd.n_pend.(!prev_p) <-
-                (if live land (1 lsl !prev_p) <> 0 then
-                   Machine.packed_pend m !prev_p
-                 else pause_pend);
-              for q = 0 to n - 1 do
-                if live land (1 lsl q) <> 0 then begin
-                  let eq = Array.unsafe_get nd.n_pend q in
-                  if
-                    q = !prev_p
-                    || (!prev_ep >= 0 && eq >= 0
-                       && eq lsr 1 = !prev_ep lsr 1)
-                  then scan_add st stack n q eq
-                end
-              done
+        nd.n_backtrack <- 1 lsl lowest_bit awake;
+        let in_place = ref true in
+        let rec branches () =
+          let cand = nd.n_backtrack land lnot nd.n_done in
+          if cand <> 0 then begin
+            let q = lowest_bit cand in
+            nd.n_done <- nd.n_done lor (1 lsl q);
+            if nd.n_sleep land (1 lsl q) <> 0 then begin
+              (* covered by the subtree that put [q] to sleep *)
+              acc.a_pruned <- acc.a_pruned + 1;
+              branches ()
             end
             else begin
-              for pid = 0 to n - 1 do
-                nd.n_pend.(pid) <-
-                  (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
-                   else pause_pend)
-              done;
-              for q = 0 to n - 1 do
-                if live land (1 lsl q) <> 0 then
-                  scan_add st stack n q nd.n_pend.(q)
-              done
-            end;
-            step1 acc m p;
-            sched_push sched m p;
-            if ep >= 0 then ai_push st (ep lsr 1) (ai_pack !depth p (ep land 1));
-            (* sleeping transitions dependent on (p, ep) wake up *)
-            sleep := sleep_filter !sleep p ep nd.n_pend;
-            prev_p := p;
-            prev_ep := ep;
-            live_c := live;
-            incr depth;
-            incr fused;
-            maybe_ckpt ctx st m !depth
+              let eq = nd.n_pend.(q) in
+              (* sleeping transitions dependent on (q, eq) wake up: only
+                 the independent ones carry into the child *)
+              let child_sleep = sleep_filter nd.n_sleep q eq nd.n_pend in
+              let m' =
+                if !in_place then begin
+                  in_place := false;
+                  m
+                end
+                else replay ctx acc st sched
+              in
+              step1 acc m' q;
+              sched_push sched m' q;
+              if eq >= 0 then
+                ai_push st (eq lsr 1) (ai_pack depth q (eq land 1));
+              dpor_dfs ctx acc st stack m' sched (depth + 1) child_sleep
+                ~cr ~sl;
+              if eq >= 0 then ai_pop st (eq lsr 1);
+              sched_pop sched;
+              nd.n_sleep <- nd.n_sleep lor (1 lsl q);
+              branches ()
+            end
           end
-        end
+        in
+        branches ()
       end
-    done;
-    acc.a_fused <- acc.a_fused + !fused
-  end;
-  (if Machine.any_crashed m then begin
-     leaf ctx acc;
-     acc.a_paths <- acc.a_paths + 1;
-     note_violation acc sched;
-     release ctx st m
-   end
-   else begin
-     let live = live_mask m in
-     if live = 0 then begin
-       leaf ctx acc;
-       acc.a_paths <- acc.a_paths + 1;
-       if not (ctx.final m) then note_violation acc sched;
-       release ctx st m
-     end
-     else if !depth >= ctx.max_steps then begin
-       leaf ctx acc;
-       acc.a_cut <- acc.a_cut + 1;
-       release ctx st m
-     end
-     else begin
-       maybe_ckpt ctx st m !depth;
-       (* Fault branches are orthogonal to the reduction: they are added at
-          every branching node while budget lasts, are never slept or
-          backtracked, and their subtrees start with an empty sleep set
-          (the coverage argument behind sleep sets does not extend across
-          an injection). The step branches below are reduced exactly as in
-          the fault-free search. *)
-       if cr > 0 || sl > 0 then begin
-         fault_branches ctx acc st m sched ~live ~cr ~sl
-           ~go:(fun m' ~cr ~sl ->
-             dpor_dfs ctx acc st stack m' sched (!depth + 1) 0 ~cr ~sl);
-         (* The fault subtrees laid checkpoints along their own branches;
-            the in-place step branch below runs without a [replay] (which
-            is what otherwise trims them), so drop them explicitly. *)
-         while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > !depth do
-           st.n_cks <- st.n_cks - 1
-         done
-       end;
-       let n = Machine.nprocs m in
-       let nd = stack.(!depth) in
-       nd.n_enabled <- live;
-       nd.n_backtrack <- 0;
-       nd.n_done <- 0;
-       nd.n_sleep <- !sleep;
-       nd.n_exec_pend <- pause_pend;
-       for pid = 0 to n - 1 do
-         nd.n_pend.(pid) <-
-           (if live land (1 lsl pid) <> 0 then Machine.packed_pend m pid
-            else pause_pend)
-       done;
-       for q = 0 to n - 1 do
-         if live land (1 lsl q) <> 0 then scan_add st stack n q nd.n_pend.(q)
-       done;
-       let awake = live land lnot nd.n_sleep in
-       if awake = 0 then begin
-         (* sleep-blocked: every enabled transition is covered by an
-            already-explored sibling subtree *)
-         acc.a_pruned <- acc.a_pruned + 1;
-         release ctx st m
-       end
-       else begin
-         nd.n_backtrack <- 1 lsl lowest_bit awake;
-         let in_place = ref true in
-         let rec branches () =
-           let cand = nd.n_backtrack land lnot nd.n_done in
-           if cand <> 0 then begin
-             let q = lowest_bit cand in
-             nd.n_done <- nd.n_done lor (1 lsl q);
-             if nd.n_sleep land (1 lsl q) <> 0 then begin
-               (* covered by the subtree that put [q] to sleep *)
-               acc.a_pruned <- acc.a_pruned + 1;
-               branches ()
-             end
-             else begin
-               let eq = nd.n_pend.(q) in
-               (* sleeping transitions dependent on (q, eq) wake up: only
-                  the independent ones carry into the child *)
-               let child_sleep = sleep_filter nd.n_sleep q eq nd.n_pend in
-               let m' =
-                 if !in_place then begin
-                   in_place := false;
-                   m
-                 end
-                 else replay ctx acc st sched
-               in
-               nd.n_exec_pend <- eq;
-               step1 acc m' q;
-               sched_push sched m' q;
-               if eq >= 0 then
-                 ai_push st (eq lsr 1) (ai_pack !depth q (eq land 1));
-               dpor_dfs ctx acc st stack m' sched (!depth + 1) child_sleep
-                 ~cr ~sl;
-               if eq >= 0 then ai_pop st (eq lsr 1);
-               sched_pop sched;
-               nd.n_sleep <- nd.n_sleep lor (1 lsl q);
-               branches ()
-             end
-           end
-         in
-         branches ()
-       end
-     end
-   end);
-  (* Unwind the fused prefix: backtrack points added at fused nodes by
-     deeper conflict scans name asleep processes — the unfused search would
-     have found each asleep in branches() and counted it pruned. (Skipped
-     when Budget unwinds through here, matching the abandoned branches()
-     loops of the unfused search.) *)
-  for i = !depth - 1 downto depth0 do
-    let nd = stack.(i) in
-    acc.a_pruned <- acc.a_pruned + popcount (nd.n_backtrack land lnot nd.n_done);
-    if nd.n_exec_pend >= 0 then ai_pop st (nd.n_exec_pend lsr 1);
-    sched_pop sched
-  done
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver: sequential, or a frontier work queue across domains.        *)
@@ -895,8 +720,6 @@ let empty_stats =
     steps = 0;
     replay_steps_saved = 0;
     fault_branches = 0;
-    fused_steps = 0;
-    batched_events = 0;
   }
 
 let merge_stats s r =
@@ -914,8 +737,6 @@ let merge_stats s r =
     steps = s.steps + r.steps;
     replay_steps_saved = s.replay_steps_saved + r.replay_steps_saved;
     fault_branches = s.fault_branches + r.fault_branches;
-    fused_steps = s.fused_steps + r.fused_steps;
-    batched_events = s.batched_events + r.batched_events;
   }
 
 (* A subtree task for the parallel driver: the schedule prefix reaching the
@@ -950,7 +771,7 @@ let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 let journal_header ~mode ~max_steps ~max_paths ~crashes ~stalls ~stall_steps
     ~nprocs ~ntasks =
-  Printf.sprintf "ptm-ckpt 2 %s %d %d %d %d %d %d %d" (mode_name mode)
+  Printf.sprintf "ptm-ckpt 3 %s %d %d %d %d %d %d %d" (mode_name mode)
     max_steps max_paths crashes stalls stall_steps nprocs ntasks
 
 let task_line t =
@@ -967,9 +788,9 @@ let done_line i (s : stats) =
     | Some [] -> "e"
     | Some sched -> String.concat "," (List.map string_of_int sched)
   in
-  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %d %d %d %s ." i s.paths
-    s.cut s.pruned s.violations s.replays s.steps s.replay_steps_saved
-    s.fault_branches s.fused_steps s.batched_events
+  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %d %s ." i s.paths s.cut
+    s.pruned s.violations s.replays s.steps s.replay_steps_saved
+    s.fault_branches
     (if s.exhausted then 1 else 0)
     w
 
@@ -978,7 +799,7 @@ let done_line i (s : stats) =
 let parse_done line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "d"; i; paths; cut; pruned; violations; replays; steps; saved; faults;
-      fused; batched; ex; w; "." ] -> (
+      ex; w; "." ] -> (
       try
         let witness =
           match w with
@@ -999,8 +820,6 @@ let parse_done line =
               steps = int_of_string steps;
               replay_steps_saved = int_of_string saved;
               fault_branches = int_of_string faults;
-              fused_steps = int_of_string fused;
-              batched_events = int_of_string batched;
             } )
       with _ -> None)
   | _ -> None
@@ -1151,13 +970,11 @@ let expand_node ctx acc st mode task' =
 
 let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
     ?(max_paths = 1_000_000) ?(mode = Naive) ?(domains = 1) ?(pool = true)
-    ?(checkpoint_stride = 4) ?(fuse = true) ?(batch = 16)
-    ?(incr_dpor = true) ?(crashes = 0) ?(stalls = 0)
-    ?(stall_steps = 3) ?checkpoint_file ?(resume = false) ?progress
+    ?(checkpoint_stride = 4) ?(crashes = 0) ?(stalls = 0) ?(stall_steps = 3)
+    ?checkpoint_file ?(resume = false) ?progress
     ?(progress_every = 10_000) () =
   if checkpoint_stride < 0 then
     invalid_arg "Explore.run: checkpoint_stride must be >= 0";
-  if batch < 1 then invalid_arg "Explore.run: batch must be >= 1";
   if crashes < 0 || stalls < 0 then
     invalid_arg "Explore.run: fault budgets must be >= 0";
   if stall_steps < 1 then
@@ -1192,11 +1009,6 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
       max_paths;
       pool = pool && not pre_stepped;
       stride = checkpoint_stride;
-      (* fault branches can sprout below single-runnable nodes, which the
-         forced-run fusion assumes are branch-free: fuse only at budget 0 *)
-      fuse = fuse && crashes = 0 && stalls = 0;
-      batch;
-      incr_dpor;
       crashes;
       stalls;
       stall_steps;

@@ -68,15 +68,6 @@ type stats = {
   fault_branches : int;
       (** fault injections performed as branch points (0 when the crash and
           stall budgets are 0) *)
-  fused_steps : int;
-      (** steps executed inside fused forced-run loops (0 with [fuse]
-          off); a pure instrumentation counter — the same schedules are
-          explored either way *)
-  batched_events : int;
-      (** memory events the fused loops applied through the specialized
-          fast arm ({!Machine.run_fused}); invariant in [batch] and across
-          engines, but 0 under a recording trace sink (the fast arm only
-          engages with the sink off) *)
 }
 
 type mode =
@@ -92,9 +83,6 @@ val run :
   ?domains:int ->
   ?pool:bool ->
   ?checkpoint_stride:int ->
-  ?fuse:bool ->
-  ?batch:int ->
-  ?incr_dpor:bool ->
   ?crashes:int ->
   ?stalls:int ->
   ?stall_steps:int ->
@@ -144,10 +132,10 @@ val run :
     starts a fresh run (and rewrites the file).
 
     Replay machinery — none of it changes which schedules are explored;
-    [paths]/[cut]/[pruned]/[violations] (and every other stats field
-    except the instrumentation counters [fused_steps]/[batched_events])
-    are bit-identical across every combination of the five switches
-    below, across both machine engines, and for every [batch] value:
+    [paths]/[cut]/[pruned]/[violations]/[replays] and the sum
+    [steps + replay_steps_saved] are bit-identical across every
+    combination of the two switches below and across both machine
+    engines:
 
     - [pool] (default [true]) recycles finished machines through a
       per-worker free list: a sibling replay restarts a pooled machine in
@@ -162,22 +150,6 @@ val run :
       back into the restarted machine's continuations ({!Machine.feed}) —
       counted in [replay_steps_saved], not [steps] — and re-executes only
       the suffix.
-    - [fuse] (default [true]) executes forced runs (a single runnable
-      process, or in [Dpor] mode a single awake process whose next step is
-      trivial) in a tight loop without a per-step scheduler round-trip.
-      Automatically disabled while fault budgets are on (fault branches can
-      sprout below single-runnable nodes).
-    - [batch] (default 16; must be [>= 1]) is forwarded to
-      {!Machine.run_fused} for naive-mode forced runs: the fused fast arm
-      defers its trace-seq ticks into a register flushed every [batch]
-      events. Dpor-mode fused loops keep per-step machine stepping (they
-      interleave DPOR bookkeeping between steps), so [batch] does not
-      affect them.
-    - [incr_dpor] (default [true]) maintains the Dpor fused loop's
-      per-node derived state (runnable/crash probes, packed pending
-      events, conflict scans) incrementally from the previous iteration —
-      only the process just stepped can have changed — instead of
-      recomputing it from the whole machine each iteration.
 
     [crashes]/[stalls] (defaults 0) are per-path fault budgets: at every
     branching node with budget remaining, the search adds one crash branch

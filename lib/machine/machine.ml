@@ -68,9 +68,6 @@ type t = {
      under [Off] only ticks the seq counter. *)
   mutable last_resp : Value.t;
   mutable last_changed : bool;
-  (* Fast-arm events of the most recent [run_fused] call (its batched
-     memory-event count), for the explorer's ablation stats. *)
-  mutable last_batched : int;
 }
 
 let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
@@ -96,7 +93,6 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     base_cells = -1;
     last_resp = Value.Unit;
     last_changed = false;
-    last_batched = 0;
   }
 
 let nprocs t = Array.length t.procs
@@ -178,7 +174,7 @@ let restart t =
     match s.prog with
     | Prog_fun f -> s.state <- drain t pid (F (Proc.start f))
     | Prog_step p -> s.state <- drain t pid (start_step t p)
-    | Prog_none -> assert false
+    | Prog_none -> invariant t pid s "spawn order lists a pid with no program"
   done
 
 (* ------------------------------------------------------------------ *)
@@ -360,7 +356,11 @@ let fault_slot t pid s =
 let exec_mem t (s : slot) ~pid ~addr ~prim =
   let resp =
     if Trace.recording t.trace then begin
-      let resp, changed = Memory.apply t.memory ~pid addr prim in
+      (* [changed] is needed only by the trace entry: compare the cell
+         around the apply *)
+      let before = Memory.peek t.memory addr in
+      let resp = Memory.apply t.memory ~pid addr prim in
+      let changed = not (Value.equal before (Memory.peek t.memory addr)) in
       Trace.add_mem t.trace ~pid ~addr prim resp changed;
       t.last_changed <- changed;
       resp
@@ -369,7 +369,7 @@ let exec_mem t (s : slot) ~pid ~addr ~prim =
       (* trace off: no entry is built, the event is only counted *)
       Trace.tick t.trace;
       t.last_changed <- false;
-      Memory.apply_fast t.memory ~pid addr prim
+      Memory.apply t.memory ~pid addr prim
     end
   in
   t.last_resp <- resp;
@@ -452,115 +452,6 @@ let feed t pid resp ~changed =
       s.scheds <- s.scheds + 1;
       s.state <- drain t pid (S (Proc.Step.resume k resp))
   | _ -> invalid_arg "Machine.feed: process not runnable"
-
-(* Fused forced-run inner loop. While [pid]'s slot is parked on a memory
-   request, the trace sink is off and no fault interferes, the dispatch →
-   apply → resume round-trip runs in a local loop that keeps the outcome
-   unwrapped (no [S _]/[F _] re-boxing per step, so the Steps arm allocates
-   exactly zero words per step) and applies events via the specialized
-   [Memory.apply_fast] branches. With [batch > 1] the per-event trace tick
-   is accumulated in a local counter and flushed every [batch] events —
-   seq numbers are pure sums, so deferral is invisible as long as the
-   pending count is flushed before anything reads or records the trace:
-   before draining notes, before the generic arm (fault slots, pauses,
-   recording sinks), before the apply-path exception escapes, and on exit.
-   Everything the fast arm skips falls back to [step_slot], so statuses,
-   step counts, fault semantics and responses are bit-identical to
-   stepping one slot at a time, for any [batch]. *)
-let run_fused t pid ~max ~batch ~on_step =
-  if batch < 1 then invalid_arg "Machine.run_fused: batch must be >= 1";
-  let s = Array.unsafe_get t.procs pid in
-  let off = not (Trace.recording t.trace) in
-  let n = ref 0 in
-  let batched = ref 0 in
-  let pending = ref 0 in
-  let flush () =
-    if !pending > 0 then begin
-      Trace.tick_n t.trace !pending;
-      pending := 0
-    end
-  in
-  (* The fault layer owns the next slot when a stall window is open or a
-     plan trigger is due; [plan_due] can become true mid-run as [scheds]
-     advances, so this is re-checked before every fast-arm event. *)
-  let fast_ok () = not (s.stall_left > 0 || plan_due s) in
-  (* Per-event bookkeeping mirrors [exec_mem]'s Off arm exactly: tick
-     (here: pending increment, flushed on the raise path too) before the
-     apply, then response/step accounting after. *)
-  let rec inner_s (o : Proc.Step.outcome) : Proc.Step.outcome =
-    match o with
-    | Proc.Step.Wants_mem ({ Proc.addr; prim }, k) when !n < max && fast_ok ()
-      ->
-        incr pending;
-        if !pending >= batch then flush ();
-        let resp =
-          try Memory.apply_fast t.memory ~pid addr prim
-          with e ->
-            flush ();
-            raise e
-        in
-        t.last_changed <- false;
-        t.last_resp <- resp;
-        s.steps <- s.steps + 1;
-        s.scheds <- s.scheds + 1;
-        incr batched;
-        incr n;
-        on_step ();
-        inner_s (Proc.Step.resume k resp)
-    | o -> o
-  in
-  let rec inner_f (o : Proc.outcome) : Proc.outcome =
-    match o with
-    | Proc.Wants_mem ({ Proc.addr; prim }, k) when !n < max && fast_ok () ->
-        incr pending;
-        if !pending >= batch then flush ();
-        let resp =
-          try Memory.apply_fast t.memory ~pid addr prim
-          with e ->
-            flush ();
-            raise e
-        in
-        t.last_changed <- false;
-        t.last_resp <- resp;
-        s.steps <- s.steps + 1;
-        s.scheds <- s.scheds + 1;
-        incr batched;
-        incr n;
-        on_step ();
-        inner_f (Effect.Deep.continue k resp)
-    | o -> o
-  in
-  let continue = ref true in
-  while !continue && !n < max do
-    (match s.state with
-    | S (Proc.Step.Wants_mem _ as o) when off && not s.halted && fast_ok () ->
-        (match inner_s o with
-        | Proc.Step.Wants_note _ as o' ->
-            flush ();
-            s.state <- drain t pid (S o')
-        | o' -> s.state <- S o')
-    | F (Proc.Wants_mem _ as o) when off && not s.halted && fast_ok () -> (
-        match inner_f o with
-        | Proc.Wants_note _ as o' ->
-            flush ();
-            s.state <- drain t pid (F o')
-        | o' -> s.state <- F o')
-    | _ -> (
-        flush ();
-        match step_slot t pid s with
-        | `Done -> continue := false
-        | `Progress | `Paused ->
-            incr n;
-            on_step ()));
-    if !continue && not (running s) then continue := false
-  done;
-  flush ();
-  t.last_batched <- !batched;
-  !n
-
-let run_while_forced t pid ~max ~on_step = run_fused t pid ~max ~batch:1 ~on_step
-
-let last_batched t = t.last_batched
 
 let steps_of t pid = (slot t pid).steps
 let scheds_of t pid = (slot t pid).scheds

@@ -177,8 +177,8 @@ val packed_pend : t -> pid -> int
     object, so it commutes like a pause. *)
 
 val last_resp : t -> Value.t
-(** Response of the most recent memory step ({!step}, {!unsafe_step} or
-    {!run_while_forced}) on this machine. Schedulers log it to later
+(** Response of the most recent memory step ({!step} or {!unsafe_step})
+    on this machine. Schedulers log it to later
     {!feed} it back during checkpointed replay. *)
 
 val last_changed : t -> bool
@@ -197,37 +197,6 @@ val feed : t -> pid -> Value.t -> changed:bool -> unit
     this schedule position originally produced, and for restoring memory
     (e.g. {!Memory.restore_from}) before real steps resume.
     Raises [Invalid_argument] if [pid] is not runnable or halted. *)
-
-val run_fused : t -> pid -> max:int -> batch:int -> on_step:(unit -> unit) -> int
-(** Step [pid] repeatedly — at most [max] times, stopping as soon as it is
-    no longer runnable — calling [on_step] after each consumed step (pauses
-    included). Returns the number of steps consumed. This is the forced-run
-    fast path: when the scheduler has established that [pid] is the only
-    process it may schedule, the whole run executes without a scheduler
-    round-trip per step.
-
-    While [pid] sits on a memory request with the trace sink off and no
-    fault interference, steps run in a fused inner loop: specialized
-    per-primitive application ({!Memory.apply_fast}), the continuation
-    resumed directly with the outcome kept unwrapped — on the {!Steps}
-    engine the loop allocates zero words per step. [batch >= 1] defers the
-    per-event trace-seq tick into a local counter flushed every [batch]
-    events (and before anything observes the trace), which is invisible in
-    every observable: traces, statuses, step counts, responses and fault
-    semantics are bit-identical for all [batch] values and to unfused
-    stepping. Everything outside the fast arm — pauses, notes, fault
-    slots, recording sinks — falls back to the one-slot path.
-    Raises [Invalid_argument] if [batch < 1]. *)
-
-val last_batched : t -> int
-(** Number of events the most recent {!run_fused} call on this machine
-    executed through its fused fast arm (its batched memory-event count);
-    the remainder of its consumed steps went through the generic one-slot
-    path. *)
-
-val run_while_forced : t -> pid -> max:int -> on_step:(unit -> unit) -> int
-(** [run_fused ~batch:1] — the PR 4 entry point, kept for callers that
-    don't care about batching. *)
 
 val steps_of : t -> pid -> int
 (** Number of events (primitive applications) performed by [pid] so far. *)

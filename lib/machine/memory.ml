@@ -55,27 +55,14 @@ let register_link c pid =
   if pid < 62 then c.links <- c.links lor (1 lsl pid)
   else if not (List.mem pid c.links_hi) then c.links_hi <- pid :: c.links_hi
 
+(* The single semantic definition of every primitive, applied in place.
+   Each branch installs the new value, returns the response and clears the
+   cell's load-links exactly when the application writes (any unconditional
+   write, a successful [Cas]/[Sc], [Tas] on [false], a nonzero [Faa]);
+   responses come from the preallocated [Value] constructors so no step with
+   a small-int or bool response allocates. Projection failures ([Tas] on a
+   non-bool, [Faa] on a non-int) raise before any mutation. *)
 let apply t ~pid a p =
-  let c = cell t a in
-  let link_valid = link_valid c pid in
-  let v', resp, invalidates = Primitive.apply p ~current:c.v ~link_valid in
-  let changed = not (Value.equal c.v v') in
-  c.v <- v';
-  if invalidates then clear_links c;
-  (match p with Primitive.Ll -> register_link c pid | _ -> ());
-  (resp, changed)
-
-(* Hot path for machines whose trace sink is off: identical state
-   transition, but skips the [changed] comparison (only the trace entry
-   needs it), the result tuple, and the generic [Primitive.apply]
-   three-way return. Each branch below is a hand-specialized clone of the
-   corresponding [Primitive.apply] arm — same new value, same response,
-   link invalidation exactly when that arm reports [invalidates] — using
-   the preallocated [Value] constructors so no step allocates. Projection
-   failures ([Tas] on a non-bool, [Faa] on a non-int) raise before any
-   mutation, as in the generic path. A QCheck equivalence test pins the
-   two paths together; keep them in sync. *)
-let apply_fast t ~pid a p =
   let c = cell t a in
   match p with
   | Primitive.Read -> c.v

@@ -15,19 +15,16 @@ val alloc : t -> ?owner:int -> name:string -> Value.t -> addr
 (** Allocate a fresh base object. Allocation is a set-up action of the
     implementation, not a step of any process. *)
 
-val apply : t -> pid:int -> addr -> Primitive.t -> Value.t * bool
+val apply : t -> pid:int -> addr -> Primitive.t -> Value.t
 (** [apply t ~pid a p] applies primitive [p] to base object [a] on behalf of
-    process [pid], returning [(response, changed)]. Maintains LL/SC links:
-    [Ll] registers a link for [pid]; any link-invalidating application (see
-    {!Primitive.apply}) clears all links of [a]. *)
-
-val apply_fast : t -> pid:int -> addr -> Primitive.t -> Value.t
-(** Same state transition as {!apply} but returns only the response, skipping
-    the [changed] comparison — for hot paths that do not record a trace
-    entry (machines with the {!Trace.Off} sink). Implemented as specialized
-    non-allocating per-primitive branches (responses drawn from the
-    preallocated {!Value} constructors, structurally equal to {!apply}'s);
-    a QCheck test pins the two paths' equivalence. *)
+    process [pid] and returns the response. Maintains LL/SC links: [Ll]
+    registers a link for [pid]; any application that writes the cell (an
+    unconditional [Write]/[Fas], a successful [Cas]/[Sc], [Tas] on [false],
+    a nonzero [Faa]) clears all links of [a]. Responses are drawn from the
+    preallocated {!Value} constructors, so an application whose response is
+    a bool, unit or small int allocates nothing.
+    @raise Invalid_argument on an out-of-range address, [Tas] on a non-bool
+    cell or [Faa] on a non-int cell (before any mutation). *)
 
 val reset : t -> unit
 (** Restore every cell to its [alloc]-time initial value and clear all

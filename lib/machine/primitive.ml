@@ -16,27 +16,3 @@ let is_conditional = function Cas _ | Sc _ | Tas -> true | _ -> false
 let is_rwc = function
   | Read | Write _ | Cas _ | Sc _ | Ll | Tas -> true
   | Faa _ | Fas _ -> false
-
-(* The single semantic definition of every primitive:
-   (new value, response, invalidates links). [Memory.apply_fast] carries a
-   hand-specialized per-branch clone of this function for the
-   trace-off hot path — any change here must be mirrored there (a QCheck
-   equivalence test in test_engines.ml pins the two together). *)
-let apply p ~current ~link_valid =
-  match p with
-  | Read -> (current, current, false)
-  | Ll -> (current, current, false)
-  | Write v -> (v, Value.Unit, true)
-  | Fas v -> (v, current, true)
-  | Cas { expected; desired } ->
-      if Value.equal current expected then (desired, Value.Bool true, true)
-      else (current, Value.Bool false, false)
-  | Tas ->
-      let old = Value.to_bool current in
-      (Value.Bool true, Value.Bool old, not old)
-  | Faa k ->
-      let n = Value.to_int current in
-      (Value.Int (n + k), Value.Int n, k <> 0)
-  | Sc v ->
-      if link_valid then (v, Value.Bool true, true)
-      else (current, Value.Bool false, false)

@@ -4,7 +4,8 @@
     base object, [h] computes the response. A primitive is {e trivial} if it
     never changes the object, {e nontrivial} otherwise, and {e conditional} if
     [g] sometimes leaves the state unchanged and sometimes does not (e.g. CAS
-    and LL/SC, the paper's examples). *)
+    and LL/SC, the paper's examples). {!Memory.apply} is the single
+    definition of each primitive's [<g, h>]. *)
 
 type t =
   | Read
@@ -35,10 +36,3 @@ val is_conditional : t -> bool
 val is_rwc : t -> bool
 (** Belongs to the read/write/conditional class of Theorem 9 (everything but
     [Faa] and [Fas]). *)
-
-val apply :
-  t -> current:Value.t -> link_valid:bool -> Value.t * Value.t * bool
-(** [apply p ~current ~link_valid] returns
-    [(new_state, response, invalidates_links)]. [link_valid] is consulted only
-    by [Sc]. [invalidates_links] is true when the application must invalidate
-    outstanding load-links (any actual or unconditional write). *)

@@ -11,38 +11,14 @@ let round_robin ?(max_steps = default_max) m =
   let progressed = ref true in
   while !progressed do
     progressed := false;
-    let live = ref 0 and last = ref (-1) in
     for pid = 0 to n - 1 do
       if runnable m pid then begin
-        incr live;
-        last := pid
+        if !budget <= 0 then raise Out_of_steps;
+        decr budget;
+        ignore (Machine.step m pid : Machine.step_result);
+        progressed := true
       end
-    done;
-    if !live = 1 then begin
-      (* Only one process left: a round-robin of one is a forced run, so
-         drain it through the fused fast path. No other process can become
-         runnable while it runs (runnability is program state, untouched by
-         other processes' memory effects), so when the fused run returns
-         the process is either finished or out of budget. Stepping past the
-         budget is impossible ([max] caps consumption), and a process still
-         runnable afterwards is exactly the original per-step budget
-         trip. *)
-      let pid = !last in
-      ignore
-        (Machine.run_fused m pid ~max:!budget ~batch:16 ~on_step:(fun () ->
-             decr budget)
-          : int);
-      if runnable m pid then raise Out_of_steps
-    end
-    else
-      for pid = 0 to n - 1 do
-        if runnable m pid then begin
-          if !budget <= 0 then raise Out_of_steps;
-          decr budget;
-          ignore (Machine.step m pid : Machine.step_result);
-          progressed := true
-        end
-      done
+    done
   done
 
 let random ~seed ?(max_steps = default_max) m =

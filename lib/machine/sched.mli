@@ -10,10 +10,7 @@ exception Out_of_steps
 
 val round_robin : ?max_steps:int -> Machine.t -> unit
 (** Step runnable processes in cyclic pid order until all terminate.
-    Pauses are transparent (consumed without counting as events). Once a
-    single runnable process remains, it is drained through the machine's
-    fused fast path ({!Machine.run_fused}) — behaviour, budget accounting
-    and [Out_of_steps] trips are identical to per-step scheduling. *)
+    Pauses are transparent (consumed without counting as events). *)
 
 val random : seed:int -> ?max_steps:int -> Machine.t -> unit
 (** Step a uniformly random runnable process each time, from a private seeded

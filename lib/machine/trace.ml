@@ -46,12 +46,6 @@ let recording t = t.sink <> Off
 (* Count an event the machine elided recording for (Off sink fast path). *)
 let tick t = t.total <- t.total + 1
 
-(* Count [n] elided events at once: the batched fused runs accumulate
-   their tick count in a register and flush it here. Tick increments
-   commute ([total] is a sum), so deferral is invisible as long as the
-   pending count is flushed before any entry is built or [total] read. *)
-let tick_n t n = t.total <- t.total + n
-
 let push t e =
   (match t.sink with
   | Off -> ()

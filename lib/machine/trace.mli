@@ -52,11 +52,6 @@ val recording : t -> bool
 val tick : t -> unit
 (** Count one elided event: advances {!length} without recording. *)
 
-val tick_n : t -> int -> unit
-(** Count [n] elided events at once — the bulk form of {!tick} used by
-    batched fused runs, which accumulate ticks in a local counter and
-    flush before any entry is built or {!length} is read. *)
-
 val add_mem : t -> pid:int -> addr:int -> Primitive.t -> Value.t -> bool -> unit
 val add_note : t -> pid:int -> note -> unit
 

@@ -8,8 +8,8 @@ type t =
 
 let nil_pid = Pid (-1)
 
-(* Preallocated results for the specialized primitive branches
-   (Memory.apply_fast): responses on the hot path must not allocate, and
+(* Preallocated results for the primitive branches of Memory.apply:
+   responses on the hot path must not allocate, and
    these are structurally equal to fresh constructors, so substituting them
    is invisible to [equal]/[compare]/[show]. *)
 let true_ = Bool true

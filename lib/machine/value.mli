@@ -22,8 +22,7 @@ val nil_pid : t
 (** Preallocated constructors for allocation-free hot paths. Each is
     structurally equal to the corresponding fresh constructor ([equal],
     [compare] and [show] cannot tell them apart); they exist so the
-    specialized primitive branches of {!Memory.apply_fast} build no boxed
-    value per step. *)
+    primitive branches of {!Memory.apply} build no boxed value per step. *)
 
 val true_ : t
 (** [Bool true], preallocated. *)

@@ -231,254 +231,6 @@ let qcheck_engine_differential =
       run Machine.Fibers = run Machine.Steps)
 
 (* ------------------------------------------------------------------ *)
-(* Fusion differentials                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The fused inner loop decomposed into its switches: fusion off, the
-   specialized dispatch arm alone, deferred seq ticks at several batch
-   sizes, and incremental DPOR state maintenance. Every combination must
-   explore the same schedules. *)
-let fuse_variants =
-  [
-    ("off", false, 1, false);
-    ("dispatch", true, 1, false);
-    ("batch4", true, 4, false);
-    ("batch16", true, 16, false);
-    ("incr4", true, 4, true);
-    ("full", true, 16, true);
-  ]
-
-(* Fold the fed/executed split (fusing a forced run can move checkpointed
-   positions between the two buckets; [steps + saved] is the invariant)
-   and zero the instrumentation counters — the only stats the fusion
-   switches may move. *)
-let scrub_fuse (s : Explore.stats) =
-  {
-    s with
-    Explore.steps = s.steps + s.replay_steps_saved;
-    replay_steps_saved = 0;
-    fused_steps = 0;
-    batched_events = 0;
-  }
-
-(* Two structurally different TMs on the Steps engine: undolog (in-place
-   with validation) and ostm (helping). Engine-invariance at the default
-   (full) fusion setting is test_explore_differential's job, and the
-   QCheck sweep below exercises the variants on fibers machines. *)
-let test_fuse_variant_differential () =
-  List.iter
-    (fun tname ->
-      let tm = Option.get (Ptm_tms.Registry.stepwise_by_name tname) in
-      let (module T : Tm_intf.S_step) = tm in
-      List.iter
-        (fun (mname, mode) ->
-          let stats (_, fuse, batch, incr_dpor) =
-            scrub_fuse
-              (Explore.run
-                 ~mk:(mk_step_tm tm ~engine:Machine.Steps ~trace:Trace.Off)
-                 ~max_steps:24 ~mode ~fuse ~batch ~incr_dpor ())
-          in
-          let base = stats (List.hd fuse_variants) in
-          List.iter
-            (fun ((vname, _, _, _) as v) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s: %s == off" T.name mname vname)
-                true
-                (stats v = base))
-            (List.tl fuse_variants))
-        [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
-    [ "undolog"; "ostm" ]
-
-(* Machine-level: a forced sequential schedule (each process drained to
-   completion in pid order) driven per-step vs through [run_fused] at
-   several batch sizes, under a recording and a non-recording sink, with
-   a streaming opacity monitor attached throughout — trace, counters,
-   statuses and the monitor's verdict must all agree. *)
-let drive_stepwise m nprocs =
-  for pid = 0 to nprocs - 1 do
-    while Machine.is_runnable m pid do
-      ignore (Machine.step m pid : Machine.step_result)
-    done
-  done
-
-let drive_fused ~batch m nprocs =
-  for pid = 0 to nprocs - 1 do
-    while Machine.is_runnable m pid do
-      ignore
-        (Machine.run_fused m pid ~max:100_000 ~batch ~on_step:(fun () -> ())
-          : int)
-    done
-  done
-
-let test_run_fused_machine_differential () =
-  List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      List.iter
-        (fun (sname, trace) ->
-          List.iter
-            (fun (ename, engine) ->
-              let exec drive =
-                let chk = Opacity_stream.create () in
-                let m =
-                  mk_step_tm tm ~engine ~trace
-                    ~observer:(Opacity_stream.on_entry chk)
-                    ()
-                in
-                drive m 2;
-                Machine.check_crashes m;
-                ( fingerprint ~nprocs:2 m,
-                  Format.asprintf "%a" Opacity_stream.pp_verdict
-                    (Opacity_stream.verdict chk) )
-              in
-              let base = exec drive_stepwise in
-              List.iter
-                (fun batch ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf
-                       "%s/%s/%s: run_fused batch %d == per-step" T.name
-                       sname ename batch)
-                    true
-                    (exec (drive_fused ~batch) = base))
-                [ 1; 4; 16 ])
-            [ ("fibers", Machine.Fibers); ("steps", Machine.Steps) ])
-        [ ("full", Trace.Full); ("off", Trace.Off) ])
-    Ptm_tms.Registry.stepwise
-
-(* Random programs with machine-installed fault plans (which, unlike the
-   explorer's fault budgets, keep fusion on and must fire mid-fused-run),
-   explored under a random fusion variant: same search as fusion off. *)
-let qcheck_fuse_differential =
-  let gen =
-    QCheck2.Gen.(
-      let addr = int_bound 2 in
-      let op =
-        frequency
-          [
-            (3, map (fun a -> R a) addr);
-            (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
-            (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
-            (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
-            (1, return P);
-          ]
-      in
-      let prog = list_size (int_bound 6) op in
-      let faults =
-        oneof
-          [
-            return [];
-            map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound 6);
-            map2
-              (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
-              (int_bound 6) (int_range 1 4);
-          ]
-      in
-      pair (pair prog prog)
-        (pair faults (int_bound (List.length fuse_variants - 1))))
-  in
-  let print ((ops0, ops1), (faults, vi)) =
-    let vname, _, _, _ = List.nth fuse_variants vi in
-    Printf.sprintf "p0=[%s] p1=[%s] faults=%d variant=%s"
-      (String.concat ";" (List.map pp_op ops0))
-      (String.concat ";" (List.map pp_op ops1))
-      (List.length faults) vname
-  in
-  QCheck2.Test.make ~count:60 ~print
-    ~name:"fuse variants explore identically (random programs + plans)" gen
-    (fun ((ops0, ops1), (faults, vi)) ->
-      let _, fuse, batch, incr_dpor = List.nth fuse_variants vi in
-      let mk () =
-        let m = Machine.create ~trace:Trace.Off ~nprocs:2 () in
-        let addrs =
-          Array.init 3 (fun i ->
-              Machine.alloc m ~name:(Printf.sprintf "x%d" i) (Value.Int 0))
-        in
-        Machine.set_faults m faults;
-        Machine.spawn_step m 0 (steps_of_ops addrs ops0);
-        Machine.spawn_step m 1 (steps_of_ops addrs ops1);
-        m
-      in
-      List.for_all
-        (fun mode ->
-          let stats ~fuse ~batch ~incr_dpor =
-            scrub_fuse
-              (Explore.run ~mk ~max_steps:12 ~mode ~fuse ~batch ~incr_dpor ())
-          in
-          stats ~fuse ~batch ~incr_dpor
-          = stats ~fuse:false ~batch:1 ~incr_dpor:false)
-        [ Explore.Naive; Explore.Dpor ])
-
-(* [Memory.apply_fast]'s specialized per-primitive branches are a clone of
-   [Primitive.apply] (see the keep-in-sync comments in both files); this
-   pins the two paths to the same responses and cell states, LL/SC links
-   included. *)
-let qcheck_apply_fast_pin =
-  let open QCheck2 in
-  let gen_prim_int =
-    Gen.(
-      oneof
-        [
-          return Primitive.Read;
-          return Primitive.Ll;
-          map (fun v -> Primitive.Write (Value.Int v)) (int_bound 5);
-          map (fun v -> Primitive.Fas (Value.Int v)) (int_bound 5);
-          map2
-            (fun e d ->
-              Primitive.Cas { expected = Value.Int e; desired = Value.Int d })
-            (int_bound 3) (int_bound 5);
-          map (fun k -> Primitive.Faa k) (int_range (-2) 3);
-          map (fun v -> Primitive.Sc (Value.Int v)) (int_bound 5);
-        ])
-  in
-  let gen_prim_bool =
-    Gen.(
-      oneof
-        [
-          return Primitive.Read;
-          return Primitive.Ll;
-          map (fun b -> Primitive.Write (Value.Bool b)) bool;
-          return Primitive.Tas;
-          map2
-            (fun e d ->
-              Primitive.Cas { expected = Value.Bool e; desired = Value.Bool d })
-            bool bool;
-          map (fun b -> Primitive.Sc (Value.Bool b)) bool;
-        ])
-  in
-  let gen =
-    Gen.(
-      list_size (1 -- 40)
-        (bind (pair (int_bound 1) (int_bound 1)) (fun (pid, cell) ->
-             map
-               (fun p -> (pid, cell, p))
-               (if cell = 0 then gen_prim_int else gen_prim_bool))))
-  in
-  let print ops =
-    String.concat "; "
-      (List.map
-         (fun (pid, cell, p) ->
-           Format.asprintf "p%d c%d %a" pid cell Primitive.pp p)
-         ops)
-  in
-  Test.make ~count:500 ~print ~name:"Memory.apply_fast == Memory.apply" gen
-    (fun ops ->
-      let mk_mem () =
-        let mem = Memory.create () in
-        let i = Memory.alloc mem ~name:"i" (Value.Int 0) in
-        let b = Memory.alloc mem ~name:"b" (Value.Bool false) in
-        (mem, [| i; b |])
-      in
-      let ma, aa = mk_mem () in
-      let mb, ab = mk_mem () in
-      List.for_all
-        (fun (pid, cell, prim) ->
-          let ra = Memory.apply_fast ma ~pid aa.(cell) prim in
-          let rb, _changed = Memory.apply mb ~pid ab.(cell) prim in
-          Value.equal ra rb
-          && Value.equal (Memory.peek ma aa.(0)) (Memory.peek mb ab.(0))
-          && Value.equal (Memory.peek ma aa.(1)) (Memory.peek mb ab.(1)))
-        ops)
-
-(* ------------------------------------------------------------------ *)
 (* OSTM deep-helping regression                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -645,12 +397,67 @@ let test_resume_completed_journal () =
   Alcotest.(check bool) "resume of a finished journal restores the stats" true
     (fresh = resumed)
 
+let read_lines file =
+  let ic = open_in file in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let write_lines file lines =
+  let oc = open_out file in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
+
+(* Rewrite a finished journal into the version-2 layout: the old header
+   tag and two extra stats columns after the fault count on every done
+   line. Resuming it must be refused, not parsed into shifted stats. *)
+let downgrade_to_v2 file =
+  let v3 = "ptm-ckpt 3 " in
+  let n = String.length v3 in
+  write_lines file
+    (List.map
+       (fun l ->
+         if String.length l >= n && String.equal (String.sub l 0 n) v3 then
+           "ptm-ckpt 2 " ^ String.sub l n (String.length l - n)
+         else
+           match String.split_on_char ' ' l with
+           | "d" :: i :: paths :: cut :: pruned :: viol :: replays :: steps
+             :: saved :: faults :: rest ->
+               String.concat " "
+                 ([ "d"; i; paths; cut; pruned; viol; replays; steps; saved;
+                    faults; "0"; "0" ]
+                 @ rest)
+           | _ -> l)
+       (read_lines file))
+
 let test_resume_mismatch_rejected () =
   let f = temp_ckpt "mismatch" in
+  let refused what =
+    match explore_ttas ~checkpoint_file:f ~resume:true ~max_steps:26 () with
+    | _ -> Alcotest.failf "resume accepted %s" what
+    | exception Invalid_argument msg ->
+        let key = "journal records a different exploration" in
+        let n = String.length key in
+        let rec has i =
+          i + n <= String.length msg
+          && (String.equal (String.sub msg i n) key || has (i + 1))
+        in
+        Alcotest.(check bool) (what ^ ": the mismatch error") true (has 0)
+  in
+  ignore (explore_ttas ~checkpoint_file:f ~max_steps:28 ());
+  refused "a journal of a different exploration";
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
-  (match explore_ttas ~checkpoint_file:f ~resume:true ~max_steps:28 () with
-  | _ -> Alcotest.fail "resume accepted a journal of a different exploration"
-  | exception Invalid_argument _ -> ());
+  downgrade_to_v2 f;
+  Alcotest.(check bool) "the downgraded journal is ptm-ckpt 2" true
+    (String.equal
+       (String.sub (List.hd (read_lines f)) 0 11)
+       "ptm-ckpt 2 ");
+  refused "a ptm-ckpt 2 journal";
   Sys.remove f
 
 let count_done_lines file =
@@ -754,15 +561,6 @@ let () =
           Alcotest.test_case "explorer stats equal" `Slow
             test_explore_differential;
           of_q qcheck_engine_differential;
-        ] );
-      ( "fusion",
-        [
-          Alcotest.test_case "fuse variants explore identically" `Slow
-            test_fuse_variant_differential;
-          Alcotest.test_case "run_fused == per-step stepping" `Quick
-            test_run_fused_machine_differential;
-          of_q qcheck_fuse_differential;
-          of_q qcheck_apply_fast_pin;
         ] );
       ( "ostm",
         [ Alcotest.test_case "deep helping chain" `Quick test_ostm_deep_helping ]

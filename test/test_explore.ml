@@ -463,12 +463,8 @@ let test_budget_preserves_witness () =
 (* The sink is pure observation: every stat of the search — including the
    traversal bookkeeping (replays, steps) and the witness — is identical
    whether the explored machines record a full trace, a bounded ring, or
-   nothing. The one exception is [batched_events]: the fused fast arm only
-   engages with the sink off, so that instrumentation counter is zeroed
-   before comparing ([fused_steps] stays in — it is sink-invariant). The
-   verdicts here are crash-based (occupancy assertions), so they need no
-   trace. *)
-let scrub_sink s = { s with Explore.batched_events = 0 }
+   nothing. The verdicts here are crash-based (occupancy assertions), so
+   they need no trace. *)
 
 let test_sink_invariance () =
   List.iter
@@ -486,11 +482,11 @@ let test_sink_invariance () =
           Alcotest.(check bool)
             (L.name ^ ": ring sink changes nothing")
             true
-            (scrub_sink full = scrub_sink ring);
+            (full = ring);
           Alcotest.(check bool)
             (L.name ^ ": off sink changes nothing")
             true
-            (scrub_sink full = scrub_sink off))
+            (full = off))
         [ Explore.Naive; Explore.Dpor ])
     [ ((module Tas), 24); ((module Ticket), 24) ]
 
@@ -533,9 +529,8 @@ let prop_sinks_agree =
             Explore.run ~mk:(mk trace) ~max_steps:14 ~max_paths:30_000 ~mode
               ()
           in
-          let full = scrub_sink (run Trace.Full) in
-          full = scrub_sink (run Trace.Off)
-          && full = scrub_sink (run (Trace.Ring 3)))
+          let full = run Trace.Full in
+          full = run Trace.Off && full = run (Trace.Ring 3))
         [ Explore.Naive; Explore.Dpor ])
 
 (* The DPOR path/prune counts of the standard fixtures, pinned: the bitmask
@@ -580,33 +575,28 @@ let test_replays_counted () =
     (s.Explore.steps > 4096)
 
 (* ------------------------------------------------------------------ *)
-(* Replay machinery: machine pooling, checkpointed suffix replay and   *)
-(* forced-run fusion are pure performance devices — every stat except  *)
-(* the steps/saved split must be bit-identical to the naive baseline.  *)
+(* Replay machinery: machine pooling and checkpointed suffix replay    *)
+(* are pure performance devices — every stat except the steps/saved    *)
+(* split must be bit-identical to the naive baseline.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Fold the fed prefix positions back into [steps]: how the work splits
    between re-executed and fed positions is the only thing a replay
-   configuration may change — besides the pure instrumentation counters
-   ([fused_steps]/[batched_events]), which exist to measure the fusion and
-   so are zeroed before comparing. *)
+   configuration may change. *)
 let scrub_replay s =
   {
     s with
     Explore.steps = s.Explore.steps + s.Explore.replay_steps_saved;
     replay_steps_saved = 0;
-    fused_steps = 0;
-    batched_events = 0;
   }
 
 let replay_configs =
   [
-    ("pool", true, 0, false);
-    ("fuse", false, 0, true);
-    ("ckpt1", false, 1, false);
-    ("ckpt4", false, 4, false);
-    ("pool+ckpt4+fuse", true, 4, true);
-    ("pool+ckpt16+fuse", true, 16, true);
+    ("pool", true, 0);
+    ("ckpt1", false, 1);
+    ("ckpt4", false, 4);
+    ("pool+ckpt4", true, 4);
+    ("pool+ckpt16", true, 16);
   ]
 
 let test_replay_differential () =
@@ -614,17 +604,17 @@ let test_replay_differential () =
     (fun ((module L : Mutex_intf.S), mode, max_steps) ->
       List.iter
         (fun trace ->
-          let run ~pool ~stride ~fuse =
+          let run ~pool ~stride =
             Explore.run
               ~mk:(mk_mutex (module L) ~trace)
-              ~max_steps ~mode ~pool ~checkpoint_stride:stride ~fuse ()
+              ~max_steps ~mode ~pool ~checkpoint_stride:stride ()
           in
-          let base = run ~pool:false ~stride:0 ~fuse:false in
+          let base = run ~pool:false ~stride:0 in
           Alcotest.(check int) "baseline feeds nothing" 0
             base.Explore.replay_steps_saved;
           List.iter
-            (fun (label, pool, stride, fuse) ->
-              let s = run ~pool ~stride ~fuse in
+            (fun (label, pool, stride) ->
+              let s = run ~pool ~stride in
               Alcotest.(check bool)
                 (Printf.sprintf "%s %s" L.name label)
                 true
@@ -638,16 +628,16 @@ let test_replay_differential () =
     ]
 
 let test_replay_defaults_pinned () =
-  (* The default settings (pool on, stride 4, fusion on) reproduce the
-     no-pool no-checkpoint no-fusion exploration on every stat except the
-     steps/saved split. *)
+  (* The default settings (pool on, stride 4) reproduce the no-pool
+     no-checkpoint exploration on every stat except the steps/saved
+     split. *)
   List.iter
     (fun mode ->
       let dflt = Explore.run ~mk:(mk_mutex (module Tas)) ~max_steps:24 ~mode () in
       let base =
         Explore.run
           ~mk:(mk_mutex (module Tas))
-          ~max_steps:24 ~mode ~pool:false ~checkpoint_stride:0 ~fuse:false ()
+          ~max_steps:24 ~mode ~pool:false ~checkpoint_stride:0 ()
       in
       Alcotest.(check bool) "defaults match baseline" true
         (scrub_replay dflt = scrub_replay base);
@@ -682,7 +672,7 @@ let prop_replay_configs_agree =
         (int_bound (List.length replay_configs - 1)))
   in
   let print (progs, ci) =
-    let label, _, _, _ = List.nth replay_configs ci in
+    let label, _, _ = List.nth replay_configs ci in
     label ^ ": "
     ^ String.concat " | "
         (List.map
@@ -690,9 +680,9 @@ let prop_replay_configs_agree =
            progs)
   in
   Test.make ~count:25
-    ~name:"pooling/checkpointing/fusion do not change exploration" ~print gen
+    ~name:"pooling/checkpointing do not change exploration" ~print gen
     (fun (progs, ci) ->
-      let _, pool, stride, fuse = List.nth replay_configs ci in
+      let _, pool, stride = List.nth replay_configs ci in
       let nprocs = List.length progs in
       let mk () =
         let m = Machine.create ~nprocs () in
@@ -718,11 +708,11 @@ let prop_replay_configs_agree =
         (fun mode ->
           let base =
             Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool:false
-              ~checkpoint_stride:0 ~fuse:false ()
+              ~checkpoint_stride:0 ()
           in
           let s =
             Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool
-              ~checkpoint_stride:stride ~fuse ()
+              ~checkpoint_stride:stride ()
           in
           scrub_replay s = scrub_replay base)
         [ Explore.Naive; Explore.Dpor ])
@@ -939,7 +929,7 @@ let () =
         ] );
       ( "replay",
         [
-          Alcotest.test_case "pool/ckpt/fusion differential" `Quick
+          Alcotest.test_case "pool/ckpt/feed differential" `Quick
             test_replay_differential;
           Alcotest.test_case "defaults match baseline" `Quick
             test_replay_defaults_pinned;

@@ -33,28 +33,47 @@ let test_value_equal () =
 (* Primitive semantics                                                *)
 (* ------------------------------------------------------------------ *)
 
-let apply p cur = Primitive.apply p ~current:cur ~link_valid:false
+(* Apply [p] as pid 0 to a fresh cell holding [cur] while a peer (pid 1)
+   holds a load-link on it; with [~linked:true] pid 0 links first too.
+   Returns (new state, response, whether the peer's link was invalidated),
+   the peer's link probed afterwards by its own SC. *)
+let apply ?(linked = false) p cur =
+  let mem = Memory.create () in
+  let a = Memory.alloc mem ~name:"x" cur in
+  ignore (Memory.apply mem ~pid:1 a Primitive.Ll);
+  if linked then ignore (Memory.apply mem ~pid:0 a Primitive.Ll);
+  let resp = Memory.apply mem ~pid:0 a p in
+  let st = Memory.peek mem a in
+  let peer = Memory.apply mem ~pid:1 a (Primitive.Sc st) in
+  (st, resp, not (Value.equal peer (Value.Bool true)))
 
 let test_prim_read () =
   let st, resp, inval = apply Primitive.Read (Value.Int 5) in
   Alcotest.check value "state unchanged" (Value.Int 5) st;
   Alcotest.check value "response" (Value.Int 5) resp;
-  Alcotest.(check bool) "no invalidate" false inval
+  Alcotest.(check bool) "no invalidate" false inval;
+  let st, resp, inval = apply Primitive.Ll (Value.Int 5) in
+  Alcotest.check value "ll state unchanged" (Value.Int 5) st;
+  Alcotest.check value "ll response" (Value.Int 5) resp;
+  Alcotest.(check bool) "ll keeps the peer's link" false inval
 
 let test_prim_write () =
   let st, resp, inval = apply (Primitive.Write (Value.Int 9)) (Value.Int 5) in
   Alcotest.check value "state" (Value.Int 9) st;
   Alcotest.check value "unit response" Value.Unit resp;
-  Alcotest.(check bool) "invalidates" true inval
+  Alcotest.(check bool) "invalidates" true inval;
+  let _, _, inval = apply (Primitive.Write (Value.Int 5)) (Value.Int 5) in
+  Alcotest.(check bool) "an unchanging write still invalidates" true inval
 
 let test_prim_cas_success () =
-  let st, resp, _ =
+  let st, resp, inval =
     apply
       (Primitive.Cas { expected = Value.Int 5; desired = Value.Int 6 })
       (Value.Int 5)
   in
   Alcotest.check value "state" (Value.Int 6) st;
-  Alcotest.check value "true" (Value.Bool true) resp
+  Alcotest.check value "true" (Value.Bool true) resp;
+  Alcotest.(check bool) "invalidates" true inval
 
 let test_prim_cas_failure () =
   let st, resp, inval =
@@ -74,31 +93,44 @@ let test_prim_tas () =
   let st, resp, inval = apply Primitive.Tas (Value.Bool true) in
   Alcotest.check value "still set" (Value.Bool true) st;
   Alcotest.check value "old true" (Value.Bool true) resp;
-  Alcotest.(check bool) "no change" false inval
+  Alcotest.(check bool) "no change" false inval;
+  Alcotest.check_raises "tas on a non-bool"
+    (Invalid_argument "Value.to_bool: got (Int 0)") (fun () ->
+      ignore (apply Primitive.Tas (Value.Int 0)))
 
 let test_prim_faa () =
-  let st, resp, _ = apply (Primitive.Faa 3) (Value.Int 10) in
+  let st, resp, inval = apply (Primitive.Faa 3) (Value.Int 10) in
   Alcotest.check value "state" (Value.Int 13) st;
-  Alcotest.check value "old" (Value.Int 10) resp
+  Alcotest.check value "old" (Value.Int 10) resp;
+  Alcotest.(check bool) "nonzero add invalidates" true inval;
+  let st, resp, inval = apply (Primitive.Faa 0) (Value.Int 10) in
+  Alcotest.check value "faa 0 state" (Value.Int 10) st;
+  Alcotest.check value "faa 0 old" (Value.Int 10) resp;
+  Alcotest.(check bool) "faa 0 keeps the peer's link" false inval;
+  let st, resp, _ = apply (Primitive.Faa 1) (Value.Int 1000) in
+  Alcotest.check value "beyond the small-int cache" (Value.Int 1001) st;
+  Alcotest.check value "old beyond the cache" (Value.Int 1000) resp;
+  Alcotest.check_raises "faa on a non-int"
+    (Invalid_argument "Value.to_int: got (Bool true)") (fun () ->
+      ignore (apply (Primitive.Faa 1) (Value.Bool true)))
 
 let test_prim_fas () =
-  let st, resp, _ = apply (Primitive.Fas (Value.Pid 2)) (Value.Pid 0) in
+  let st, resp, inval = apply (Primitive.Fas (Value.Pid 2)) (Value.Pid 0) in
   Alcotest.check value "state" (Value.Pid 2) st;
-  Alcotest.check value "old" (Value.Pid 0) resp
+  Alcotest.check value "old" (Value.Pid 0) resp;
+  Alcotest.(check bool) "invalidates" true inval
 
 let test_prim_sc () =
-  let st, resp, _ =
-    Primitive.apply (Primitive.Sc (Value.Int 1)) ~current:(Value.Int 0)
-      ~link_valid:true
+  let st, resp, inval =
+    apply ~linked:true (Primitive.Sc (Value.Int 1)) (Value.Int 0)
   in
   Alcotest.check value "state" (Value.Int 1) st;
   Alcotest.check value "ok" (Value.Bool true) resp;
-  let st, resp, _ =
-    Primitive.apply (Primitive.Sc (Value.Int 1)) ~current:(Value.Int 0)
-      ~link_valid:false
-  in
+  Alcotest.(check bool) "success invalidates" true inval;
+  let st, resp, inval = apply (Primitive.Sc (Value.Int 1)) (Value.Int 0) in
   Alcotest.check value "unchanged" (Value.Int 0) st;
-  Alcotest.check value "fail" (Value.Bool false) resp
+  Alcotest.check value "fail" (Value.Bool false) resp;
+  Alcotest.(check bool) "failure keeps the peer's link" false inval
 
 let test_prim_classes () =
   let open Primitive in
@@ -140,12 +172,12 @@ let test_memory_llsc () =
   (* p0 links, p1 writes, p0's SC must fail *)
   let _ = Memory.apply mem ~pid:0 a Primitive.Ll in
   let _ = Memory.apply mem ~pid:1 a (Primitive.Write (Value.Int 1)) in
-  let resp, changed = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
+  let resp = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
   Alcotest.check value "sc fails" (Value.Bool false) resp;
-  Alcotest.(check bool) "unchanged" false changed;
+  Alcotest.check value "unchanged" (Value.Int 1) (Memory.peek mem a);
   (* fresh link with no interference succeeds *)
   let _ = Memory.apply mem ~pid:0 a Primitive.Ll in
-  let resp, _ = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
+  let resp = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
   Alcotest.check value "sc ok" (Value.Bool true) resp;
   Alcotest.check value "stored" (Value.Int 2) (Memory.peek mem a)
 
@@ -154,9 +186,9 @@ let test_memory_llsc_two_linkers () =
   let a = Memory.alloc mem ~name:"x" (Value.Int 0) in
   let _ = Memory.apply mem ~pid:0 a Primitive.Ll in
   let _ = Memory.apply mem ~pid:1 a Primitive.Ll in
-  let resp, _ = Memory.apply mem ~pid:1 a (Primitive.Sc (Value.Int 5)) in
+  let resp = Memory.apply mem ~pid:1 a (Primitive.Sc (Value.Int 5)) in
   Alcotest.check value "p1 sc ok" (Value.Bool true) resp;
-  let resp, _ = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 6)) in
+  let resp = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 6)) in
   Alcotest.check value "p0 sc fails" (Value.Bool false) resp
 
 let test_memory_failed_cas_keeps_links () =
@@ -167,7 +199,7 @@ let test_memory_failed_cas_keeps_links () =
     Memory.apply mem ~pid:1 a
       (Primitive.Cas { expected = Value.Int 9; desired = Value.Int 1 })
   in
-  let resp, _ = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
+  let resp = Memory.apply mem ~pid:0 a (Primitive.Sc (Value.Int 2)) in
   Alcotest.check value "sc survives failed cas" (Value.Bool true) resp
 
 (* ------------------------------------------------------------------ *)
@@ -413,7 +445,7 @@ let test_memory_reset_truncate () =
   Memory.reset mem;
   Alcotest.check value "value restored" (Value.Int 1) (Memory.peek mem a);
   (* the load-link on b was cleared: its SC must fail *)
-  let resp, _ = Memory.apply mem ~pid:0 b (Primitive.Sc (Value.Bool true)) in
+  let resp = Memory.apply mem ~pid:0 b (Primitive.Sc (Value.Bool true)) in
   Alcotest.check value "links cleared" (Value.Bool false) resp;
   let c = Memory.alloc mem ~name:"c" Value.Unit in
   Memory.truncate mem 2;
@@ -437,7 +469,7 @@ let test_memory_snapshot_restore () =
   Alcotest.check value "a restored" (Value.Int 0) (Memory.peek mem a);
   Alcotest.check value "b restored" (Value.Int 5) (Memory.peek mem b);
   (* pid 1's load-link on a was captured and restored: its SC succeeds *)
-  let resp, _ = Memory.apply mem ~pid:1 a (Primitive.Sc (Value.Int 3)) in
+  let resp = Memory.apply mem ~pid:1 a (Primitive.Sc (Value.Int 3)) in
   Alcotest.check value "link restored" (Value.Bool true) resp;
   ignore (Memory.alloc mem ~name:"c" Value.Unit);
   Alcotest.check_raises "size mismatch"
@@ -520,25 +552,17 @@ let test_machine_feed () =
     (Memory.peek (Machine.memory m2) c2);
   ignore c
 
-let test_machine_run_while_forced () =
-  let m, c = mk_counter ~rounds:5 1 () in
-  let n = ref 0 in
-  let consumed =
-    Machine.run_while_forced m 0 ~max:3 ~on_step:(fun () -> incr n)
-  in
-  Alcotest.(check int) "max respected" 3 consumed;
-  Alcotest.(check int) "on_step per step" 3 !n;
-  let rest =
-    Machine.run_while_forced m 0 ~max:100 ~on_step:(fun () -> incr n)
-  in
-  Alcotest.(check int) "runs to completion" 2 rest;
-  Alcotest.(check bool) "done" true (Machine.all_done m);
-  Alcotest.check value "all increments applied" (Value.Int 5)
-    (Memory.peek (Machine.memory m) c)
-
 (* ------------------------------------------------------------------ *)
 (* RMR accounting                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Apply and record one event the way a recording machine does: the
+   [changed] flag compares the cell around the apply. *)
+let apply_recorded mem tr ~pid addr prim =
+  let before = Memory.peek mem addr in
+  let resp = Memory.apply mem ~pid addr prim in
+  Trace.add_mem tr ~pid ~addr prim resp
+    (not (Value.equal before (Memory.peek mem addr)))
 
 let mk_rmr_trace ops =
   (* ops: (pid, which, prim) list applied to a 2-cell memory where cell 1 is
@@ -550,8 +574,7 @@ let mk_rmr_trace ops =
   List.iter
     (fun (pid, which, prim) ->
       let addr = if which = 0 then a0 else a1 in
-      let resp, changed = Memory.apply mem ~pid addr prim in
-      Trace.add_mem tr ~pid ~addr prim resp changed)
+      apply_recorded mem tr ~pid addr prim)
     ops;
   (mem, tr)
 
@@ -644,8 +667,7 @@ let test_rmr_local_spin_is_free () =
   let a = Memory.alloc mem ~name:"spin" (Value.Bool false) in
   let tr = Trace.create () in
   for _ = 1 to 100 do
-    let resp, changed = Memory.apply mem ~pid:0 a Primitive.Read in
-    Trace.add_mem tr ~pid:0 ~addr:a Primitive.Read resp changed
+    apply_recorded mem tr ~pid:0 a Primitive.Read
   done;
   let wt = Rmr.count Rmr.Cc_write_through ~nprocs:1 mem tr in
   let wb = Rmr.count Rmr.Cc_write_back ~nprocs:1 mem tr in
@@ -682,8 +704,7 @@ let test_rmr_stream_matches_offline () =
             { expected = Value.Int 0; desired = Value.Int (Random.State.int rng 5) }
       | _ -> Primitive.Ll
     in
-    let resp, changed = Memory.apply mem ~pid addr prim in
-    Trace.add_mem tr ~pid ~addr prim resp changed;
+    apply_recorded mem tr ~pid addr prim;
     List.iter
       (fun (_, s) ->
         Rmr.Stream.feed s ~pid ~addr ~trivial:(Primitive.is_trivial prim))
@@ -764,8 +785,6 @@ let () =
             test_machine_restart_midrun_alloc;
           Alcotest.test_case "feed rebuilds a prefix" `Quick
             test_machine_feed;
-          Alcotest.test_case "run while forced" `Quick
-            test_machine_run_while_forced;
         ] );
       ( "rmr",
         [

@@ -1,27 +1,74 @@
-(* Allocation probes for the fused inner loop.
+(* Allocation pins for the machine's per-event path.
 
-   The fused Steps fast arm is contractually allocation-free per step:
-   outcomes stay unwrapped, responses come from [Memory.apply_fast]'s
-   preallocated values, and seq ticks are deferred. [Gc.minor_words] is a
-   cumulative allocation counter (collections don't reset it), so a
-   per-step cost of p words shows up as delta(N) = c + N*p for a per-call
-   constant c — measuring two run lengths cancels c and pins p = 0 exactly,
-   with no tolerance. *)
+   [Gc.minor_words] is a cumulative allocation counter (collections don't
+   reset it), so a per-call cost of p words shows up as delta(N) = c + N*p
+   for a per-run constant c. Measuring two run lengths cancels c and pins p
+   exactly, with no tolerance:
+   - [Memory.apply] allocates nothing for any primitive whose response is a
+     bool, unit or small int (the preallocated [Value] constructors);
+   - [Machine.step] on the Steps engine with the trace sink off allocates
+     exactly the re-boxed [S _] process state per step, so a tuple-returning
+     apply (or any other per-event allocation) on that path fails here. *)
 
 open Ptm_machine
-open Ptm_core
-
-module Sm = Proc.Step
 
 let minor_delta f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before
 
+(* delta(40k) - delta(10k) over 30k calls, after a short warm-up run so any
+   one-time lazy initialization lands outside the measured windows. *)
+let words_per_call run =
+  run 64;
+  let d1 = minor_delta (fun () -> run 10_000) in
+  let d4 = minor_delta (fun () -> run 40_000) in
+  (d4 -. d1) /. 30_000.
+
+(* Each case is a short cycle of applications that returns its cell to the
+   starting state, so the cycle can repeat indefinitely with responses that
+   stay inside the small-int cache. The primitives are built once, outside
+   the measured loop. *)
+let apply_cases =
+  let i0 = Value.Int 0 and i1 = Value.Int 1 in
+  let cas e d = Primitive.Cas { expected = e; desired = d } in
+  [
+    ("read", i0, [ Primitive.Read ]);
+    ("ll", i0, [ Primitive.Ll ]);
+    ("write", i0, [ Primitive.Write i1; Primitive.Write i0 ]);
+    ("fas", i0, [ Primitive.Fas i1; Primitive.Fas i0 ]);
+    ("cas success", i0, [ cas i0 i1; cas i1 i0 ]);
+    ("cas failure", i0, [ cas i1 i0 ]);
+    ("tas", Value.Bool false, [ Primitive.Tas; Primitive.Write Value.false_ ]);
+    ("tas on true", Value.Bool true, [ Primitive.Tas ]);
+    ("faa", i0, [ Primitive.Faa 1; Primitive.Faa (-1) ]);
+    ("faa 0", i0, [ Primitive.Faa 0 ]);
+    ("sc success", i0, [ Primitive.Ll; Primitive.Sc i1; Primitive.Ll; Primitive.Sc i0 ]);
+    ("sc failure", i0, [ Primitive.Sc i1 ]);
+  ]
+
+let test_apply_zero_alloc () =
+  List.iter
+    (fun (name, init, cycle) ->
+      let mem = Memory.create () in
+      let a = Memory.alloc mem ~name:"x" init in
+      let cycle = Array.of_list cycle in
+      let len = Array.length cycle in
+      let run n =
+        for i = 0 to (n * len) - 1 do
+          ignore (Memory.apply mem ~pid:0 a (Array.unsafe_get cycle (i mod len)))
+        done
+      in
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words per Memory.apply")
+        0.
+        (words_per_call run /. float_of_int len))
+    apply_cases
+
 (* A statically-constructed spinner: every step reads [addr], and the
    continuation returns the same cyclic outcome cell, so the program
    contributes zero allocation per step — anything measured comes from the
-   machine's inner loop. *)
+   machine. *)
 let spawn_spinner m addr =
   Machine.spawn_step m 0 (fun _k ->
       let rec o =
@@ -29,69 +76,31 @@ let spawn_spinner m addr =
       in
       o)
 
-let test_fused_steps_zero_alloc () =
-  let m =
-    Machine.create ~trace:Trace.Off ~engine:Machine.Steps ~nprocs:1 ()
-  in
+(* The one allocation left on the step path: the parked outcome is stored
+   back into the process slot as a fresh [S o] box (header + one field). *)
+let step_words = 2.
+
+let test_step_fixed_alloc () =
+  let m = Machine.create ~trace:Trace.Off ~engine:Machine.Steps ~nprocs:1 () in
   let addr = Machine.alloc m ~name:"x" (Value.Int 0) in
   spawn_spinner m addr;
   let run n =
-    ignore (Machine.run_fused m 0 ~max:n ~batch:16 ~on_step:ignore : int)
+    for _ = 1 to n do
+      ignore (Machine.step m 0 : Machine.step_result)
+    done
   in
-  (* One short run first so any one-time lazy initialization lands outside
-     the measured windows. *)
-  run 64;
-  let d1 = minor_delta (fun () -> run 10_000) in
-  let d4 = minor_delta (fun () -> run 40_000) in
   Alcotest.(check (float 0.))
-    (Printf.sprintf "delta(10k) = delta(40k): %.0f vs %.0f words" d1 d4)
-    d1 d4
-
-(* End-to-end guard on the canonical undolog DPOR fixture: the fused
-   exploration must not allocate more minor words than the unfused one.
-   Single-domain exploration is deterministic, so this holds exactly, not
-   just statistically. *)
-let explore_minor_words ~fuse =
-  let module R = Runner.Make_step (Ptm_tms.Undolog.Stepwise) in
-  let mk () =
-    let m =
-      Machine.create ~trace:Trace.Off ~engine:Machine.Steps ~nprocs:2 ()
-    in
-    let ctx = R.init m ~nobjs:2 in
-    for pid = 0 to 1 do
-      Machine.spawn_step m pid
-        (Sm.bind
-           (R.atomically ctx ~pid ~retries:1 (fun tx ->
-                Sm.bind (R.write ctx tx (pid mod 2) (pid + 1)) (function
-                  | Error `Abort -> Sm.return (Error `Abort)
-                  | Ok () -> R.read ctx tx ((pid + 1) mod 2))))
-           (fun _ -> Sm.return ()))
-    done;
-    m
-  in
-  minor_delta (fun () ->
-      ignore
-        (Explore.run ~mk ~max_steps:28 ~mode:Explore.Dpor ~fuse ()
-          : Explore.stats))
-
-let test_fused_explore_allocates_less () =
-  (* Warm-up pass for both settings, then measure. *)
-  ignore (explore_minor_words ~fuse:false : float);
-  ignore (explore_minor_words ~fuse:true : float);
-  let unfused = explore_minor_words ~fuse:false in
-  let fused = explore_minor_words ~fuse:true in
-  Alcotest.(check bool)
-    (Printf.sprintf "fused %.0f <= unfused %.0f minor words" fused unfused)
-    true (fused <= unfused)
+    "minor words per Machine.step (Steps, trace off)" step_words
+    (words_per_call run)
 
 let () =
   Alcotest.run "perf-alloc"
     [
-      ( "fused-loop",
+      ( "alloc",
         [
-          Alcotest.test_case "zero words per fused step" `Quick
-            test_fused_steps_zero_alloc;
-          Alcotest.test_case "fused exploration allocates no more" `Quick
-            test_fused_explore_allocates_less;
+          Alcotest.test_case "Memory.apply allocates nothing" `Quick
+            test_apply_zero_alloc;
+          Alcotest.test_case "Machine.step allocates one box" `Quick
+            test_step_fixed_alloc;
         ] );
     ]
