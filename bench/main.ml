@@ -906,7 +906,15 @@ let e14 ?(quick = false) () =
    overlaps P commit windows, forcing the commit-order branching and
    frontier dedup machinery on every commit). Cells are emitted in the E11
    JSON format with events/s in the leaves_per_sec field so the existing
-   perf gate covers the monitor. *)
+   perf gate covers the monitor.
+
+   After each history the checker's whole reachable heap must fit under
+   [e15_ceiling_words], and the run exits 1 otherwise. Even the quick
+   budget feeds >33k transactions, so any table that keeps an entry per
+   transaction trips it; the live-window state of both shapes ends under
+   1.3k words. *)
+let e15_ceiling_words = 16_384
+
 let e15 ?(quick = false) () =
   hr
     "E15. Streaming opacity: events/s and resident state on a 10^6-event \
@@ -914,8 +922,8 @@ let e15 ?(quick = false) () =
   let total = if quick then 200_000 else 1_000_000 in
   let shapes = [ ("serial", 1); ("interleaved", 4) ] in
   let cells = ref [] in
-  Fmt.pr "%-12s %10s %9s %12s %9s %9s@." "shape" "events" "elapsed"
-    "events/s" "frontier" "resident";
+  Fmt.pr "%-12s %10s %9s %12s %9s %9s %9s@." "shape" "events" "elapsed"
+    "events/s" "frontier" "resident" "words";
   List.iter
     (fun (sname, nprocs) ->
       let run1 () =
@@ -995,9 +1003,17 @@ let e15 ?(quick = false) () =
           exit 1);
       let st = Opacity_stream.stats chk in
       let eps = float_of_int st.Opacity_stream.events /. dt in
-      Fmt.pr "%-12s %10d %8.2fs %12.0f %9d %9d@." sname
+      let words = Obj.reachable_words (Obj.repr chk) in
+      Fmt.pr "%-12s %10d %8.2fs %12.0f %9d %9d %9d@." sname
         st.Opacity_stream.events dt eps st.Opacity_stream.max_frontier
-        st.Opacity_stream.max_resident;
+        st.Opacity_stream.max_resident words;
+      if words > e15_ceiling_words then begin
+        Fmt.epr
+          "e15: %s: the checker holds %d words after %d events (ceiling %d) \
+           — its state grows with the history@."
+          sname words st.Opacity_stream.events e15_ceiling_words;
+        exit 1
+      end;
       cells :=
         ( (("e15-opacity", sname, "full", "stream"), eps),
           Printf.sprintf
@@ -1015,8 +1031,10 @@ let e15 ?(quick = false) () =
     shapes;
   Fmt.pr
     "@.the monitor's per-event cost is frontier size x validity-interval@.\
-     work; watermark pruning keeps resident state bounded by the live@.\
-     transaction window, not by history length.@.";
+     work; watermark pruning and the coalesced seen-id set keep its state@.\
+     (words: everything the checker reaches, ceiling %d) bounded by the@.\
+     live transaction window, not by history length.@."
+    e15_ceiling_words;
   List.rev !cells
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 open Ptm_machine
 module IMap = Map.Make (Int)
+module Itbl = Hashtbl.Make (Int)
 
 (* Validity intervals are (lo, hi) inclusive snapshot-index ranges, ascending
    and disjoint; [open_hi] as hi marks the (unique, topmost) interval that is
@@ -273,14 +274,43 @@ let expand ~except sts =
 (* The checker                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The transaction ids seen so far, as disjoint inclusive intervals keyed
+   by their low end, with neighbours coalesced. Ids are handed out in
+   ascending order, so however long the history runs the set holds one
+   interval plus one per run of unseen ids below the highest seen one. *)
+module Ids = struct
+  type t = { mutable ivs : int IMap.t; mutable count : int }
+
+  let create () = { ivs = IMap.empty; count = 0 }
+  let below s x = IMap.find_last_opt (fun lo -> lo <= x) s.ivs
+
+  let mem s x =
+    match below s x with Some (_, hi) -> x <= hi | None -> false
+
+  (* [x] must not be in [s] yet. *)
+  let add s x =
+    let left =
+      match below s x with Some (lo, hi) when hi = x - 1 -> Some lo | _ -> None
+    in
+    let right = if x = max_int then None else IMap.find_opt (x + 1) s.ivs in
+    match (left, right) with
+    | Some lo, Some hi ->
+        s.ivs <- IMap.add lo hi (IMap.remove (x + 1) s.ivs);
+        s.count <- s.count - 1
+    | Some lo, None -> s.ivs <- IMap.add lo x s.ivs
+    | None, Some hi -> s.ivs <- IMap.add x hi (IMap.remove (x + 1) s.ivs)
+    | None, None ->
+        s.ivs <- IMap.add x x s.ivs;
+        s.count <- s.count + 1
+end
+
 type t = {
   cap : int;
   mutable frontier : state list;
   mutable latched : verdict option;
   mutable events : int;
-  outstanding : (int, int * History.op) Hashtbl.t;  (* pid -> pending inv *)
-  started : (int, unit) Hashtbl.t;  (* tx ids ever seen *)
-  finished : (int, unit) Hashtbl.t;  (* tx ids with a commit/abort response *)
+  outstanding : (int * History.op) Itbl.t;  (* pid -> pending inv *)
+  seen : Ids.t;  (* tx ids ever seen *)
   mutable snapshots : int;
   mutable peak_frontier : int;
   mutable peak_live : int;
@@ -296,9 +326,8 @@ let create ?(max_frontier = 256) () =
     frontier = [ init_state ];
     latched = None;
     events = 0;
-    outstanding = Hashtbl.create 8;
-    started = Hashtbl.create 64;
-    finished = Hashtbl.create 64;
+    outstanding = Itbl.create 8;
+    seen = Ids.create ();
     snapshots = 0;
     peak_frontier = 1;
     peak_live = 0;
@@ -311,7 +340,12 @@ let resident_of st =
   + IMap.cardinal st.live
 
 let sample_resident t =
-  let r = List.fold_left (fun acc st -> acc + resident_of st) 0 t.frontier in
+  let r =
+    List.fold_left
+      (fun acc st -> acc + resident_of st)
+      (t.seen.Ids.count + Itbl.length t.outstanding)
+      t.frontier
+  in
   t.resident <- r;
   if r > t.peak_resident then t.peak_resident <- r
 
@@ -342,19 +376,34 @@ let step_read st tx x v =
 
 let remove_applied id = List.filter (fun x -> x <> id)
 
+(* Every state of a frontier holds a started, unfinished transaction either
+   live or applied, and a finished one in neither, so any one state tells
+   them apart. *)
+let in_flight st tx = IMap.mem tx st.live || List.mem tx st.applied
+
+let op_equal a b =
+  match (a, b) with
+  | History.Read x, History.Read y -> Int.equal x y
+  | History.Write (x, v), History.Write (y, w) -> Int.equal x y && Int.equal v w
+  | History.Try_commit, History.Try_commit -> true
+  | _ -> false
+
 let process t ~seq ev =
   match ev with
   | Inv { pid; tx; op } ->
-      if Hashtbl.mem t.finished tx then
+      let fresh =
+        match t.frontier with st :: _ -> not (in_flight st tx) | [] -> true
+      in
+      if fresh && Ids.mem t.seen tx then
         fail t ~seq ev "invocation on a completed transaction"
-      else if Hashtbl.mem t.outstanding pid then
+      else if Itbl.mem t.outstanding pid then
         fail t ~seq ev
           "process invoked with an operation still pending (dropped \
            response?)"
       else begin
-        Hashtbl.replace t.outstanding pid (tx, op);
-        if not (Hashtbl.mem t.started tx) then begin
-          Hashtbl.replace t.started tx ();
+        Itbl.replace t.outstanding pid (tx, op);
+        if fresh then begin
+          Ids.add t.seen tx;
           t.frontier <-
             List.map
               (fun st ->
@@ -390,9 +439,9 @@ let process t ~seq ev =
       end
   | Res { pid; tx; op; res } -> (
       let inv_ok =
-        match Hashtbl.find_opt t.outstanding pid with
-        | Some (tx', op') when tx' = tx && op' = op ->
-            Hashtbl.remove t.outstanding pid;
+        match Itbl.find_opt t.outstanding pid with
+        | Some (tx', op') when Int.equal tx' tx && op_equal op' op ->
+            Itbl.remove t.outstanding pid;
             true
         | Some _ ->
             fail t ~seq ev "response does not match the pending invocation";
@@ -441,7 +490,6 @@ let process t ~seq ev =
               fail t ~seq ev "write by a transaction that is not live"
             else t.frontier <- results
         | History.Try_commit, History.RCommit ->
-            Hashtbl.replace t.finished tx ();
             (* mandatory branching: concurrent pending commits may linearize
                in either order inside their overlapping windows *)
             let candidates = expand ~except:tx t.frontier in
@@ -474,7 +522,6 @@ let process t ~seq ev =
                 "read set invalid at every possible commit point"
             else t.frontier <- dedup results
         | _, History.RAbort ->
-            Hashtbl.replace t.finished tx ();
             let results =
               List.filter_map
                 (fun st ->

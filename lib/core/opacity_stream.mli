@@ -21,6 +21,13 @@
     - the set of commit-pending transactions whose internal commit point has
       been speculatively linearized already.
 
+    Shared by the whole frontier: each process's outstanding invocation, and
+    the set of transaction ids seen so far, kept as coalesced intervals. A
+    seen id that the states hold neither live nor linearized has completed,
+    so no per-transaction record outlives its transaction. Consecutive ids
+    keep the set at one interval; each run of ids never seen below the
+    highest one seen adds one more.
+
     The only nondeterminism of the automaton is {e where} inside its
     invocation window each try-commit linearizes. The checker resolves it
     lazily: a pending commit is applied only when forced (its own [RCommit]
@@ -35,9 +42,10 @@
     a matter of seconds ([bench/main.exe -- e15] measures it).
 
     Beyond opacity the checker enforces history {e well-formedness}: a
-    response must match its process's pending invocation, and a process with
+    response must match its process's pending invocation, a process with
     an outstanding operation must not invoke another (a dropped mid-history
-    commit response is flagged at that process's next invocation). Histories
+    commit response is flagged at that process's next invocation), and a
+    completed transaction must not invoke again. Histories
     produced by {!Runner} are always well-formed; mutants
     ({!History.mutate}) may not be.
 
@@ -85,8 +93,10 @@ type stats = {
   snapshots : int;  (** committed snapshots appended (max over the frontier) *)
   max_frontier : int;  (** peak frontier size *)
   max_live : int;  (** peak live-transaction count *)
-  resident : int;  (** current retained version-list entries + live records,
-                       summed over the frontier — the checker's working set *)
+  resident : int;
+      (** current retained version-list entries + live records, summed over
+          the frontier, plus the seen-id intervals and outstanding
+          invocations — the checker's working set *)
   max_resident : int;  (** peak of [resident]: the "peak resident state" of
                            a checking run *)
 }

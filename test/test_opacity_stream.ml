@@ -51,6 +51,15 @@ let check_violation name entries =
       Alcotest.failf "%s: expected a violation, got %a" name
         Opacity_stream.pp_verdict v
 
+let check_reused name entries =
+  match stream_verdict entries with
+  | Opacity_stream.Violation
+      { v_reason = "invocation on a completed transaction"; _ } ->
+      ()
+  | v ->
+      Alcotest.failf "%s: expected a reused-id violation, got %a" name
+        Opacity_stream.pp_verdict v
+
 (* ------------------------------------------------------------------ *)
 (* Litmus fixtures                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -120,7 +129,103 @@ let test_well_formedness () =
   check_violation "invocation with operation outstanding"
     (entries_of
        (write_ 0 1 0 1
-       @ [ inv 0 1 History.Try_commit; inv 0 2 (History.Read 0) ]))
+       @ [ inv 0 1 History.Try_commit; inv 0 2 (History.Read 0) ]));
+  (* a transaction that has completed must never invoke again, whatever
+     the way it completed and whichever process invokes *)
+  check_reused "invocation on a committed transaction"
+    (entries_of (write_ 0 1 0 1 @ commit_ 0 1 @ [ inv 0 1 (History.Read 0) ]));
+  check_reused "invocation on an aborted transaction"
+    (entries_of (write_ 0 1 0 1 @ abort_ 0 1 @ [ inv 0 1 (History.Read 0) ]));
+  check_reused "committed transaction invoked by another process"
+    (entries_of (write_ 0 1 0 1 @ commit_ 0 1 @ [ inv 1 1 (History.Read 0) ]));
+  check_reused "invocation after a read-only commit"
+    (entries_of (read_ 0 1 0 0 @ commit_ 0 1 @ [ inv 0 1 (History.Read 0) ]));
+  (* a pending commit already linearized (a later read saw its write) is
+     still in flight: another process may invoke on it *)
+  check_opaque "invocation on a linearized pending commit"
+    (entries_of
+       (write_ 0 1 0 3
+       @ [ inv 0 1 History.Try_commit ]
+       @ read_ 1 2 0 3
+       @ [ inv 2 1 (History.Read 0) ]));
+  (* ids need not arrive in order nor densely: an id never seen before is a
+     new transaction, even below ids already completed *)
+  check_opaque "first events out of id order"
+    (entries_of
+       (List.concat
+          [ read_ 0 2 0 0; read_ 1 1 0 0; commit_ 0 2; commit_ 1 1 ]));
+  check_opaque "lower id starting after a higher one committed"
+    (entries_of
+       (List.concat [ write_ 0 2 0 5; commit_ 0 2; read_ 1 1 0 5; commit_ 1 1 ]));
+  let sparse =
+    List.concat
+      [
+        write_ 0 1 0 1;
+        commit_ 0 1;
+        write_ 0 5 0 5;
+        commit_ 0 5;
+        read_ 0 100 0 5;
+        commit_ 0 100;
+      ]
+  in
+  check_opaque "sparse ids" (entries_of sparse);
+  (* filling the gaps later starts new transactions (4 joins 5, 2 joins 1,
+     3 bridges 1..2 and 4..5); the merged ids still count as completed *)
+  let filled =
+    sparse
+    @ List.concat
+        [
+          read_ 0 4 0 5;
+          commit_ 0 4;
+          read_ 0 2 0 5;
+          commit_ 0 2;
+          read_ 0 3 0 5;
+          commit_ 0 3;
+        ]
+  in
+  check_opaque "gaps filled later" (entries_of filled);
+  check_reused "invocation on an id inside a merged run"
+    (entries_of (filled @ [ inv 1 4 (History.Read 0) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Space: the checker's state is bounded by the live window            *)
+(* ------------------------------------------------------------------ *)
+
+(* The E15 serial shape: one process, transactions back to back, each
+   writing object 0, reading it back and committing. *)
+let serial_checker ntx =
+  let chk = Opacity_stream.create () in
+  for tx = 0 to ntx - 1 do
+    let w = History.Write (0, tx) and r = History.Read 0 in
+    List.iter (Opacity_stream.on_event chk)
+      [
+        Opacity_stream.Inv { pid = 0; tx; op = w };
+        Opacity_stream.Res { pid = 0; tx; op = w; res = History.ROk };
+        Opacity_stream.Inv { pid = 0; tx; op = r };
+        Opacity_stream.Res { pid = 0; tx; op = r; res = History.RVal tx };
+        Opacity_stream.Inv { pid = 0; tx; op = History.Try_commit };
+        Opacity_stream.Res
+          { pid = 0; tx; op = History.Try_commit; res = History.RCommit };
+      ]
+  done;
+  chk
+
+(* Everything the checker can reach stays under one ceiling at 10^4 and at
+   10^5 transactions: no part of its state grows with the history. *)
+let test_bounded_state () =
+  let ceiling = 1024 in
+  List.iter
+    (fun ntx ->
+      let chk = serial_checker ntx in
+      (match Opacity_stream.verdict chk with
+      | Opacity_stream.Opaque -> ()
+      | v ->
+          Alcotest.failf "%d transactions: %a" ntx Opacity_stream.pp_verdict v);
+      let words = Obj.reachable_words (Obj.repr chk) in
+      if words > ceiling then
+        Alcotest.failf "%d transactions: the checker holds %d words (ceiling %d)"
+          ntx words ceiling)
+    [ 10_000; 100_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash-truncation finalization (the try-commit ride-along bugfix)    *)
@@ -550,6 +655,11 @@ let () =
           Alcotest.test_case "well-formedness" `Quick test_well_formedness;
           Alcotest.test_case "crash inside try-commit" `Quick
             test_crash_inside_try_commit;
+        ] );
+      ( "space",
+        [
+          Alcotest.test_case "bounded by the live window" `Quick
+            test_bounded_state;
         ] );
       ( "mutants",
         [
