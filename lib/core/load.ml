@@ -25,7 +25,8 @@ open Ptm_machine
    opacity monitor consumes history notes through the trace observer —
    sampled down to a configurable fraction of clients by a note filter that
    keeps exactly what the checker needs from unsampled traffic (committed
-   writes and closing aborts) and drops the rest. *)
+   writes and closing aborts), drops the rest, and renumbers transactions
+   densely in the order the checker meets them. *)
 
 type client_model =
   | Open_loop of { period : int }
@@ -173,15 +174,29 @@ let pp_result ppf r =
    - everything else (injected-abort markers, mem events) passes through —
      the checker ignores it.
 
+   Every forwarded transaction reaches the checker under a dense id of its
+   own: 0, 1, 2, ... in the order of its first forwarded note. The checker
+   keeps the ids it has seen as an interval set, and a transaction that is
+   never forwarded would leave a gap in it for good, so the set would grow
+   with the run; renamed, it stays one interval. Renaming transactions
+   changes no verdict; a violation then names the checker's id and the
+   trace seq of the failing note. With every client sampled the mapping is
+   the identity: each transaction's first note comes right after it
+   draws its id, with no step between.
+
    Per-pid state suffices: multiplexing is at transaction granularity, so
    the current client's sampled flag (maintained by the client scheduler)
-   is stable across each transaction's notes. *)
+   and the current transaction are stable across each transaction's
+   notes. *)
 type filter = {
   chk : Opacity_stream.t;
   cur_sampled : bool array;
   pending_read_inv : Trace.entry option array;
   tx_wrote : bool array;
   drop_commit : bool array;
+  tx_seen : int array;  (** the transaction last forwarded for this pid *)
+  tx_dense : int array;  (** and the checker's id for it *)
+  mutable next_dense : int;
 }
 
 let filter_create ~nprocs chk =
@@ -191,10 +206,34 @@ let filter_create ~nprocs chk =
     pending_read_inv = Array.make nprocs None;
     tx_wrote = Array.make nprocs false;
     drop_commit = Array.make nprocs false;
+    tx_seen = Array.make nprocs (-1);
+    tx_dense = Array.make nprocs (-1);
+    next_dense = 0;
   }
 
+let dense f ~pid tx =
+  if f.tx_seen.(pid) <> tx then begin
+    f.tx_seen.(pid) <- tx;
+    f.tx_dense.(pid) <- f.next_dense;
+    f.next_dense <- f.next_dense + 1
+  end;
+  f.tx_dense.(pid)
+
+let renumber f (e : Trace.entry) =
+  match e with
+  | Trace.Note ({ note = History.Tx_inv { pid; tx; op }; _ } as n) ->
+      let d = dense f ~pid tx in
+      if d = tx then e
+      else Trace.Note { n with note = History.Tx_inv { pid; tx = d; op } }
+  | Trace.Note ({ note = History.Tx_res { pid; tx; op; res }; _ } as n) ->
+      let d = dense f ~pid tx in
+      if d = tx then e
+      else
+        Trace.Note { n with note = History.Tx_res { pid; tx = d; op; res } }
+  | e -> e
+
 let filter_entry f (e : Trace.entry) =
-  let fwd e = Opacity_stream.on_entry f.chk e in
+  let fwd e = Opacity_stream.on_entry f.chk (renumber f e) in
   match e with
   | Trace.Note { note = History.Tx_inv { pid; op; _ }; _ } -> (
       if f.cur_sampled.(pid) then fwd e

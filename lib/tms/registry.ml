@@ -30,8 +30,8 @@ let ofree_with_cm (kind : Ptm_core.Cm.kind) : Ptm_core.Tm_intf.tm =
   | Ptm_core.Cm.Timestamp -> (module Ofree.Timestamp)
 
 (* The sharded family: the load engine's throughput play. Four shards is
-   the default registry instantiation ("norec.x4" etc.); other widths are
-   built on demand via [Sharded.Make] (the CLI's --shards flag). *)
+   the registry instantiation ("norec.x4" etc.); other widths are built
+   by applying [Sharded.Make] to another [Config]. *)
 module X4 = struct
   let shards = 4
 end

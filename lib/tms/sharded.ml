@@ -13,28 +13,34 @@ let ( let* ) = Sm.bind
      shard, while the fence is held);
    - t-reads never touch a long-lived inner transaction: each uncached read
      is a one-shot {e mini-transaction} against its shard (fresh / read /
-     try_commit), sampled inside a stable window — fence clear (or our own)
-     before and after, seqlock unchanged across — so a value torn by an
-     in-flight publication is never returned;
+     try_commit), sampled inside a stable window — fence clear before and
+     after, seqlock unchanged across — so a value torn by an in-flight
+     publication is never returned;
    - t-writes are buffered locally; nothing is visible before try_commit;
    - reads are value-validated, NOrec-style: whenever any touched shard's
-     seqlock moves, the whole read cache is re-sampled and compared, and a
+     seqlock moves, the cached reads of every shard whose seqlock moved
+     since it was last validated are re-sampled and compared, and a
      changed value aborts the transaction (only a genuinely conflicting
-     commit can cause this);
-   - try_commit of an updating transaction acquires the fences of exactly
-     the written shards in ascending order (deadlock-free), revalidates the
-     read cache under them, then publishes each shard's writes as a fresh
-     write-only inner transaction (retried until the inner TM accepts it —
-     under the fence only transient mini-reads can conflict), bumps the
-     shard's seqlock {e before} releasing its fence, and releases.
+     commit can cause this); a shard whose seqlock stands still saw no
+     publication complete, so its reads are not re-sampled;
+   - try_commit of an updating transaction acquires the fences of every
+     touched shard, written or read, in ascending order (deadlock-free).
+     With those fences held no publication can be in flight on a touched
+     shard, so validation needs no stable windows: one seqlock read per
+     touched shard, and one bare mini-read per cached read of a shard
+     whose seqlock moved. It then publishes each written shard's writes as
+     a fresh write-only inner transaction (retried until the inner TM
+     accepts it — under the fence only transient mini-reads can conflict),
+     bumps the shard's seqlock {e before} releasing its fence, and
+     releases.
 
    Single-shard transactions take the fast path: a read-only transaction
    commits with zero shared-memory events (its cache was validated at the
-   last read), and a transaction writing a single shard acquires only that
-   shard's fence — the cross-shard coordinator is exactly the multi-fence
-   acquisition, which such transactions never execute. With [shards = 1]
-   the functor degenerates further: every operation passes straight through
-   to the single inner instance, event for event.
+   last read), and a transaction touching a single shard acquires only
+   that shard's fence — the cross-shard coordinator is exactly the
+   multi-fence acquisition, which such transactions never execute. With
+   [shards = 1] the functor degenerates further: every operation passes
+   straight through to the single inner instance, event for event.
 
    A crash while holding a fence starves later writers and readers of that
    shard (they spin in the stable-window loop) but can never expose a torn
@@ -151,27 +157,20 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
         | Ok () -> Some v
         | Error `Abort -> None)
 
-  (* A fence value is benign if clear or our own (we only read through our
-     own fence during commit-time validation, when no rival writer can be
-     publishing to that shard). *)
-  let fence_ok ~pid f = f = 0 || f = pid + 1
-
-  (* Sample (value, seq) of object [x] inside a stable window: fence benign
-     before, seqlock unchanged and fence benign after. Publications bump the
+  (* Sample (value, seq) of object [x] inside a stable window: fence clear
+     before, seqlock unchanged and fence clear after. Publications bump the
      seqlock before releasing the fence, so a window closing clean proves
-     the value was committed state for the whole window. *)
+     the value was committed state for the whole window. A transaction
+     holds no fence outside try_commit, which never samples this way. *)
   let rec stable_read t ~pid x =
     let s = shard x in
-    if not (fence_ok ~pid (Proc.read_int t.fence.(s))) then
-      stable_read t ~pid x
+    if Proc.read_int t.fence.(s) <> 0 then stable_read t ~pid x
     else
       let q0 = Proc.read_int t.seq.(s) in
       match mini_read t ~pid s (slot x) with
       | None -> stable_read t ~pid x
       | Some v ->
-          if
-            Proc.read_int t.seq.(s) = q0
-            && fence_ok ~pid (Proc.read_int t.fence.(s))
+          if Proc.read_int t.seq.(s) = q0 && Proc.read_int t.fence.(s) = 0
           then (v, q0)
           else stable_read t ~pid x
 
@@ -182,22 +181,28 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
     done;
     !acc
 
-  (* Re-sample every cached read and require (a) each value unchanged and
-     (b) every touched shard's seqlock steady at one level across the whole
-     pass — on success the entire read set was simultaneously committed
-     state at the end of the pass. A moved seqlock restarts the pass; a
-     changed value is a real conflict and fails it. *)
+  (* Re-sample the cached reads of every shard whose seqlock moved since
+     the transaction last validated it ([tx.shard_seq]), and require (a)
+     each value unchanged and (b) every touched shard's seqlock steady at
+     one level across the whole pass. A shard still at its validated level
+     saw no publication complete since, so its reads are committed state at
+     that level and are skipped; on success the entire read set was
+     simultaneously committed state at the end of the pass. A moved
+     seqlock restarts the pass; a changed value is a real conflict and
+     fails it. *)
   let rec revalidate t tx =
     let pass = Array.make C.shards (-1) in
     List.iter (fun s -> pass.(s) <- Proc.read_int t.seq.(s)) (touched tx);
     let outcome =
       Hashtbl.fold
         (fun y v_old acc ->
+          let s = shard y in
           match acc with
           | `Fail | `Restart -> acc
+          | `Ok when pass.(s) = tx.shard_seq.(s) -> `Ok
           | `Ok ->
               let v', q' = stable_read t ~pid:tx.pid y in
-              if q' <> pass.(shard y) then `Restart
+              if q' <> pass.(s) then `Restart
               else if v' <> v_old then `Fail
               else `Ok)
         tx.rcache `Ok
@@ -215,6 +220,27 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
           true
         end
         else revalidate t tx
+
+  (* Commit-time validation, under the fence of every touched shard: no
+     publication can be in flight on a fenced shard, so its seqlock and its
+     committed state hold still. A shard whose seqlock still stands at
+     [tx.shard_seq] needs nothing more; each cached read of a moved shard
+     is re-read once with a bare mini-read (retried while the inner TM
+     aborts it, as in [stable_read]) and must be unchanged. *)
+  let validate_fenced t tx =
+    let moved = Array.make C.shards false in
+    List.iter
+      (fun s -> moved.(s) <- Proc.read_int t.seq.(s) <> tx.shard_seq.(s))
+      (touched tx);
+    let rec reread s sx =
+      match mini_read t ~pid:tx.pid s sx with
+      | Some v -> v
+      | None -> reread s sx
+    in
+    Hashtbl.fold
+      (fun y v_old ok ->
+        ok && ((not moved.(shard y)) || reread (shard y) (slot y) = v_old))
+      tx.rcache true
 
   let read t tx x =
     match tx.pass with
@@ -289,13 +315,12 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
           in
           (* fence every touched shard, written or read, in ascending
              order: ordered acquisition is deadlock-free, and with all
-             touched seqlocks frozen the revalidation below cannot race
-             (a commit-time mini-read only ever meets its own fence) *)
+             touched seqlocks frozen the validation below cannot race *)
           let fshards =
             List.sort_uniq compare (wshards @ touched tx)
           in
           List.iter (acquire t ~pid:tx.pid) fshards;
-          if Hashtbl.length tx.rcache > 0 && not (revalidate t tx) then begin
+          if not (validate_fenced t tx) then begin
             List.iter
               (fun s -> Proc.write t.fence.(s) (Value.Int 0))
               fshards;
@@ -423,13 +448,11 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
         | Ok () -> Sm.return (Some v)
         | Error `Abort -> Sm.return None)
 
-  let fence_ok ~pid f = f = 0 || f = pid + 1
-
   let rec stable_read t ~pid x =
     Sm.suspend @@ fun () ->
     let s = shard x in
     let* f0 = Sm.read_int t.fence.(s) in
-    if not (fence_ok ~pid f0) then stable_read t ~pid x
+    if f0 <> 0 then stable_read t ~pid x
     else
       let* q0 = Sm.read_int t.seq.(s) in
       let* r = mini_read t ~pid s (slot x) in
@@ -437,9 +460,12 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
       | None -> stable_read t ~pid x
       | Some v ->
           let* q1 = Sm.read_int t.seq.(s) in
-          let* f1 = Sm.read_int t.fence.(s) in
-          if q1 = q0 && fence_ok ~pid f1 then Sm.return (v, q0)
-          else stable_read t ~pid x
+          (* short-circuits like the direct form's (&&): no closing fence
+             read once the seqlock moved *)
+          if q1 <> q0 then stable_read t ~pid x
+          else
+            let* f1 = Sm.read_int t.fence.(s) in
+            if f1 = 0 then Sm.return (v, q0) else stable_read t ~pid x
 
   let touched tx =
     let acc = ref [] in
@@ -447,6 +473,12 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
       if tx.shard_seq.(s) >= 0 then acc := s :: !acc
     done;
     !acc
+
+  (* The read cache in [Hashtbl.fold] order, the order in which the direct
+     form samples it — the mirror must issue the same event sequence
+     ([fold] prepends, hence the reversal). *)
+  let cached tx =
+    List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
 
   let rec revalidate t tx =
     Sm.suspend @@ fun () ->
@@ -459,20 +491,18 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
           Sm.return ())
         (touched tx)
     in
-    let entries =
-      (* reversed: [fold] prepends, and the direct form samples in fold
-         order — the mirror must issue the same event sequence *)
-      List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
-    in
     let rec check = function
       | [] -> Sm.return `Ok
       | (y, v_old) :: rest ->
-          let* v', q' = stable_read t ~pid:tx.pid y in
-          if q' <> pass.(shard y) then Sm.return `Restart
-          else if v' <> v_old then Sm.return `Fail
-          else check rest
+          let s = shard y in
+          if pass.(s) = tx.shard_seq.(s) then check rest
+          else
+            let* v', q' = stable_read t ~pid:tx.pid y in
+            if q' <> pass.(s) then Sm.return `Restart
+            else if v' <> v_old then Sm.return `Fail
+            else check rest
     in
-    let* outcome = check entries in
+    let* outcome = check (cached tx) in
     match outcome with
     | `Fail -> Sm.return false
     | `Restart -> revalidate t tx
@@ -489,6 +519,31 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
           Sm.return true
         end
         else revalidate t tx
+
+  let validate_fenced t tx =
+    Sm.suspend @@ fun () ->
+    let moved = Array.make C.shards false in
+    let* () =
+      Sm.iter
+        (fun s ->
+          let* q = Sm.read_int t.seq.(s) in
+          moved.(s) <- q <> tx.shard_seq.(s);
+          Sm.return ())
+        (touched tx)
+    in
+    let rec reread s sx =
+      let* r = mini_read t ~pid:tx.pid s sx in
+      match r with Some v -> Sm.return v | None -> reread s sx
+    in
+    let rec check = function
+      | [] -> Sm.return true
+      | (y, v_old) :: rest ->
+          if not moved.(shard y) then check rest
+          else
+            let* v = reread (shard y) (slot y) in
+            if v = v_old then check rest else Sm.return false
+    in
+    check (cached tx)
 
   let read t tx x =
     Sm.suspend @@ fun () ->
@@ -576,10 +631,7 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
             List.sort_uniq compare (wshards @ touched tx)
           in
           let* () = Sm.iter (acquire t ~pid:tx.pid) fshards in
-          let* valid =
-            if Hashtbl.length tx.rcache > 0 then revalidate t tx
-            else Sm.return true
-          in
+          let* valid = validate_fenced t tx in
           if not valid then
             let* () =
               Sm.iter

@@ -5,15 +5,22 @@
     - uncached t-reads are one-shot {e mini-transactions} against the
       owning shard, sampled inside a stable window (per-shard fence clear
       and seqlock unchanged across the sample), and value-validated
-      NOrec-style whenever any touched shard's seqlock moves;
-    - t-writes are buffered; try_commit acquires the written shards'
-      fences in ascending order, revalidates the read cache, publishes
-      each shard's writes as a write-only inner transaction, and bumps
-      each shard's seqlock before releasing its fence.
+      NOrec-style whenever any touched shard's seqlock moves. Validation
+      is selective: it re-samples only the cached reads of shards whose
+      seqlock moved since the transaction last validated them;
+    - t-writes are buffered; try_commit of an updating transaction
+      acquires the fences of every touched shard, written or read, in
+      ascending order. Under those fences no publication can be in
+      flight, so it validates with one seqlock read per touched shard and
+      a bare mini-read of each cached read of a shard whose seqlock
+      moved. It then publishes each written shard's writes as a
+      write-only inner transaction and bumps that shard's seqlock before
+      releasing the fences.
 
     Single-shard transactions take the fast path — a read-only commit
-    costs zero events and a single-shard writer acquires one fence; only
-    genuinely cross-shard commits pay multi-fence coordination. With
+    costs zero events and a transaction touching one shard acquires one
+    fence; only genuinely cross-shard commits pay multi-fence
+    coordination. With
     [shards = 1] every operation passes straight through to the inner TM,
     event for event ({!Make} with [shards = 1] is trace-identical to its
     argument — the registry differential test pins this).

@@ -93,6 +93,35 @@ let test_partial_sample () =
     (r.Load.monitored_clients > 0
     && r.Load.monitored_clients < cfg.Load.clients)
 
+let test_partial_sample_flat_state () =
+  (* every unsampled transaction still hands the checker its id, so the
+     set of ids seen stays one interval: the checker's resident state does
+     not grow with the run (sgl: the frontier stays one state) *)
+  let (module T) = Option.get (Ptm_tms.Registry.by_name "sgl") in
+  let max_resident txs =
+    let cfg =
+      {
+        base with
+        Load.clients = 64;
+        nprocs = 4;
+        nobjs = 64;
+        txs_per_client = txs;
+        sample = 0.25;
+        mix = { base.Load.mix with write_ratio = 0.2 };
+      }
+    in
+    let r = Load.run (module T) cfg in
+    check_verdict "sgl, 25% sampled" r;
+    (Option.get r.Load.monitor_stats).Opacity_stream.max_resident
+  in
+  let short = max_resident 20 and long = max_resident 80 in
+  (* the live window's version entries still vary a little with the run *)
+  Alcotest.(check bool)
+    (Printf.sprintf "peak resident state %d over 4x the transactions, %d before"
+       long short)
+    true
+    (4 * long < 5 * short)
+
 let test_rmr_accounting () =
   let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
   let cfg = { base with Load.rmr_models = Ptm_machine.Rmr.all_models } in
@@ -187,6 +216,8 @@ let () =
           Alcotest.test_case "closed loop with think time" `Quick
             test_closed_loop_think;
           Alcotest.test_case "partial sampling" `Quick test_partial_sample;
+          Alcotest.test_case "partial sampling: flat checker state" `Quick
+            test_partial_sample_flat_state;
           Alcotest.test_case "online RMR accounting" `Quick test_rmr_accounting;
           Alcotest.test_case "crash under load" `Quick test_crash_under_load;
           Alcotest.test_case "zipf + hotspot mix" `Quick test_zipf_hot_mix;

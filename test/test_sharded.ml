@@ -5,8 +5,10 @@
    one-shard writer touches exactly one fence); genuinely cross-shard
    commits are opacity-clean under the streaming monitor (every sharded
    registry TM, and — via QCheck — random mixes and fault plans on both
-   machine engines); and the step-form instantiations are bit-identical
-   across engines and event-identical to their direct twins. *)
+   machine engines); the step-form instantiations are bit-identical
+   across engines and event-identical to their direct twins, also under
+   the load engine's contended traffic; and a revalidation re-samples only
+   the shards whose seqlock moved. *)
 
 open Ptm_machine
 open Ptm_core
@@ -18,6 +20,10 @@ let of_q t = QCheck_alcotest.to_alcotest t
 
 module X1 = struct
   let shards = 1
+end
+
+module X4 = struct
+  let shards = 4
 end
 
 (* ------------------------------------------------------------------ *)
@@ -303,6 +309,166 @@ let test_step_vs_direct () =
     Ptm_tms.Registry.sharded_stepwise
 
 (* ------------------------------------------------------------------ *)
+(* Twins under load: the direct and step forms serve identical runs     *)
+(* ------------------------------------------------------------------ *)
+
+(* The hot-key mix with retries that never run out: contended enough to
+   reach the revalidation restarts and the stable-window re-samples, where
+   a single event of difference between the twins shifts every later
+   interleaving and so every counter. *)
+let twin_cfg seed =
+  {
+    Load.default_config with
+    clients = 16;
+    nprocs = 4;
+    nobjs = 64;
+    txs_per_client = 8;
+    mix =
+      {
+        Load.dist = Workload.Uniform;
+        hotspot = Some (4, 0.5);
+        write_ratio = 0.5;
+        ops_min = 2;
+        ops_max = 6;
+      };
+    seed;
+    retries = 1000;
+  }
+
+let test_twins_under_load () =
+  let step_twin (module T : Tm_intf.S_step) : Tm_intf.tm =
+    (module Tm_intf.Of_step (Ptm_tms.Sharded.Make_step (X4) (T)))
+  in
+  let pairs =
+    [
+      ("norec.x4", step_twin (module Ptm_tms.Norec.Stepwise));
+      ("sgl.x4", step_twin (module Ptm_tms.Sgl.Stepwise));
+      ("ofree.x4", step_twin (module Ptm_tms.Ofree.Stepwise));
+      ("undolog.x4", step_twin (module Ptm_tms.Undolog.Stepwise));
+    ]
+  in
+  let counters (r : Load.result) =
+    (r.Load.committed, r.aborted, r.failed, r.steps, r.wasted)
+  in
+  List.iter
+    (fun (name, step) ->
+      let direct = Option.get (Ptm_tms.Registry.by_name name) in
+      let differing =
+        List.filter
+          (fun seed ->
+            counters (Load.run direct (twin_cfg seed))
+            <> counters (Load.run step (twin_cfg seed)))
+          (List.init 100 (fun i -> i + 1) @ [ 176; 267 ])
+      in
+      Alcotest.(check (list int))
+        (name ^ ": seeds where the step twin's counters differ")
+        [] differing)
+    pairs
+
+(* ------------------------------------------------------------------ *)
+(* Selective revalidation: only the shards that moved are re-sampled    *)
+(* ------------------------------------------------------------------ *)
+
+(* Address ranges [lo, hi) of the cells each inner instance allocates, in
+   creation order — shard order, since [Sharded] creates shard 0 first. *)
+let inner_ranges = ref []
+
+let recording create m ~nobjs =
+  let size () = Memory.size (Machine.memory m) in
+  let lo = size () in
+  let t = create m ~nobjs in
+  inner_ranges := !inner_ranges @ [ (lo, size ()) ];
+  t
+
+module Norec_rec = struct
+  include Ptm_tms.Norec
+
+  let create = recording create
+end
+
+module Norec_step_rec = struct
+  include Ptm_tms.Norec.Stepwise
+
+  let create = recording create
+end
+
+(* Eight objects under four shards (object [x] in shard [x mod 4]). The
+   reader caches object 0 (shard 0) and object 1 (shard 1), the writer
+   then commits [writes] (all in shard 1), and the reader's next uncached
+   read, of object 2, finds shard 1's seqlock moved and revalidates.
+   Returns that read's result and the memory events it issued. *)
+let selective_scenario (module T : Tm_intf.S) writes =
+  inner_ranges := [];
+  let m = Machine.create ~nprocs:2 () in
+  let t = T.create m ~nobjs:8 in
+  let cached = ref false and third = ref None in
+  Machine.spawn m 0 (fun () ->
+      let tx = T.fresh t ~pid:0 ~id:1 in
+      ignore (T.read t tx 0 : (int, Tm_intf.abort) result);
+      ignore (T.read t tx 1 : (int, Tm_intf.abort) result);
+      cached := true;
+      third := Some (T.read t tx 2));
+  Machine.spawn m 1 (fun () ->
+      let tx = T.fresh t ~pid:1 ~id:2 in
+      List.iter
+        (fun (x, v) -> ignore (T.write t tx x v : (unit, Tm_intf.abort) result))
+        writes;
+      match T.try_commit t tx with
+      | Ok () -> ()
+      | Error `Abort -> failwith "the lone writer aborted");
+  while not !cached do
+    ignore (Machine.step m 0 : Machine.step_result)
+  done;
+  ignore (Sched.solo m 1 : [ `Done | `Paused ]);
+  let from = Trace.length (Machine.trace m) in
+  ignore (Sched.solo m 0 : [ `Done | `Paused ]);
+  Machine.check_crashes m;
+  let events = ref [] in
+  Trace.iter_from (Machine.trace m) from (function
+    | Trace.Mem e -> events := e :: !events
+    | Trace.Note _ -> ());
+  (m, Option.get !third, List.rev !events)
+
+let test_selective_resample () =
+  List.iter
+    (fun (form, tm) ->
+      List.iter
+        (fun (what, writes, changed) ->
+          let m, third, events = selective_scenario tm writes in
+          let label s = Printf.sprintf "%s, writer %s: %s" form what s in
+          let named sub = addrs_matching m (contains_sub ~sub) in
+          let inner s (e : Trace.mem_event) =
+            let lo, hi = List.nth !inner_ranges s in
+            e.addr >= lo && e.addr < hi
+          in
+          let on_fence0 (e : Trace.mem_event) =
+            List.mem e.addr (named ".fence[0]")
+          in
+          Alcotest.(check int)
+            (label "events on shard 0's fence or inner cells")
+            0
+            (List.length
+               (List.filter (fun e -> on_fence0 e || inner 0 e) events));
+          Alcotest.(check bool)
+            (label "shard 1 re-sampled") true
+            (List.exists (inner 1) events);
+          Alcotest.(check bool)
+            (label "the read aborts iff the cached value changed")
+            changed
+            (Result.is_error third))
+        [
+          ("changes object 1", [ (1, 7) ], true);
+          ("writes object 5 only", [ (5, 7) ], false);
+          ("rewrites object 1's value", [ (1, 0) ], false);
+        ])
+    [
+      ("direct", (module Ptm_tms.Sharded.Make (X4) (Norec_rec) : Tm_intf.S));
+      ( "step",
+        (module Tm_intf.Of_step
+                  (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))) );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: random mixes + fault plans, opacity-clean on both engines    *)
 (* ------------------------------------------------------------------ *)
 
@@ -403,5 +569,12 @@ let () =
             test_step_engines_bit_identical;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
+          Alcotest.test_case "twins agree under load" `Quick
+            test_twins_under_load;
+        ] );
+      ( "revalidate",
+        [
+          Alcotest.test_case "only moved shards are re-sampled" `Quick
+            test_selective_resample;
         ] );
     ]
