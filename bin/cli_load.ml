@@ -255,6 +255,10 @@ let load_cmd =
         monitor_frontier = frontier;
       }
     in
+    (try Load.validate cfg
+     with Invalid_argument msg ->
+       Fmt.epr "ptm load: %s@." msg;
+       exit 2);
     let tms = Cli_common.apply_cm cm (resolve_tms tms) in
     Fmt.pr "load: %d clients / %d procs / %d objs, %d txs each, %a@." clients
       nprocs nobjs txs Load.pp_mix cfg.Load.mix;

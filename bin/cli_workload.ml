@@ -136,6 +136,10 @@ let run_cmd =
       | Some (base, factor, cap) ->
           Ptm_core.Runner.Backoff { base; factor; cap; max_retries = retries }
     in
+    (try Ptm_core.Runner.validate_policy policy
+     with Invalid_argument msg ->
+       Fmt.epr "ptm run: %s@." msg;
+       exit 2);
     let o =
       Ptm_core.Runner.run tm ~retries ~policy ~faults
         ?livelock_window:(if livelock_window > 0 then Some livelock_window else None)

@@ -122,7 +122,7 @@ type result = {
   monitor_stats : Opacity_stream.stats option;
   monitored_clients : int;
   out_of_slots : bool;
-  wall : float;  (** host seconds inside the drive loop *)
+  wall : float;  (** processor seconds ([Sys.time]) inside the drive loop *)
 }
 
 let abort_rate r =
@@ -305,7 +305,11 @@ let validate cfg =
   if cfg.txs_per_client < 0 then invalid_arg "Load: negative txs_per_client";
   if cfg.mix.ops_min < 1 || cfg.mix.ops_max < cfg.mix.ops_min then
     invalid_arg "Load: bad tx-length range";
-  if cfg.sample < 0.0 || cfg.sample > 1.0 then
+  if cfg.retries < 0 then invalid_arg "Load: retries must be >= 0";
+  let in_unit x = x >= 0.0 && x <= 1.0 in
+  if not (in_unit cfg.mix.write_ratio) then
+    invalid_arg "Load: write_ratio must be within [0, 1]";
+  if not (in_unit cfg.sample) then
     invalid_arg "Load: sample must be within [0, 1]";
   (match cfg.model with
   | Open_loop { period } -> if period < 0 then invalid_arg "Load: negative period"

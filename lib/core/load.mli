@@ -89,19 +89,27 @@ type result = {
   monitor_stats : Opacity_stream.stats option;
   monitored_clients : int;
   out_of_slots : bool;
-  wall : float;  (** host seconds inside the drive loop *)
+  wall : float;  (** processor seconds ([Sys.time]) inside the drive loop *)
 }
 
 val abort_rate : result -> float
 (** Aborted attempts over all attempts (0 when there were none). *)
 
 val throughput : result -> float
-(** Committed transactions per host second. *)
+(** Committed transactions per processor second of [wall]. *)
 
 val pp_result : Format.formatter -> result -> unit
 
+val validate : config -> unit
+(** Raises [Invalid_argument] on a malformed config: no client or
+    process, fewer clients than processes, a negative [txs_per_client],
+    [retries], period or think time, a transaction-length range that is
+    empty or starts below 1, or [write_ratio] or [sample] outside
+    [[0, 1]]. *)
+
 val run : (module Tm_intf.S) -> config -> result
 (** Run one load cell to completion (every client out of transactions) or
-    to the slot budget. Raises [Invalid_argument] on a malformed config;
+    to the slot budget. Raises [Invalid_argument] on a malformed config
+    (see {!validate});
     re-raises the first process crash (a TM bug — injected crash faults
     halt processes without raising). *)

@@ -399,9 +399,18 @@ type outcome = {
 
 type schedule = Round_robin | Random_sched of int
 
+let validate_policy = function
+  | Immediate -> ()
+  | Backoff { base; factor; cap; max_retries } ->
+      if max_retries < 0 then
+        invalid_arg "Runner.run: max_retries must be >= 0";
+      if base < 0 || factor < 1 || cap < base then
+        invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base"
+
 let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     ?(faults = []) ?livelock_window ?max_steps ?(monitor = Monitor_off)
     ~schedule (w : Workload.t) =
+  validate_policy policy;
   let module R = Make (T) in
   let nprocs = Array.length w.Workload.procs in
   let machine = Machine.create ~nprocs () in
@@ -431,17 +440,12 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
   let max_retries =
     match policy with
     | Immediate -> retries
-    | Backoff { max_retries; _ } ->
-        if max_retries < 0 then
-          invalid_arg "Runner.run: max_retries must be >= 0";
-        max_retries
+    | Backoff { max_retries; _ } -> max_retries
   in
   let delay k =
     match policy with
     | Immediate -> 0
     | Backoff { base; factor; cap; _ } ->
-        if base < 0 || factor < 1 || cap < base then
-          invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base";
         let rec go d i =
           if i <= 0 || d >= cap then min d cap else go (d * factor) (i - 1)
         in

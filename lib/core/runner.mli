@@ -142,6 +142,11 @@ type outcome = {
 
 type schedule = Round_robin | Random_sched of int  (** seeded *)
 
+val validate_policy : retry_policy -> unit
+(** Raises [Invalid_argument] unless a [Backoff] has [max_retries >= 0],
+    [base >= 0], [factor >= 1] and [cap >= base]. {!run} calls it before
+    anything else. *)
+
 val run :
   (module Tm_intf.S) ->
   ?retries:int ->

@@ -545,6 +545,28 @@ let test_backoff_cap () =
     (Machine.steps_of imm.Runner.machine 0 + 21)
     (Machine.steps_of o.Runner.machine 0)
 
+(* A malformed back-off is rejected when the run starts, not when a retry
+   is first delayed: this workload never aborts, so no retry happens. *)
+let test_backoff_rejected_at_entry () =
+  let w = { Workload.nobjs = 1; procs = [| [ [ Workload.W (0, 1) ] ] |] } in
+  List.iter
+    (fun (name, (base, factor, cap, max_retries)) ->
+      match
+        Runner.run
+          (module Ptm_tms.Dstm)
+          ~policy:(Runner.Backoff { base; factor; cap; max_retries })
+          ~schedule:Runner.Round_robin w
+      with
+      | (_ : Runner.outcome) ->
+          Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("negative base", (-1, 2, 8, 2));
+      ("factor 0", (1, 0, 8, 2));
+      ("cap below base", (4, 2, 2, 2));
+      ("negative max_retries", (1, 2, 8, -1));
+    ]
+
 let test_livelock_unit () =
   let d = Runner.Livelock.create ~window:3 ~nprocs:2 () in
   Runner.Livelock.record_abort d 0;
@@ -634,6 +656,8 @@ let () =
         Alcotest.test_case "backoff consumes machine steps" `Quick
           test_backoff_consumes_steps;
         Alcotest.test_case "backoff cap" `Quick test_backoff_cap;
+        Alcotest.test_case "bad backoff rejected at entry" `Quick
+          test_backoff_rejected_at_entry;
         Alcotest.test_case "livelock unit" `Quick test_livelock_unit;
         Alcotest.test_case "livelock terminates seeded loop" `Quick
           test_livelock_terminates_seeded_loop;

@@ -201,7 +201,12 @@ let test_bad_configs () =
   expect "more procs than clients" { base with Load.nprocs = 100 };
   expect "bad sample" { base with Load.sample = 1.5 };
   expect "bad length range"
-    { base with Load.mix = { base.Load.mix with Load.ops_min = 0 } }
+    { base with Load.mix = { base.Load.mix with Load.ops_min = 0 } };
+  expect "negative retries" { base with Load.retries = -5 };
+  expect "write ratio above 1"
+    { base with Load.mix = { base.Load.mix with Load.write_ratio = 1.5 } };
+  expect "negative write ratio"
+    { base with Load.mix = { base.Load.mix with Load.write_ratio = -0.1 } }
 
 let () =
   Alcotest.run "load"
