@@ -1161,9 +1161,7 @@ let e17 ?(quick = false) () =
    cells run the E14 conflict fixture under a crash budget for each
    contention manager, on both engines, asserted bit-identical. *)
 
-let e18_ofree_tms : Tm_intf.tm list =
-  [ (module Ptm_tms.Ofree); (module Ptm_tms.Ofree.Aggressive);
-    (module Ptm_tms.Ofree.Polite); (module Ptm_tms.Ofree.Timestamp) ]
+let e18_ofree_tms = Ptm_tms.Registry.ofree_cms
 
 let e18_contrast_tms : Tm_intf.tm list =
   [ (module Ptm_tms.Dstm); (module Ptm_tms.Tl2) ]
@@ -1388,7 +1386,7 @@ let e18_explore ?(quick = false) () =
         explore_cell ~config:cname ~mode:"dpor-crash1" ~trace:"off" ~engine ss
       in
       cells := cell "steps" :: cell "fibers" :: !cells)
-    Ptm_tms.Registry.ofree_cms_stepwise;
+    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.cms);
   Fmt.pr
     "@.Every leaf of every CM's crash-budget search is reachable and \
      violation-free,@.and the engines agree bit for bit.@.";

@@ -4,21 +4,20 @@
 
 open Cmdliner
 
+(* The one TM converter: any registry name, resolved to its entry; each
+   subcommand takes the form it runs ([Registry.direct] or
+   [Registry.step]). *)
 let tm_conv =
   let parse s =
-    match Ptm_tms.Registry.by_name s with
-    | Some tm -> Ok tm
+    match Ptm_tms.Registry.find s with
+    | Some e -> Ok e
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown TM %S (try: %s)" s
-               (String.concat ", "
-                  (List.map
-                     (fun (module T : Ptm_core.Tm_intf.S) -> T.name)
-                     (((module Ptm_tms.Oneshot) : Ptm_core.Tm_intf.tm)
-                     :: Ptm_tms.Registry.all)))))
+               (String.concat ", " Ptm_tms.Registry.names)))
   in
-  let print ppf (module T : Ptm_core.Tm_intf.S) = Fmt.string ppf T.name in
+  let print ppf (module T : Ptm_core.Tm_intf.Both) = Fmt.string ppf T.name in
   Arg.conv (parse, print)
 
 let sink_conv =
@@ -102,12 +101,12 @@ let apply_cm cm tms =
       let hit = ref false in
       let tms =
         List.map
-          (fun ((module T : Ptm_core.Tm_intf.S) as tm) ->
+          (fun ((module T : Ptm_core.Tm_intf.Both) as e) ->
             if is_ofree T.name then begin
               hit := true;
               Ptm_tms.Registry.ofree_with_cm kind
             end
-            else tm)
+            else e)
           tms
       in
       if not !hit then begin
@@ -118,23 +117,17 @@ let apply_cm cm tms =
       end;
       tms
 
-let apply_cm_step cm ((module T : Ptm_core.Tm_intf.S_step) as tm) =
-  match cm with
-  | None -> tm
-  | Some kind ->
-      if is_ofree T.name then Ptm_tms.Registry.ofree_with_cm_step kind
-      else begin
-        Fmt.epr
-          "--cm only applies to the obstruction-free family (ofree*), not \
-           %s@."
-          T.name;
-        exit 2
-      end
+(* Bad input: print the message and exit 2, like cmdliner's own usage
+   errors. *)
+let or_exit2 cmd f =
+  try f () with Invalid_argument msg ->
+    Fmt.epr "ptm %s: %s@." cmd msg;
+    exit 2
 
 let tm_arg =
   Arg.(
     value
-    & opt tm_conv (module Ptm_tms.Dstm : Ptm_core.Tm_intf.S)
+    & opt tm_conv (module Ptm_tms.Dstm : Ptm_core.Tm_intf.Both)
     & info [ "tm" ] ~docv:"TM" ~doc:"TM implementation to drive.")
 
 let seed_arg =

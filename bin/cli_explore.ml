@@ -1,5 +1,5 @@
-(* The model-checking subcommand: explore. Owns its argument parsing,
-   including the step-form TM converter only it uses. *)
+(* The model-checking subcommand: explore. Owns its argument parsing; a
+   --tm fixture runs the registry TM's step form. *)
 
 open Cmdliner
 open Cli_common
@@ -125,32 +125,15 @@ let explore_cmd =
             "Resume from the $(b,--checkpoint) journal: finished tasks are \
              restored from disk, only the rest are explored.")
   in
-  let tm_step_arg =
-    let step_conv =
-      let parse s =
-        match Ptm_tms.Registry.stepwise_by_name s with
-        | Some tm -> Ok tm
-        | None ->
-            Error
-              (`Msg
-                (Printf.sprintf "unknown step-form TM %S (try: %s)" s
-                   (String.concat ", "
-                      (List.map
-                         (fun (module T : Ptm_core.Tm_intf.S_step) -> T.name)
-                         Ptm_tms.Registry.stepwise))))
-      in
-      let print ppf (module T : Ptm_core.Tm_intf.S_step) =
-        Fmt.string ppf T.name
-      in
-      Arg.conv (parse, print)
-    in
+  let tm_arg =
     Arg.(
       value
-      & opt (some step_conv) None
+      & opt (some Cli_common.tm_conv) None
       & info [ "tm" ] ~docv:"TM"
           ~doc:
-            "Model-check a step-form TM (one read-write transaction per \
-             process) instead of a lock; see $(b,--engine).")
+            "Model-check a registry TM's step form (one read-write \
+             transaction per process) instead of a lock; see \
+             $(b,--engine).")
   in
   let engine_arg =
     Arg.(
@@ -183,8 +166,17 @@ let explore_cmd =
   let run (module L : Ptm_mutex.Mutex_intf.S) max_steps nprocs max_paths
       reduce domains compare progress_every trace pool checkpoint_stride
       crashes stalls stall_steps checkpoint_file
-      resume tm_step cm engine check =
-    let tm_step = Option.map (Cli_common.apply_cm_step cm) tm_step in
+      resume tm cm engine check =
+    if nprocs > 62 then begin
+      Fmt.epr "ptm explore: at most 62 processes (the DPOR sets are int \
+               bitmasks), not %d@." nprocs;
+      exit 2
+    end;
+    let tm_step =
+      Option.map
+        (fun e -> Ptm_tms.Registry.step (List.hd (Cli_common.apply_cm cm [ e ])))
+        tm
+    in
     (if check <> None && tm_step = None then begin
        Fmt.epr "--check requires a --tm fixture (lock leaves have no TM \
                 history)@.";
@@ -292,19 +284,27 @@ let explore_cmd =
       m
     in
     (* Step-form TM fixture: each process runs one instrumented read-write
-       transaction (write own object, read the neighbour's), expressible on
-       either machine backend. *)
+       transaction (write own object, read the neighbour's; a single-object
+       TM writes and reads object 0), expressible on either machine
+       backend. *)
     let mk_tm (module T : Ptm_core.Tm_intf.S_step) eng () =
       let module Sm = Ptm_machine.Proc.Step in
       let module R = Ptm_core.Runner.Make_step (T) in
+      let single =
+        List.exists
+          (fun (module S : Ptm_core.Tm_intf.Both) -> S.name = T.name)
+          Ptm_tms.Registry.single
+      in
       let m = Ptm_machine.Machine.create ~trace ~engine:eng ~nprocs () in
       let ctx = R.init m ~nobjs:2 in
       for pid = 0 to nprocs - 1 do
+        let w, r = if single then (0, 0) else (pid mod 2, (pid + 1) mod 2) in
         Ptm_machine.Machine.spawn_step m pid
           (Sm.bind
              (R.atomically ctx ~pid ~retries:1 (fun tx ->
-                  Sm.bind (R.write ctx tx (pid mod 2) (pid + 1)) (fun _ ->
-                      R.read ctx tx ((pid + 1) mod 2))))
+                  Sm.bind (R.write ctx tx w (pid + 1)) (function
+                    | Error `Abort -> Sm.return (Error `Abort)
+                    | Ok () -> R.read ctx tx r)))
              (fun _ -> Sm.return ()))
       done;
       m
@@ -399,5 +399,5 @@ let explore_cmd =
       const run $ lock_arg $ steps_arg $ procs_arg $ paths_arg $ reduce_arg
       $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ pool_arg
       $ stride_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
-      $ checkpoint_arg $ resume_arg $ tm_step_arg $ Cli_common.cm_arg
+      $ checkpoint_arg $ resume_arg $ tm_arg $ Cli_common.cm_arg
       $ engine_arg $ check_arg)

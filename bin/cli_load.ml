@@ -7,22 +7,16 @@
 open Cmdliner
 open Ptm_core
 
-let load_universe () =
-  Ptm_tms.Registry.all @ Ptm_tms.Registry.sharded
-
 let resolve_tms names =
-  let known () =
-    String.concat ", "
-      (List.map (fun (module T : Tm_intf.S) -> T.name) (load_universe ()))
-  in
-  if List.mem "all" names then load_universe ()
+  if List.mem "all" names then Ptm_tms.Registry.(base @ x4)
   else
     List.map
       (fun n ->
-        match Ptm_tms.Registry.by_name n with
-        | Some tm -> tm
+        match Ptm_tms.Registry.find n with
+        | Some e -> e
         | None ->
-            Fmt.epr "unknown TM %S (try: all, %s)@." n (known ());
+            Fmt.epr "unknown TM %S (try: all, %s)@." n
+              (String.concat ", " Ptm_tms.Registry.names);
             exit 2)
       names
 
@@ -255,11 +249,11 @@ let load_cmd =
         monitor_frontier = frontier;
       }
     in
-    (try Load.validate cfg
-     with Invalid_argument msg ->
-       Fmt.epr "ptm load: %s@." msg;
-       exit 2);
-    let tms = Cli_common.apply_cm cm (resolve_tms tms) in
+    Cli_common.or_exit2 "load" (fun () -> Load.validate cfg);
+    let tms =
+      List.map Ptm_tms.Registry.direct
+        (Cli_common.apply_cm cm (resolve_tms tms))
+    in
     Fmt.pr "load: %d clients / %d procs / %d objs, %d txs each, %a@." clients
       nprocs nobjs txs Load.pp_mix cfg.Load.mix;
     let violations = ref 0 in

@@ -9,7 +9,7 @@ let lemma2_cmd =
     Arg.(value & opt int 4 & info [ "i" ] ~docv:"I" ~doc:"Read-set size.")
   in
   let run tm i =
-    Fmt.pr "%a@." Ptm_bounds.Lemma2.pp_report (Ptm_bounds.Lemma2.run tm ~i)
+    Fmt.pr "%a@." Ptm_bounds.Lemma2.pp_report (Ptm_bounds.Lemma2.run (Ptm_tms.Registry.direct tm) ~i)
   in
   Cmd.v
     (Cmd.info "lemma2" ~doc:"Execute the Lemma 2 / Figure 1 construction.")
@@ -20,7 +20,7 @@ let thm3_cmd =
     Arg.(value & opt int 8 & info [ "m" ] ~docv:"M" ~doc:"Read-set size.")
   in
   let run tm m =
-    Fmt.pr "%a@." Ptm_bounds.Theorem3.pp_report (Ptm_bounds.Theorem3.run tm ~m)
+    Fmt.pr "%a@." Ptm_bounds.Theorem3.pp_report (Ptm_bounds.Theorem3.run (Ptm_tms.Registry.direct tm) ~m)
   in
   Cmd.v
     (Cmd.info "thm3"

@@ -14,11 +14,12 @@ let workload_cmd =
   in
   let run tm seed nprocs nobjs txs check =
     let w =
-      Ptm_core.Workload.random ~seed ~nprocs ~nobjs ~txs_per_proc:txs
-        ~ops_per_tx:3 ()
+      or_exit2 "workload" (fun () ->
+          Ptm_core.Workload.random ~seed ~nprocs ~nobjs ~txs_per_proc:txs
+            ~ops_per_tx:3 ())
     in
     let o =
-      Ptm_core.Runner.run tm ~retries:2
+      Ptm_core.Runner.run (Ptm_tms.Registry.direct tm) ~retries:2
         ~schedule:(Ptm_core.Runner.Random_sched seed) w
     in
     Fmt.pr "%a@." Ptm_core.History.pp o.Ptm_core.Runner.history;
@@ -55,7 +56,8 @@ let trace_cmd =
         ~ops_per_tx:2 ()
     in
     let o =
-      Ptm_core.Runner.run tm ~schedule:(Ptm_core.Runner.Random_sched seed) w
+      Ptm_core.Runner.run (Ptm_tms.Registry.direct tm)
+        ~schedule:(Ptm_core.Runner.Random_sched seed) w
     in
     let trace = Ptm_machine.Machine.trace o.Ptm_core.Runner.machine in
     if timeline then Ptm_core.Timeline.pp Fmt.stdout trace
@@ -125,10 +127,11 @@ let run_cmd =
   in
   let run tm cm seed nprocs nobjs txs faults retries backoff livelock_window
       max_steps monitor =
-    let tm = List.hd (Cli_common.apply_cm cm [ tm ]) in
+    let tm = Ptm_tms.Registry.direct (List.hd (Cli_common.apply_cm cm [ tm ])) in
     let w =
-      Ptm_core.Workload.random ~seed ~nprocs ~nobjs ~txs_per_proc:txs
-        ~ops_per_tx:3 ()
+      or_exit2 "run" (fun () ->
+          Ptm_core.Workload.random ~seed ~nprocs ~nobjs ~txs_per_proc:txs
+            ~ops_per_tx:3 ())
     in
     let policy =
       match backoff with
@@ -136,10 +139,7 @@ let run_cmd =
       | Some (base, factor, cap) ->
           Ptm_core.Runner.Backoff { base; factor; cap; max_retries = retries }
     in
-    (try Ptm_core.Runner.validate_policy policy
-     with Invalid_argument msg ->
-       Fmt.epr "ptm run: %s@." msg;
-       exit 2);
+    or_exit2 "run" (fun () -> Ptm_core.Runner.validate_policy policy);
     let o =
       Ptm_core.Runner.run tm ~retries ~policy ~faults
         ?livelock_window:(if livelock_window > 0 then Some livelock_window else None)

@@ -300,6 +300,18 @@ let gen_tx ~(mix : mix) ~sampler ~next_value cl =
 let validate cfg =
   if cfg.clients < 1 then invalid_arg "Load: clients must be >= 1";
   if cfg.nprocs < 1 then invalid_arg "Load: nprocs must be >= 1";
+  if cfg.nobjs < 1 then invalid_arg "Load: nobjs must be >= 1";
+  if cfg.monitor_frontier < 1 then
+    invalid_arg "Load: monitor_frontier must be >= 1";
+  if cfg.max_slots < 1 then invalid_arg "Load: max_slots must be >= 1";
+  (* the hotspot and Zipf checks are the sampler's own *)
+  (try
+     ignore
+       (Workload.Sampler.make ?hotspot:cfg.mix.hotspot ~dist:cfg.mix.dist
+          ~nobjs:cfg.nobjs ()
+         : Workload.Sampler.t)
+   with Workload.Invalid_spec e ->
+     invalid_arg ("Load: " ^ Workload.spec_error_to_string e));
   if cfg.clients < cfg.nprocs then
     invalid_arg "Load: need at least one client per process";
   if cfg.txs_per_client < 0 then invalid_arg "Load: negative txs_per_client";

@@ -101,11 +101,12 @@ val throughput : result -> float
 val pp_result : Format.formatter -> result -> unit
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on a malformed config: no client or
-    process, fewer clients than processes, a negative [txs_per_client],
+(** Raises [Invalid_argument] on a malformed config: no client, process
+    or object, fewer clients than processes, a negative [txs_per_client],
     [retries], period or think time, a transaction-length range that is
-    empty or starts below 1, or [write_ratio] or [sample] outside
-    [[0, 1]]. *)
+    empty or starts below 1, [write_ratio] or [sample] outside [[0, 1]],
+    a [monitor_frontier] or [max_slots] below 1, or a hotspot or Zipf
+    theta {!Workload.Sampler.make} rejects. *)
 
 val run : (module Tm_intf.S) -> config -> result
 (** Run one load cell to completion (every client out of transactions) or

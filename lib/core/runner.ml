@@ -1,6 +1,34 @@
 open Ptm_machine
 
-module Make (T : Tm_intf.S) = struct
+module type Instrumented = sig
+  type 'a m
+  type state
+  type ctx
+
+  val init : Machine.t -> nobjs:int -> ctx
+  val tm_state : ctx -> state
+
+  type tx
+
+  val tx_id : tx -> int
+  val begin_tx : ctx -> pid:int -> tx m
+  val read : ctx -> tx -> int -> (int, Tm_intf.abort) result m
+  val write : ctx -> tx -> int -> int -> (unit, Tm_intf.abort) result m
+  val commit : ctx -> tx -> (unit, Tm_intf.abort) result m
+
+  val atomically :
+    ctx -> pid:int -> retries:int -> (tx -> ('a, Tm_intf.abort) result m) ->
+    ('a, Tm_intf.abort) result m
+end
+
+(* The instrumented TM, written once over the program signature: [Make]
+   is its direct instance, [Make_step] its step instance. *)
+module Body (P : Proc.S) (T : Tm_intf.Generic with type 'a m := 'a P.t) =
+struct
+  let ( let* ) = P.bind
+
+  type state = T.t
+
   (* The transaction-id counter lives in a machine cell accessed with
      peek/poke (no events, so ids are free in the step model): a captured
      [ref] would keep counting across explorer machine re-runs, whereas the
@@ -32,9 +60,10 @@ module Make (T : Tm_intf.S) = struct
   let tx_id tx = tx.id
 
   let begin_tx ctx ~pid =
+    P.suspend @@ fun () ->
     let id = Value.to_int (Memory.peek ctx.mem ctx.next_id) in
     Memory.poke ctx.mem ctx.next_id (Value.int_ (id + 1));
-    { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
+    P.return { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
 
   let guard tx = if tx.dead then invalid_arg "Runner: use of dead transaction"
 
@@ -45,281 +74,61 @@ module Make (T : Tm_intf.S) = struct
      operation into an abort response without invoking the TM. The handle is
      abandoned exactly as after a TM-decided abort; the [Tx_injected_abort]
      note marks the abort as fault-injected for the progress checkers. *)
-  let fault_abort ctx tx op =
+  let abort_due ctx tx =
     let cell = ctx.opix.(tx.pid) in
     let k = Value.to_int (Memory.peek ctx.mem cell) in
     Memory.poke ctx.mem cell (Value.int_ (k + 1));
     Machine.abort_due ctx.machine tx.pid ~op_index:k
-    && begin
-         tx.dead <- true;
-         Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op });
-         Proc.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id });
-         Proc.note
-           (History.Tx_res
-              { pid = tx.pid; tx = tx.id; op; res = History.RAbort });
-         true
-       end
+
+  let injected tx op =
+    tx.dead <- true;
+    let* () = P.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op }) in
+    let* () =
+      P.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id })
+    in
+    let* () =
+      P.note
+        (History.Tx_res { pid = tx.pid; tx = tx.id; op; res = History.RAbort })
+    in
+    P.return (Error `Abort)
+
+  (* One instrumented t-operation: the invocation note, the TM's program
+     [run ()] (built after the note, where it is bound), and the response
+     note [res] makes of its result. An abort or a commit ends the handle. *)
+  let instrument ctx tx op run res =
+    P.suspend @@ fun () ->
+    guard tx;
+    if abort_due ctx tx then injected tx op
+    else
+      let* () = P.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op }) in
+      let* r = run () in
+      let res = res r in
+      (match res with
+      | History.RAbort | History.RCommit -> tx.dead <- true
+      | History.RVal _ | History.ROk -> ());
+      let* () =
+        P.note (History.Tx_res { pid = tx.pid; tx = tx.id; op; res })
+      in
+      P.return r
 
   let read ctx tx x =
-    guard tx;
-    if fault_abort ctx tx (History.Read x) then Error `Abort
-    else begin
-    Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Read x });
-    match T.read ctx.state tx.inner x with
-    | Ok v ->
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Read x; res = History.RVal v });
-        Ok v
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Read x; res = History.RAbort });
-        Error `Abort
-    end
+    instrument ctx tx (History.Read x)
+      (fun () -> T.read ctx.state tx.inner x)
+      (function Ok v -> History.RVal v | Error `Abort -> History.RAbort)
 
   let write ctx tx x v =
-    guard tx;
-    if fault_abort ctx tx (History.Write (x, v)) then Error `Abort
-    else begin
-    Proc.note
-      (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Write (x, v) });
-    match T.write ctx.state tx.inner x v with
-    | Ok () ->
-        Proc.note
-          (History.Tx_res
-             {
-               pid = tx.pid;
-               tx = tx.id;
-               op = History.Write (x, v);
-               res = History.ROk;
-             });
-        Ok ()
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             {
-               pid = tx.pid;
-               tx = tx.id;
-               op = History.Write (x, v);
-               res = History.RAbort;
-             });
-        Error `Abort
-    end
+    instrument ctx tx
+      (History.Write (x, v))
+      (fun () -> T.write ctx.state tx.inner x v)
+      (function Ok () -> History.ROk | Error `Abort -> History.RAbort)
 
   let commit ctx tx =
-    guard tx;
-    if fault_abort ctx tx History.Try_commit then Error `Abort
-    else begin
-    Proc.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Try_commit });
-    match T.try_commit ctx.state tx.inner with
-    | Ok () ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Try_commit; res = History.RCommit });
-        Ok ()
-    | Error `Abort ->
-        tx.dead <- true;
-        Proc.note
-          (History.Tx_res
-             { pid = tx.pid; tx = tx.id; op = History.Try_commit; res = History.RAbort });
-        Error `Abort
-    end
+    instrument ctx tx History.Try_commit
+      (fun () -> T.try_commit ctx.state tx.inner)
+      (function Ok () -> History.RCommit | Error `Abort -> History.RAbort)
 
   let atomically ctx ~pid ~retries body =
-    let rec attempt k =
-      let tx = begin_tx ctx ~pid in
-      match body tx with
-      | Ok a -> (
-          match commit ctx tx with
-          | Ok () -> Ok a
-          | Error `Abort -> if k < retries then attempt (k + 1) else Error `Abort)
-      | Error `Abort -> if k < retries then attempt (k + 1) else Error `Abort
-    in
-    attempt 0
-end
-
-(* The step-form twin of [Make]: identical instrumentation, with every
-   t-operation a step-machine program, so instrumented TMs run on either
-   machine backend. Kept a line-by-line mirror of [Make] — when editing one,
-   edit both. *)
-module Make_step (T : Tm_intf.S_step) = struct
-  module Sm = Proc.Step
-
-  let ( let* ) = Sm.bind
-
-  type ctx = {
-    state : T.t;
-    machine : Machine.t;
-    mem : Memory.t;
-    next_id : Memory.addr;
-    opix : Memory.addr array;
-  }
-
-  let init machine ~nobjs =
-    let state = T.create machine ~nobjs in
-    let next_id = Machine.alloc machine ~name:"runner.next_id" (Value.Int 0) in
-    let opix =
-      Array.init (Machine.nprocs machine) (fun i ->
-          Machine.alloc machine
-            ~name:(Printf.sprintf "runner.opix.p%d" i)
-            (Value.Int 0))
-    in
-    { state; machine; mem = Machine.memory machine; next_id; opix }
-
-  let tm_state ctx = ctx.state
-
-  type tx = { pid : int; id : int; inner : T.tx; mutable dead : bool }
-
-  let tx_id tx = tx.id
-
-  let begin_tx ctx ~pid =
-    Sm.suspend @@ fun () ->
-    let id = Value.to_int (Memory.peek ctx.mem ctx.next_id) in
-    Memory.poke ctx.mem ctx.next_id (Value.int_ (id + 1));
-    Sm.return { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
-
-  let guard tx = if tx.dead then invalid_arg "Runner: use of dead transaction"
-
-  let fault_abort ctx tx op =
-    Sm.suspend @@ fun () ->
-    let cell = ctx.opix.(tx.pid) in
-    let k = Value.to_int (Memory.peek ctx.mem cell) in
-    Memory.poke ctx.mem cell (Value.int_ (k + 1));
-    if Machine.abort_due ctx.machine tx.pid ~op_index:k then begin
-      tx.dead <- true;
-      let* () = Sm.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op }) in
-      let* () =
-        Sm.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id })
-      in
-      let* () =
-        Sm.note
-          (History.Tx_res { pid = tx.pid; tx = tx.id; op; res = History.RAbort })
-      in
-      Sm.return true
-    end
-    else Sm.return false
-
-  let read ctx tx x =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx (History.Read x) in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Read x })
-      in
-      let* r = T.read ctx.state tx.inner x in
-      match r with
-      | Ok v ->
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Read x;
-                   res = History.RVal v;
-                 })
-          in
-          Sm.return (Ok v)
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Read x;
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
-
-  let write ctx tx x v =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx (History.Write (x, v)) in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Write (x, v) })
-      in
-      let* r = T.write ctx.state tx.inner x v in
-      match r with
-      | Ok () ->
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Write (x, v);
-                   res = History.ROk;
-                 })
-          in
-          Sm.return (Ok ())
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Write (x, v);
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
-
-  let commit ctx tx =
-    Sm.suspend @@ fun () ->
-    guard tx;
-    let* injected = fault_abort ctx tx History.Try_commit in
-    if injected then Sm.return (Error `Abort)
-    else
-      let* () =
-        Sm.note
-          (History.Tx_inv { pid = tx.pid; tx = tx.id; op = History.Try_commit })
-      in
-      let* r = T.try_commit ctx.state tx.inner in
-      match r with
-      | Ok () ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Try_commit;
-                   res = History.RCommit;
-                 })
-          in
-          Sm.return (Ok ())
-      | Error `Abort ->
-          tx.dead <- true;
-          let* () =
-            Sm.note
-              (History.Tx_res
-                 {
-                   pid = tx.pid;
-                   tx = tx.id;
-                   op = History.Try_commit;
-                   res = History.RAbort;
-                 })
-          in
-          Sm.return (Error `Abort)
-
-  let atomically ctx ~pid ~retries body =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec attempt k =
       let* tx = begin_tx ctx ~pid in
       let* r = body tx in
@@ -327,14 +136,17 @@ module Make_step (T : Tm_intf.S_step) = struct
       | Ok a -> (
           let* c = commit ctx tx in
           match c with
-          | Ok () -> Sm.return (Ok a)
+          | Ok () -> P.return (Ok a)
           | Error `Abort ->
-              if k < retries then attempt (k + 1) else Sm.return (Error `Abort))
+              if k < retries then attempt (k + 1) else P.return (Error `Abort))
       | Error `Abort ->
-          if k < retries then attempt (k + 1) else Sm.return (Error `Abort)
+          if k < retries then attempt (k + 1) else P.return (Error `Abort)
     in
     attempt 0
 end
+
+module Make (T : Tm_intf.S) = Body (Proc.Direct) (T)
+module Make_step (T : Tm_intf.S_step) = Body (Proc.Step) (T)
 
 type retry_policy =
   | Immediate

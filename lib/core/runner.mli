@@ -1,7 +1,8 @@
 (** Drive TM implementations over workloads inside the simulated machine,
     recording the TM history as trace notes.
 
-    {!Make} wraps a TM implementation with history instrumentation: every
+    {!Make} and {!Make_step} wrap a TM implementation with history
+    instrumentation, one body over the program signature: every
     t-operation is bracketed by {!History.Tx_inv}/{!History.Tx_res} notes
     (zero-cost in the step model), aborted transactions stop issuing
     operations (well-formedness), and transaction ids are globally unique.
@@ -10,64 +11,49 @@
 
 open Ptm_machine
 
-module Make (T : Tm_intf.S) : sig
+(** A TM instrumented with history notes, over the program type ['a m] of
+    one instance of the program signature {!Ptm_machine.Proc.S}. *)
+module type Instrumented = sig
+  type 'a m
+  type state
   type ctx
 
   val init : Machine.t -> nobjs:int -> ctx
-  val tm_state : ctx -> T.t
+  val tm_state : ctx -> state
 
   type tx
 
   val tx_id : tx -> int
 
-  val begin_tx : ctx -> pid:int -> tx
-  (** Allocate a fresh instrumented transaction (no memory access, no note —
-      the paper's model has no begin event). *)
+  val begin_tx : ctx -> pid:int -> tx m
+  (** Allocate a fresh instrumented transaction (no events, no note — the
+      paper's model has no begin event; ids live in a peeked/poked machine
+      cell, so explorer re-runs replay them). *)
 
-  val read : ctx -> tx -> int -> (int, Tm_intf.abort) result
-  val write : ctx -> tx -> int -> int -> (unit, Tm_intf.abort) result
-  val commit : ctx -> tx -> (unit, Tm_intf.abort) result
+  val read : ctx -> tx -> int -> (int, Tm_intf.abort) result m
+  val write : ctx -> tx -> int -> int -> (unit, Tm_intf.abort) result m
+  val commit : ctx -> tx -> (unit, Tm_intf.abort) result m
 
   val atomically :
-    ctx -> pid:int -> retries:int -> (tx -> ('a, Tm_intf.abort) result) ->
-    ('a, Tm_intf.abort) result
+    ctx -> pid:int -> retries:int -> (tx -> ('a, Tm_intf.abort) result m) ->
+    ('a, Tm_intf.abort) result m
   (** Run the body as a transaction, committing on success. On abort, retries
       up to [retries] times as fresh transactions. The body must access
       t-objects only through {!read} and {!write} on the given handle. *)
 end
 
-(** The step-form twin of {!Make}: the same instrumentation (identical note
-    sequences, fault-injected aborts, id allocation), with every t-operation
-    a step-machine program — so an instrumented step-form TM runs on either
+(** The one instrumentation body, applied to the direct instance: every
+    t-operation is a plain call, run inside a fiber-backed process. *)
+module Make (T : Tm_intf.S) :
+  Instrumented with type 'a m := 'a and type state = T.t
+
+(** The same body applied to the step instance: identical note sequences,
+    fault-injected aborts and id allocation, with every t-operation a
+    step-machine program — so an instrumented step-form TM runs on either
     {!Machine} backend via {!Machine.spawn_step}, or inside a fiber via
     {!Ptm_machine.Proc.Step.perform}. *)
-module Make_step (T : Tm_intf.S_step) : sig
-  type ctx
-
-  val init : Machine.t -> nobjs:int -> ctx
-  val tm_state : ctx -> T.t
-
-  type tx
-
-  val tx_id : tx -> int
-
-  val begin_tx : ctx -> pid:int -> tx Ptm_machine.Proc.Step.t
-  (** Allocate a fresh instrumented transaction (no events — ids live in a
-      peeked/poked machine cell, so explorer re-runs replay them). *)
-
-  val read : ctx -> tx -> int -> (int, Tm_intf.abort) result Ptm_machine.Proc.Step.t
-  val write :
-    ctx -> tx -> int -> int -> (unit, Tm_intf.abort) result Ptm_machine.Proc.Step.t
-  val commit : ctx -> tx -> (unit, Tm_intf.abort) result Ptm_machine.Proc.Step.t
-
-  val atomically :
-    ctx -> pid:int -> retries:int ->
-    (tx -> ('a, Tm_intf.abort) result Ptm_machine.Proc.Step.t) ->
-    ('a, Tm_intf.abort) result Ptm_machine.Proc.Step.t
-  (** Step-form {!Make.atomically}: run the body as a transaction, committing
-      on success; on abort, retry up to [retries] times as fresh
-      transactions. *)
-end
+module Make_step (T : Tm_intf.S_step) :
+  Instrumented with type 'a m := 'a Proc.Step.t and type state = T.t
 
 type retry_policy =
   | Immediate  (** re-issue an aborted attempt on the next scheduled slot *)

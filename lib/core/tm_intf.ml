@@ -6,8 +6,9 @@
     abort the transaction handle must not be used again.
 
     Implementations run {e inside} simulated processes: all shared-memory
-    interaction must go through {!Ptm_machine.Proc} operations so that steps
-    are counted and traced. Creating a transaction handle ({!S.fresh}) must
+    interaction must go through the program signature {!Ptm_machine.Proc.S}
+    so that steps are counted and traced. Creating a transaction handle
+    ({!Generic.fresh}) must
     not access shared memory — the paper has no "begin" operation, so any
     start-of-transaction work (e.g. reading a global clock) must be deferred
     to the first t-operation. *)
@@ -34,7 +35,15 @@ type props = {
   strongly_progressive : bool;
 }
 
-module type S = sig
+(** A TM written once against the program signature {!Ptm_machine.Proc.S}:
+    the t-operations are programs of ['a m]. Each TM is a functor over the
+    program signature; applying it to {!Ptm_machine.Proc.Direct} gives the
+    direct-style {!S}, to {!Ptm_machine.Proc.Step} the step-form {!S_step},
+    and the two run the identical event sequence. *)
+module type Generic = sig
+  type 'a m
+  (** The program type of the instance ({!Ptm_machine.Proc.S.t}). *)
+
   val name : string
 
   val props : props
@@ -50,58 +59,32 @@ module type S = sig
   val fresh : t -> pid:int -> id:int -> tx
   (** Allocate a transaction handle. Must not access shared memory. *)
 
-  val read : t -> tx -> int -> (int, abort) result
-  val write : t -> tx -> int -> int -> (unit, abort) result
+  val read : t -> tx -> int -> (int, abort) result m
+  val write : t -> tx -> int -> int -> (unit, abort) result m
 
-  val try_commit : t -> tx -> (unit, abort) result
+  val try_commit : t -> tx -> (unit, abort) result m
   (** On [Error `Abort] the implementation has already released any base
       objects it holds; same for aborting reads and writes. *)
 end
 
+(** The direct-style instance: t-operations are plain calls, run inside a
+    fiber-backed process. *)
+module type S = Generic with type 'a m := 'a
+
 type tm = (module S)
 
-(** The same interface with the t-operations as step-machine programs
-    ({!Ptm_machine.Proc.Step.t}): a step-form TM runs on either machine
-    backend — driven directly under [Steps], via {!Ptm_machine.Proc.Step.perform}
-    under [Fibers] — with bit-identical traces. Construction of each
-    returned program must be side-effect free (defer mutation with
-    {!Ptm_machine.Proc.Step.suspend}), so explorer machine restarts replay
-    it faithfully. *)
-module type S_step = sig
-  val name : string
-  val props : props
-
-  type t
-
-  val create : Ptm_machine.Machine.t -> nobjs:int -> t
-
-  type tx
-
-  val fresh : t -> pid:int -> id:int -> tx
-  val read : t -> tx -> int -> (int, abort) result Ptm_machine.Proc.Step.t
-  val write :
-    t -> tx -> int -> int -> (unit, abort) result Ptm_machine.Proc.Step.t
-  val try_commit : t -> tx -> (unit, abort) result Ptm_machine.Proc.Step.t
-end
+(** The step-form instance: t-operations are step-machine programs
+    ({!Ptm_machine.Proc.Step.t}), runnable on either machine backend —
+    driven directly under [Steps], via {!Ptm_machine.Proc.Step.perform}
+    under [Fibers]. *)
+module type S_step = Generic with type 'a m := 'a Ptm_machine.Proc.Step.t
 
 type tm_step = (module S_step)
 
-(** Derive the direct-style interface from a step-form implementation by
-    interpreting each operation's program in place — callable only inside a
-    fiber-backed process, like any direct-style operation, and emitting the
-    identical event sequence. *)
-module Of_step (M : S_step) : S with type t = M.t and type tx = M.tx = struct
-  let name = M.name
-  let props = M.props
+(** A TM in both forms: the direct instance with its step instance as
+    [Stepwise]. Every registry TM has this shape. *)
+module type Both = sig
+  include S
 
-  type t = M.t
-
-  let create = M.create
-
-  type tx = M.tx
-
-  let fresh = M.fresh
-  let read t tx x = Ptm_machine.Proc.Step.perform (M.read t tx x)
-  let write t tx x v = Ptm_machine.Proc.Step.perform (M.write t tx x v)
-  let try_commit t tx = Ptm_machine.Proc.Step.perform (M.try_commit t tx)
+  module Stepwise : S_step
 end

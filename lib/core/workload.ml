@@ -101,6 +101,14 @@ end
 
 let random ~seed ~nprocs ~nobjs ~txs_per_proc ~ops_per_tx
     ?(write_ratio = 0.5) ?(unique_writes = true) ?hotspot ?(dist = Uniform) () =
+  let at_least k field v =
+    if v < k then
+      invalid_arg (Printf.sprintf "Workload.random: %s must be >= %d" field k)
+  in
+  at_least 1 "nobjs" nobjs;
+  at_least 0 "nprocs" nprocs;
+  at_least 0 "txs_per_proc" txs_per_proc;
+  at_least 0 "ops_per_tx" ops_per_tx;
   let sampler = Sampler.make ?hotspot ~dist ~nobjs () in
   let rng = Random.State.make [| seed |] in
   let counter = ref 0 in

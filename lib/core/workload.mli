@@ -74,6 +74,8 @@ val random :
     benchmarks; [dist] (default {!Uniform}) selects the base distribution
     for the remaining draws. Identical seeds produce identical workloads,
     across both distributions.
+    @raise Invalid_argument naming the field when [nobjs < 1] or a count
+    ([nprocs], [txs_per_proc], [ops_per_tx]) is negative.
     @raise Invalid_spec on an out-of-range hotspot or Zipf theta. *)
 
 val bank : nprocs:int -> naccounts:int -> transfers_per_proc:int -> seed:int -> t

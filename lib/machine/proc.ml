@@ -52,6 +52,59 @@ let fas a v = apply a (Primitive.Fas v)
 let ll a = apply a Primitive.Ll
 let sc a v = Value.to_bool (apply a (Primitive.Sc v))
 
+module type S = sig
+  type 'a t
+
+  val return : 'a -> 'a t
+  val bind : 'a t -> ('a -> 'b t) -> 'b t
+  val map : ('a -> 'b) -> 'a t -> 'b t
+  val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
+  val suspend : (unit -> 'a t) -> 'a t
+  val apply : Memory.addr -> Primitive.t -> Value.t t
+  val note : Trace.note -> unit t
+  val pause : unit -> unit t
+  val read : Memory.addr -> Value.t t
+  val read_int : Memory.addr -> int t
+  val read_bool : Memory.addr -> bool t
+  val write : Memory.addr -> Value.t -> unit t
+  val cas : Memory.addr -> expected:Value.t -> desired:Value.t -> bool t
+  val tas : Memory.addr -> bool t
+  val faa : Memory.addr -> int -> int t
+  val fas : Memory.addr -> Value.t -> Value.t t
+  val ll : Memory.addr -> Value.t t
+  val sc : Memory.addr -> Value.t -> bool t
+  val iter : ('a -> unit t) -> 'a list -> unit t
+  val for_all : ('a -> bool t) -> 'a list -> bool t
+end
+
+(* The direct instance: a program is the value it delivers, so the shared
+   text runs as plain code inside a fiber and each primitive is one
+   performed effect. *)
+module Direct = struct
+  type 'a t = 'a
+
+  let return x = x
+  let bind x f = f x
+  let map f x = f x
+  let ( let* ) x f = f x
+  let suspend f = f ()
+  let apply = apply
+  let note = note
+  let pause = pause
+  let read = read
+  let read_int = read_int
+  let read_bool = read_bool
+  let write = write
+  let cas = cas
+  let tas = tas
+  let faa = faa
+  let fas = fas
+  let ll = ll
+  let sc = sc
+  let iter = List.iter
+  let for_all = List.for_all
+end
+
 (* ------------------------------------------------------------------ *)
 (* Defunctionalized step machines.                                     *)
 (*                                                                     *)
@@ -81,7 +134,7 @@ module Step = struct
   let suspend f k = f () k
   let apply addr prim k = Wants_mem ({ addr; prim }, k)
   let note n k = Wants_note (n, k)
-  let pause k = Wants_pause k
+  let pause () k = Wants_pause k
   let read a k = Wants_mem ({ addr = a; prim = Primitive.Read }, k)
   let read_int a k =
     Wants_mem ({ addr = a; prim = Primitive.Read }, fun v -> k (Value.to_int v))
@@ -108,12 +161,9 @@ module Step = struct
     | [] -> return ()
     | x :: rest -> bind (f x) (fun () -> iter f rest)
 
-  let rec for_ lo hi body =
-    if lo > hi then return ()
-    else bind (body lo) (fun () -> for_ (lo + 1) hi body)
-
-  let rec loop f s =
-    bind (f s) (function `Stop r -> return r | `Continue s' -> loop f s')
+  let rec for_all f = function
+    | [] -> return true
+    | x :: rest -> bind (f x) (fun ok -> if ok then for_all f rest else return false)
 
   let start (p : unit t) : outcome =
     try p (fun () -> Done) with e -> Failed e

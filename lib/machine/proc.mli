@@ -48,37 +48,30 @@ val fas : Memory.addr -> Value.t -> Value.t
 val ll : Memory.addr -> Value.t
 val sc : Memory.addr -> Value.t -> bool
 
-(** Processes as defunctionalized step machines.
+(** The program signature: the one text every TM, the Runner and the
+    sharded protocol are written against, as functors over it. Two instances
+    run that text:
 
-    A [Step.t] program is an explicit state value in continuation-passing
-    style: running it yields an {!Step.outcome} whose [Wants_*] constructors
-    carry a plain OCaml closure instead of an effect continuation, so the
-    scheduler advances the process with an ordinary (multi-shot, exception-
-    catching) function call — no fiber switch per step. The constructors
-    mirror {!outcome} one for one, and {!Step.perform} interprets a step
-    program inside an effect-handler process performing the identical effect
-    sequence, so a step program run under either machine backend produces
-    bit-identical traces by construction (the fiber path remains the
-    reference semantics).
+    - {!Direct}, with [type 'a t = 'a] and [bind x f = f x]: each primitive
+      is the effect above, so a program is plain code running inside a
+      [Fibers]-backed process;
+    - {!Step}, with programs as explicit continuation-passing values that
+      the [Steps] engine advances by ordinary function calls.
 
-    Construction discipline: a combinator expression is evaluated the moment
-    it is applied, so any side effect outside a [bind] body (or a
-    {!Step.suspend} thunk) runs at program-{e construction} time and would
-    not replay under {!Machine.restart}. Operations that allocate or mutate
-    (transaction handles, counters) must therefore live inside
-    [suspend]/[bind] bodies, exactly as closure programs must not capture
-    external mutable state. *)
-
-module Step : sig
-  type outcome =
-    | Done
-    | Failed of exn
-    | Wants_mem of request * (Value.t -> outcome)
-    | Wants_note of Trace.note * (unit -> outcome)
-    | Wants_pause of (unit -> outcome)
-
-  type 'a t = ('a -> outcome) -> outcome
-  (** A program delivering an ['a], as a function of its continuation. *)
+    {b Bind where built.} Under {!Direct} a primitive runs the moment its
+    program value is built, whereas under {!Step} it runs when the program
+    is bound and resumed. Shared text is therefore correct for both only if
+    every program value is bound exactly where it is built: never built
+    early and bound later, never bound twice, never built as two arguments
+    of one call (OCaml evaluates those right to left). Spin loops must
+    recur in tail position of a [bind] continuation, so the direct instance
+    runs them in constant stack. Side effects outside a [bind] body or a
+    {!S.suspend} thunk run at program-{e construction} time under {!Step},
+    and would not replay under {!Machine.restart}: operations that allocate
+    or mutate must live inside [suspend]/[bind] bodies. *)
+module type S = sig
+  type 'a t
+  (** A program delivering an ['a]. *)
 
   val return : 'a -> 'a t
   val bind : 'a t -> ('a -> 'b t) -> 'b t
@@ -86,16 +79,13 @@ module Step : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
 
   val suspend : (unit -> 'a t) -> 'a t
-  (** Defer construction (and its side effects) to run time. Wrap any
-      operation whose construction allocates or mutates, so re-running the
-      program ({!Machine.restart}) re-executes it. *)
+  (** Defer construction (and its side effects) to run time. *)
 
   val apply : Memory.addr -> Primitive.t -> Value.t t
   val note : Trace.note -> unit t
-  val pause : unit t
+  val pause : unit -> unit t
 
-  (** Typed convenience wrappers around {!apply}, mirroring the direct-style
-      operations above. *)
+  (** Typed convenience wrappers around {!apply}. *)
 
   val read : Memory.addr -> Value.t t
   val read_int : Memory.addr -> int t
@@ -108,14 +98,41 @@ module Step : sig
   val ll : Memory.addr -> Value.t t
   val sc : Memory.addr -> Value.t -> bool t
 
-  (** Loop combinators. *)
+  (** List combinators. *)
 
   val iter : ('a -> unit t) -> 'a list -> unit t
-  val for_ : int -> int -> (int -> unit t) -> unit t
-  (** [for_ lo hi body] runs [body lo .. body hi] inclusive. *)
+  val for_all : ('a -> bool t) -> 'a list -> bool t
+  (** Short-circuits left to right, like [List.for_all]. *)
+end
 
-  val loop : ('s -> [ `Continue of 's | `Stop of 'r ] t) -> 's -> 'r t
-  (** Tail-recursive state loop: iterate [f] from [s] until it stops. *)
+module Direct : S with type 'a t = 'a
+(** The direct instance: programs are the values they deliver, and each
+    primitive performs its effect when called. Callable only from inside a
+    fiber-backed process body. *)
+
+(** Processes as defunctionalized step machines.
+
+    A [Step.t] program is an explicit state value in continuation-passing
+    style: running it yields an {!Step.outcome} whose [Wants_*] constructors
+    carry a plain OCaml closure instead of an effect continuation, so the
+    scheduler advances the process with an ordinary (multi-shot, exception-
+    catching) function call — no fiber switch per step. The constructors
+    mirror {!outcome} one for one, and {!Step.perform} interprets a step
+    program inside an effect-handler process performing the identical effect
+    sequence, so a step program run under either machine backend produces
+    bit-identical traces by construction (the fiber path remains the
+    reference semantics). *)
+
+module Step : sig
+  type outcome =
+    | Done
+    | Failed of exn
+    | Wants_mem of request * (Value.t -> outcome)
+    | Wants_note of Trace.note * (unit -> outcome)
+    | Wants_pause of (unit -> outcome)
+
+  include S with type 'a t = ('a -> outcome) -> outcome
+  (** A program delivering an ['a], as a function of its continuation. *)
 
   val start : unit t -> outcome
   (** Run a program until its first effect (or completion); an exception

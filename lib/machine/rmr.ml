@@ -15,144 +15,99 @@ type counts = { per_pid : int array; total : int }
 
 type wb_line = Invalid | Shared of int list | Exclusive of int
 
-let iter model memory trace charge =
-  let events = Trace.mem_events trace in
-  match model with
-  | Dsm ->
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          match Memory.owner memory e.addr with
-          | Some o when o = e.pid -> ()
-          | _ -> charge e)
-        events
+(* The one cache simulator: [remote] applies one access to the line state
+   and says whether it incurs an RMR. The online [Stream] and the offline
+   replay ([count] feeds the trace to a [Stream]; [iter] reports each
+   charged event) both run every event through it. *)
+type sim = {
+  model : model;
+  memory : Memory.t;
+  wt_valid : (int, int list) Hashtbl.t;  (* Cc_write_through *)
+  wb_lines : (int, wb_line) Hashtbl.t;  (* Cc_write_back *)
+}
+
+let sim model memory =
+  { model; memory; wt_valid = Hashtbl.create 64; wb_lines = Hashtbl.create 64 }
+
+let remote s ~pid ~addr ~trivial =
+  match s.model with
+  | Dsm -> (
+      match Memory.owner s.memory addr with Some o when o = pid -> false | _ -> true)
   | Cc_write_through ->
-      let valid : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-      let holders a = Option.value ~default:[] (Hashtbl.find_opt valid a) in
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          if Primitive.is_trivial e.prim then begin
-            if not (List.mem e.pid (holders e.addr)) then begin
-              charge e;
-              Hashtbl.replace valid e.addr (e.pid :: holders e.addr)
-            end
-          end
-          else begin
-            (* Write-through: always an RMR; invalidates the other
-               processes' cached copies, but the writer's own line stays
-               valid (the store updates it in place on its way to memory),
-               so a writer re-reading its own line is not charged again. *)
-            charge e;
-            Hashtbl.replace valid e.addr [ e.pid ]
-          end)
-        events
-  | Cc_write_back ->
-      let lines : (int, wb_line) Hashtbl.t = Hashtbl.create 64 in
-      let line a = Option.value ~default:Invalid (Hashtbl.find_opt lines a) in
-      List.iter
-        (fun (e : Trace.mem_event) ->
-          if Primitive.is_trivial e.prim then
-            match line e.addr with
-            | Shared ps when List.mem e.pid ps -> ()
-            | Exclusive p when p = e.pid -> ()
-            | Shared ps ->
-                charge e;
-                Hashtbl.replace lines e.addr (Shared (e.pid :: ps))
-            | Exclusive p ->
-                charge e;
-                (* write back and demote the exclusive holder *)
-                Hashtbl.replace lines e.addr (Shared [ e.pid; p ])
-            | Invalid ->
-                charge e;
-                Hashtbl.replace lines e.addr (Shared [ e.pid ])
-          else
-            match line e.addr with
-            | Exclusive p when p = e.pid -> ()
-            | _ ->
-                charge e;
-                Hashtbl.replace lines e.addr (Exclusive e.pid))
-        events
+      let holders =
+        Option.value ~default:[] (Hashtbl.find_opt s.wt_valid addr)
+      in
+      if trivial then
+        (not (List.mem pid holders))
+        && begin
+             Hashtbl.replace s.wt_valid addr (pid :: holders);
+             true
+           end
+      else begin
+        (* Write-through: always an RMR; invalidates the other processes'
+           cached copies, but the writer's own line stays valid (the store
+           updates it in place on its way to memory), so a writer re-reading
+           its own line is not charged again. *)
+        Hashtbl.replace s.wt_valid addr [ pid ];
+        true
+      end
+  | Cc_write_back -> (
+      let line =
+        Option.value ~default:Invalid (Hashtbl.find_opt s.wb_lines addr)
+      in
+      if trivial then
+        match line with
+        | Shared ps when List.mem pid ps -> false
+        | Exclusive p when p = pid -> false
+        | Shared ps ->
+            Hashtbl.replace s.wb_lines addr (Shared (pid :: ps));
+            true
+        | Exclusive p ->
+            (* write back and demote the exclusive holder *)
+            Hashtbl.replace s.wb_lines addr (Shared [ pid; p ]);
+            true
+        | Invalid ->
+            Hashtbl.replace s.wb_lines addr (Shared [ pid ]);
+            true
+      else
+        match line with
+        | Exclusive p when p = pid -> false
+        | _ ->
+            Hashtbl.replace s.wb_lines addr (Exclusive pid);
+            true)
 
-let count model ~nprocs memory trace =
-  let per_pid = Array.make nprocs 0 in
-  let total = ref 0 in
-  iter model memory trace (fun e ->
-      per_pid.(e.Trace.pid) <- per_pid.(e.Trace.pid) + 1;
-      incr total);
-  { per_pid; total = !total }
-
-(* Incremental accounting for runs too large to retain a trace: the same
-   three cache simulators, fed one event at a time. The caller supplies
-   (pid, addr, triviality) — exactly what [Machine.packed_pend] exposes
-   before a step — so a load driver charges RMRs online under the [Off]
-   sink. The per-model transition tables are kept line-for-line equivalent
-   to [iter]'s (a differential test pins them against each other). *)
+(* Online accounting for runs too large to retain a trace: the caller
+   supplies (pid, addr, triviality) — exactly what [Machine.packed_pend]
+   exposes before a step — so a load driver charges RMRs under the [Off]
+   sink, through the same simulator as the offline replay. *)
 module Stream = struct
-  type t = {
-    model : model;
-    memory : Memory.t;
-    per_pid : int array;
-    mutable total : int;
-    wt_valid : (int, int list) Hashtbl.t;  (* Cc_write_through *)
-    wb_lines : (int, wb_line) Hashtbl.t;  (* Cc_write_back *)
-  }
+  type t = { sim : sim; per_pid : int array; mutable total : int }
 
   let create model ~nprocs memory =
-    {
-      model;
-      memory;
-      per_pid = Array.make nprocs 0;
-      total = 0;
-      wt_valid = Hashtbl.create 64;
-      wb_lines = Hashtbl.create 64;
-    }
-
-  let charge t pid =
-    t.per_pid.(pid) <- t.per_pid.(pid) + 1;
-    t.total <- t.total + 1
+    { sim = sim model memory; per_pid = Array.make nprocs 0; total = 0 }
 
   let feed t ~pid ~addr ~trivial =
-    match t.model with
-    | Dsm -> (
-        match Memory.owner t.memory addr with
-        | Some o when o = pid -> ()
-        | _ -> charge t pid)
-    | Cc_write_through ->
-        let holders =
-          Option.value ~default:[] (Hashtbl.find_opt t.wt_valid addr)
-        in
-        if trivial then begin
-          if not (List.mem pid holders) then begin
-            charge t pid;
-            Hashtbl.replace t.wt_valid addr (pid :: holders)
-          end
-        end
-        else begin
-          charge t pid;
-          Hashtbl.replace t.wt_valid addr [ pid ]
-        end
-    | Cc_write_back -> (
-        let line =
-          Option.value ~default:Invalid (Hashtbl.find_opt t.wb_lines addr)
-        in
-        if trivial then
-          match line with
-          | Shared ps when List.mem pid ps -> ()
-          | Exclusive p when p = pid -> ()
-          | Shared ps ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared (pid :: ps))
-          | Exclusive p ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared [ pid; p ])
-          | Invalid ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Shared [ pid ])
-        else
-          match line with
-          | Exclusive p when p = pid -> ()
-          | _ ->
-              charge t pid;
-              Hashtbl.replace t.wb_lines addr (Exclusive pid))
+    if remote t.sim ~pid ~addr ~trivial then begin
+      t.per_pid.(pid) <- t.per_pid.(pid) + 1;
+      t.total <- t.total + 1
+    end
 
   let counts t = { per_pid = Array.copy t.per_pid; total = t.total }
 end
+
+let iter model memory trace charge =
+  let s = sim model memory in
+  List.iter
+    (fun (e : Trace.mem_event) ->
+      if remote s ~pid:e.pid ~addr:e.addr ~trivial:(Primitive.is_trivial e.prim)
+      then charge e)
+    (Trace.mem_events trace)
+
+let count model ~nprocs memory trace =
+  let st = Stream.create model ~nprocs memory in
+  List.iter
+    (fun (e : Trace.mem_event) ->
+      Stream.feed st ~pid:e.pid ~addr:e.addr
+        ~trivial:(Primitive.is_trivial e.prim))
+    (Trace.mem_events trace);
+  Stream.counts st

@@ -1,7 +1,8 @@
 (** Remote memory reference (RMR) accounting (paper, Section 5).
 
-    RMRs are counted offline, by replaying the recorded trace through a cache
-    simulator implementing the paper's three cost models verbatim:
+    RMRs are counted by one cache simulator implementing the paper's three
+    cost models verbatim, fed either online ({!Stream}) or offline, by
+    replaying a recorded trace ({!count}, {!iter}):
 
     - {e write-through CC}: a read is local iff the reader holds a cached copy
       not invalidated since its previous read; a write always incurs an RMR
@@ -37,10 +38,9 @@ val iter : model -> Memory.t -> Trace.t -> (Trace.mem_event -> unit) -> unit
 
 (** Online accounting for runs too large to retain a trace (the load
     engine's million-transaction sweeps run under the {!Trace.Off} sink):
-    the same cache simulators fed one event at a time, from the
-    (pid, addr, triviality) triple {!Machine.packed_pend} exposes before
-    each step. Feeding a run's events in schedule order yields counts
-    identical to {!count} over the equivalent recorded trace. *)
+    the simulator fed one event at a time, from the (pid, addr, triviality)
+    triple {!Machine.packed_pend} exposes before each step. {!count} is a
+    stream fed a recorded trace's events in order. *)
 module Stream : sig
   type t
 

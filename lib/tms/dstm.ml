@@ -1,111 +1,131 @@
 open Ptm_machine
 
-let name = "dstm"
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "dstm"
 
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = true;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = false;
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = true;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = false;
+    }
+
+  type t = { orecs : Memory.addr array; data : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      orecs =
+        Orec.alloc_array machine ~prefix:"dstm.orec" ~nobjs
+          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+      data =
+        Orec.alloc_array machine ~prefix:"dstm.data" ~nobjs
+          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+    }
+
+  type tx = {
+    id : int;
+    mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
+    mutable wlocks : (int * int) list;  (* obj -> ver at lock time *)
+    mutable wbuf : (int * int) list;  (* obj -> value, latest first *)
   }
 
-type t = { orecs : Memory.addr array; data : Memory.addr array }
+  let fresh _t ~pid:_ ~id = { id; rset = []; wlocks = []; wbuf = [] }
 
-let create machine ~nobjs =
-  {
-    orecs =
-      Orec.alloc_array machine ~prefix:"dstm.orec" ~nobjs
-        ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
-    data =
-      Orec.alloc_array machine ~prefix:"dstm.data" ~nobjs
-        ~init:(Value.Int Ptm_core.Tm_intf.init_value);
-  }
-
-type tx = {
-  id : int;
-  mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
-  mutable wlocks : (int * int) list;  (* obj -> ver at lock time *)
-  mutable wbuf : (int * int) list;  (* obj -> value, latest first *)
-}
-
-let fresh _t ~pid:_ ~id = { id; rset = []; wlocks = []; wbuf = [] }
-
-let release t tx =
-  List.iter
-    (fun (x, ver) -> Proc.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
-    tx.wlocks;
-  tx.wlocks <- []
-
-let abort t tx =
-  release t tx;
-  Error `Abort
-
-(* Re-read the orec of every read-set entry; a version change or a foreign
-   lock is a conflict. This is the paper's incremental validation: the i-th
-   read performs i-1 of these checks. *)
-let valid t tx =
-  List.for_all
-    (fun (x, (ver, _)) ->
-      let ver', owner' = Orec.unpack (Proc.read t.orecs.(x)) in
-      ver' = ver && (owner' = Orec.none || owner' = tx.id))
-    tx.rset
-
-let read t tx x =
-  match List.assoc_opt x tx.wbuf with
-  | Some v -> Ok v
-  | None -> (
-      match List.assoc_opt x tx.rset with
-      | Some (_, v) -> Ok v
-      | None ->
-          let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-          if owner <> Orec.none && owner <> tx.id then abort t tx
-          else
-            let v = Value.to_int (Proc.read t.data.(x)) in
-            let ver2, owner2 = Orec.unpack (Proc.read t.orecs.(x)) in
-            if ver2 <> ver || owner2 <> owner then abort t tx
-            else if not (valid t tx) then abort t tx
-            else begin
-              tx.rset <- (x, (ver, v)) :: tx.rset;
-              Ok v
-            end)
-
-let write t tx x v =
-  if List.mem_assoc x tx.wlocks then begin
-    tx.wbuf <- (x, v) :: tx.wbuf;
-    Ok ()
-  end
-  else
-    let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-    if owner <> Orec.none then abort t tx
-    else if
-      Proc.cas t.orecs.(x)
-        ~expected:(Orec.pack ~ver ~owner:Orec.none)
-        ~desired:(Orec.pack ~ver ~owner:tx.id)
-    then begin
-      tx.wlocks <- (x, ver) :: tx.wlocks;
-      tx.wbuf <- (x, v) :: tx.wbuf;
-      Ok ()
-    end
-    else abort t tx
-
-let try_commit t tx =
-  if not (valid t tx) then abort t tx
-  else begin
-    (* Install the latest buffered value of each locked object, then release
-       with a bumped version. *)
-    List.iter
-      (fun (x, _) ->
-        match List.assoc_opt x tx.wbuf with
-        | Some v -> Proc.write t.data.(x) (Value.Int v)
-        | None -> ())
-      tx.wlocks;
-    List.iter
-      (fun (x, ver) ->
-        Proc.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
-      tx.wlocks;
+  let abort t tx =
+    let* () =
+      P.iter
+        (fun (x, ver) -> P.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
+        tx.wlocks
+    in
     tx.wlocks <- [];
-    Ok ()
-  end
+    P.return (Error `Abort)
+
+  (* Re-read the orec of every read-set entry; a version change or a foreign
+     lock is a conflict. This is the paper's incremental validation: the i-th
+     read performs i-1 of these checks. *)
+  let valid t tx =
+    P.for_all
+      (fun (x, (ver, _)) ->
+        let* o = P.read t.orecs.(x) in
+        let ver', owner' = Orec.unpack o in
+        P.return (ver' = ver && (owner' = Orec.none || owner' = tx.id)))
+      tx.rset
+
+  let read t tx x =
+    P.suspend @@ fun () ->
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> P.return (Ok v)
+    | None -> (
+        match List.assoc_opt x tx.rset with
+        | Some (_, v) -> P.return (Ok v)
+        | None ->
+            let* o = P.read t.orecs.(x) in
+            let ver, owner = Orec.unpack o in
+            if owner <> Orec.none && owner <> tx.id then abort t tx
+            else
+              let* v = P.read_int t.data.(x) in
+              let* o2 = P.read t.orecs.(x) in
+              let ver2, owner2 = Orec.unpack o2 in
+              if ver2 <> ver || owner2 <> owner then abort t tx
+              else
+                let* ok = valid t tx in
+                if not ok then abort t tx
+                else begin
+                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                  P.return (Ok v)
+                end)
+
+  let write t tx x v =
+    P.suspend @@ fun () ->
+    if List.mem_assoc x tx.wlocks then begin
+      tx.wbuf <- (x, v) :: tx.wbuf;
+      P.return (Ok ())
+    end
+    else
+      let* o = P.read t.orecs.(x) in
+      let ver, owner = Orec.unpack o in
+      if owner <> Orec.none then abort t tx
+      else
+        let* locked =
+          P.cas t.orecs.(x)
+            ~expected:(Orec.pack ~ver ~owner:Orec.none)
+            ~desired:(Orec.pack ~ver ~owner:tx.id)
+        in
+        if locked then begin
+          tx.wlocks <- (x, ver) :: tx.wlocks;
+          tx.wbuf <- (x, v) :: tx.wbuf;
+          P.return (Ok ())
+        end
+        else abort t tx
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    let* ok = valid t tx in
+    if not ok then abort t tx
+    else
+      (* Install the latest buffered value of each locked object, then
+         release with a bumped version. *)
+      let* () =
+        P.iter
+          (fun (x, _) ->
+            match List.assoc_opt x tx.wbuf with
+            | Some v -> P.write t.data.(x) (Value.Int v)
+            | None -> P.return ())
+          tx.wlocks
+      in
+      let* () =
+        P.iter
+          (fun (x, ver) ->
+            P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
+          tx.wlocks
+      in
+      tx.wlocks <- [];
+      P.return (Ok ())
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -1,112 +1,136 @@
 open Ptm_machine
 
-let name = "lazy-orec"
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "lazy-orec"
 
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = true;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = false;
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = true;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = false;
+    }
+
+  type t = { orecs : Memory.addr array; data : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      orecs =
+        Orec.alloc_array machine ~prefix:"lazy.orec" ~nobjs
+          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+      data =
+        Orec.alloc_array machine ~prefix:"lazy.data" ~nobjs
+          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+    }
+
+  type tx = {
+    id : int;
+    mutable rset : (int * (int * int)) list;
+    mutable wbuf : (int * int) list;  (* latest first *)
   }
 
-type t = { orecs : Memory.addr array; data : Memory.addr array }
+  let fresh _t ~pid:_ ~id = { id; rset = []; wbuf = [] }
 
-let create machine ~nobjs =
-  {
-    orecs =
-      Orec.alloc_array machine ~prefix:"lazy.orec" ~nobjs
-        ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
-    data =
-      Orec.alloc_array machine ~prefix:"lazy.data" ~nobjs
-        ~init:(Value.Int Ptm_core.Tm_intf.init_value);
-  }
+  let valid ?(held = []) t tx =
+    P.for_all
+      (fun (x, (ver, _)) ->
+        let* o = P.read t.orecs.(x) in
+        let ver', owner' = Orec.unpack o in
+        P.return
+          (ver' = ver
+          && (owner' = Orec.none || (owner' = tx.id && List.mem_assoc x held))))
+      tx.rset
 
-type tx = {
-  id : int;
-  mutable rset : (int * (int * int)) list;
-  mutable wbuf : (int * int) list;  (* latest first *)
-}
+  let read t tx x =
+    P.suspend @@ fun () ->
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> P.return (Ok v)
+    | None -> (
+        match List.assoc_opt x tx.rset with
+        | Some (_, v) -> P.return (Ok v)
+        | None ->
+            let* o = P.read t.orecs.(x) in
+            let ver, owner = Orec.unpack o in
+            if owner <> Orec.none then P.return (Error `Abort)
+            else
+              let* v = P.read_int t.data.(x) in
+              let* o2 = P.read t.orecs.(x) in
+              let ver2, owner2 = Orec.unpack o2 in
+              if ver2 <> ver || owner2 <> owner then P.return (Error `Abort)
+              else
+                let* ok = valid t tx in
+                if not ok then P.return (Error `Abort)
+                else begin
+                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                  P.return (Ok v)
+                end)
 
-let fresh _t ~pid:_ ~id = { id; rset = []; wbuf = [] }
+  let write _t tx x v =
+    P.suspend @@ fun () ->
+    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.return (Ok ())
 
-let valid ?(held = []) t tx =
-  List.for_all
-    (fun (x, (ver, _)) ->
-      let ver', owner' = Orec.unpack (Proc.read t.orecs.(x)) in
-      ver' = ver && (owner' = Orec.none || (owner' = tx.id && List.mem_assoc x held)))
-    tx.rset
+  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
 
-let read t tx x =
-  match List.assoc_opt x tx.wbuf with
-  | Some v -> Ok v
-  | None -> (
-      match List.assoc_opt x tx.rset with
-      | Some (_, v) -> Ok v
-      | None ->
-          let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-          if owner <> Orec.none then Error `Abort
-          else
-            let v = Value.to_int (Proc.read t.data.(x)) in
-            let ver2, owner2 = Orec.unpack (Proc.read t.orecs.(x)) in
-            if ver2 <> ver || owner2 <> owner then Error `Abort
-            else if not (valid t tx) then Error `Abort
-            else begin
-              tx.rset <- (x, (ver, v)) :: tx.rset;
-              Ok v
-            end)
+  let release t held =
+    P.iter
+      (fun (x, ver) -> P.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
+      held
 
-let write _t tx x v =
-  tx.wbuf <- (x, v) :: tx.wbuf;
-  Ok ()
-
-let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
-
-let release t held =
-  List.iter
-    (fun (x, ver) -> Proc.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
-    held
-
-let try_commit t tx =
-  if tx.wbuf = [] then if valid t tx then Ok () else Error `Abort
-  else begin
-    (* Acquire commit locks in ascending object order (no deadlock: we never
-       wait, but ordered acquisition also bounds wasted work). *)
-    let rec acquire held = function
-      | [] -> Ok held
-      | x :: rest ->
-          let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-          if owner <> Orec.none then Error held
-          else if
-            Proc.cas t.orecs.(x)
+  (* Acquire commit locks in ascending object order (no deadlock: we never
+     wait, but ordered acquisition also bounds wasted work). *)
+  let rec acquire t tx held = function
+    | [] -> P.return (Ok held)
+    | x :: rest ->
+        let* o = P.read t.orecs.(x) in
+        let ver, owner = Orec.unpack o in
+        if owner <> Orec.none then P.return (Error held)
+        else
+          let* locked =
+            P.cas t.orecs.(x)
               ~expected:(Orec.pack ~ver ~owner:Orec.none)
               ~desired:(Orec.pack ~ver ~owner:tx.id)
-          then acquire ((x, ver) :: held) rest
-          else Error held
-    in
-    match acquire [] (wset tx) with
-    | Error held ->
-        release t held;
-        Error `Abort
-    | Ok held ->
-        if not (valid ~held t tx) then begin
-          release t held;
-          Error `Abort
-        end
-        else begin
-          List.iter
-            (fun (x, _) ->
-              match List.assoc_opt x tx.wbuf with
-              | Some v -> Proc.write t.data.(x) (Value.Int v)
-              | None -> ())
-            held;
-          List.iter
-            (fun (x, ver) ->
-              Proc.write t.orecs.(x)
-                (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
-            held;
-          Ok ()
-        end
-  end
+          in
+          if locked then acquire t tx ((x, ver) :: held) rest
+          else P.return (Error held)
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    if tx.wbuf = [] then
+      let* ok = valid t tx in
+      P.return (if ok then Ok () else Error `Abort)
+    else
+      let* acquired = acquire t tx [] (wset tx) in
+      match acquired with
+      | Error held ->
+          let* () = release t held in
+          P.return (Error `Abort)
+      | Ok held ->
+          let* ok = valid ~held t tx in
+          if not ok then
+            let* () = release t held in
+            P.return (Error `Abort)
+          else
+            let* () =
+              P.iter
+                (fun (x, _) ->
+                  match List.assoc_opt x tx.wbuf with
+                  | Some v -> P.write t.data.(x) (Value.Int v)
+                  | None -> P.return ())
+                held
+            in
+            let* () =
+              P.iter
+                (fun (x, ver) ->
+                  P.write t.orecs.(x)
+                    (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
+                held
+            in
+            P.return (Ok ())
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -5,3 +5,7 @@
     ablation: both exhibit the Theorem 3 quadratic validation cost. *)
 
 include Ptm_core.Tm_intf.S
+
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. *)

@@ -1,17 +1,5 @@
 open Ptm_machine
 
-let name = "mvtm"
-
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = false;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = false;
-  }
-
 (* Each t-object is one base object holding Pair (Int owner, versions) where
    [versions] is a cons-list Pair (Pair (Int ver, Int value), rest), newest
    first, terminated by Unit. Owner -1 = unlocked. *)
@@ -40,115 +28,148 @@ let newest versions =
   | Value.Unit -> -1
   | _ -> invalid_arg "Mvtm: malformed version list"
 
-type t = { clock : Memory.addr; cells : Memory.addr array }
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "mvtm"
 
-let create machine ~nobjs =
-  {
-    clock = Machine.alloc machine ~name:"mvtm.clock" (Value.Int 0);
-    cells =
-      Array.init nobjs (fun i ->
-          Machine.alloc machine
-            ~name:(Printf.sprintf "mvtm.obj[%d]" i)
-            (pack ~owner:Orec.none
-               (cons ~ver:0 ~v:Ptm_core.Tm_intf.init_value nil)));
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = false;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = false;
+    }
+
+  type t = { clock : Memory.addr; cells : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      clock = Machine.alloc machine ~name:"mvtm.clock" (Value.Int 0);
+      cells =
+        Array.init nobjs (fun i ->
+            Machine.alloc machine
+              ~name:(Printf.sprintf "mvtm.obj[%d]" i)
+              (pack ~owner:Orec.none
+                 (cons ~ver:0 ~v:Ptm_core.Tm_intf.init_value nil)));
+    }
+
+  type tx = {
+    id : int;
+    mutable rv : int;  (* -1 until the first operation samples the clock *)
+    mutable rset : (int * int) list;  (* obj -> value read, for caching *)
+    mutable wbuf : (int * int) list;
   }
 
-type tx = {
-  id : int;
-  mutable rv : int;  (* -1 until the first operation samples the clock *)
-  mutable rset : (int * int) list;  (* obj -> value read, for caching *)
-  mutable wbuf : (int * int) list;
-}
+  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
 
-let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+  let ensure_rv t tx =
+    if tx.rv >= 0 then P.return ()
+    else
+      let* c = P.read_int t.clock in
+      tx.rv <- c;
+      P.return ()
 
-let ensure_rv t tx = if tx.rv < 0 then tx.rv <- Proc.read_int t.clock
+  (* Read the cell, waiting out a commit in progress (writers hold the lock
+     only for their bounded commit phase, so this terminates under any fair
+     schedule). *)
+  let rec stable_read t tx x =
+    let* cell = P.read t.cells.(x) in
+    let owner, versions = unpack cell in
+    if owner <> Orec.none && owner <> tx.id then stable_read t tx x
+    else P.return versions
 
-(* Read the cell, waiting out a commit in progress (writers hold the lock
-   only for their bounded commit phase, so this terminates under any fair
-   schedule). *)
-let rec stable_read t tx x =
-  let owner, versions = unpack (Proc.read t.cells.(x)) in
-  if owner <> Orec.none && owner <> tx.id then stable_read t tx x
-  else versions
+  let read t tx x =
+    P.suspend @@ fun () ->
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> P.return (Ok v)
+    | None -> (
+        match List.assoc_opt x tx.rset with
+        | Some v -> P.return (Ok v)
+        | None -> (
+            let* () = ensure_rv t tx in
+            let* versions = stable_read t tx x in
+            match find_version versions tx.rv with
+            | Some (_, v) ->
+                tx.rset <- (x, v) :: tx.rset;
+                P.return (Ok v)
+            | None -> invalid_arg "Mvtm: no version visible at snapshot"))
 
-let read t tx x =
-  match List.assoc_opt x tx.wbuf with
-  | Some v -> Ok v
-  | None -> (
-      match List.assoc_opt x tx.rset with
-      | Some v -> Ok v
-      | None -> (
-          ensure_rv t tx;
-          let versions = stable_read t tx x in
-          match find_version versions tx.rv with
-          | Some (_, v) ->
-              tx.rset <- (x, v) :: tx.rset;
-              Ok v
-          | None -> invalid_arg "Mvtm: no version visible at snapshot"))
+  let write t tx x v =
+    P.suspend @@ fun () ->
+    let* () = ensure_rv t tx in
+    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.return (Ok ())
 
-let write t tx x v =
-  ensure_rv t tx;
-  tx.wbuf <- (x, v) :: tx.wbuf;
-  Ok ()
+  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
 
-let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let release t held =
+    P.iter
+      (fun (x, versions) ->
+        P.write t.cells.(x) (pack ~owner:Orec.none versions))
+      held
 
-let release t held =
-  List.iter
-    (fun (x, versions) ->
-      Proc.write t.cells.(x) (pack ~owner:Orec.none versions))
-    held
-
-let try_commit t tx =
-  if tx.wbuf = [] then Ok () (* read-only: the snapshot was consistent *)
-  else begin
-    (* lock the write set in object order *)
-    let rec acquire held = function
-      | [] -> Ok held
-      | x :: rest ->
-          let cell = Proc.read t.cells.(x) in
-          let owner, versions = unpack cell in
-          if owner <> Orec.none then Error held
-          else if
-            Proc.cas t.cells.(x) ~expected:cell
+  (* lock the write set in object order *)
+  let rec acquire t tx held = function
+    | [] -> P.return (Ok held)
+    | x :: rest ->
+        let* cell = P.read t.cells.(x) in
+        let owner, versions = unpack cell in
+        if owner <> Orec.none then P.return (Error held)
+        else
+          let* locked =
+            P.cas t.cells.(x) ~expected:cell
               ~desired:(pack ~owner:tx.id versions)
-          then acquire ((x, versions) :: held) rest
-          else Error held
-    in
-    match acquire [] (wset tx) with
-    | Error held ->
-        release t held;
-        Error `Abort
-    | Ok held ->
-        (* Draw the write version before validating (as in TL2): a conflicting
-           commit that lands after validation then necessarily has a version
-           greater than [wv] and serializes after us. *)
-        let wv = 1 + Proc.faa t.clock 1 in
-        (* validate the read set: nothing newer than our snapshot *)
-        let rset_ok =
-          List.for_all
-            (fun (x, _) ->
-              if List.mem_assoc x held then
-                newest (List.assoc x held) <= tx.rv
-              else
-                let owner, versions = unpack (Proc.read t.cells.(x)) in
-                owner = Orec.none && newest versions <= tx.rv)
-            tx.rset
-        in
-        if not rset_ok then begin
-          release t held;
-          Error `Abort
-        end
-        else begin
-          List.iter
-            (fun (x, versions) ->
-              match List.assoc_opt x tx.wbuf with
-              | Some v ->
-                  Proc.write t.cells.(x)
-                    (pack ~owner:Orec.none (cons ~ver:wv ~v versions))
-              | None -> ())
-            held;
-          Ok ()
-        end
-  end
+          in
+          if locked then acquire t tx ((x, versions) :: held) rest
+          else P.return (Error held)
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    if tx.wbuf = [] then P.return (Ok ())
+      (* read-only: the snapshot was consistent *)
+    else
+      let* acquired = acquire t tx [] (wset tx) in
+      match acquired with
+      | Error held ->
+          let* () = release t held in
+          P.return (Error `Abort)
+      | Ok held ->
+          (* Draw the write version before validating (as in TL2): a
+             conflicting commit that lands after validation then
+             necessarily has a version greater than [wv] and serializes
+             after us. *)
+          let* c = P.faa t.clock 1 in
+          let wv = 1 + c in
+          (* validate the read set: nothing newer than our snapshot *)
+          let* rset_ok =
+            P.for_all
+              (fun (x, _) ->
+                if List.mem_assoc x held then
+                  P.return (newest (List.assoc x held) <= tx.rv)
+                else
+                  let* cell = P.read t.cells.(x) in
+                  let owner, versions = unpack cell in
+                  P.return (owner = Orec.none && newest versions <= tx.rv))
+              tx.rset
+          in
+          if not rset_ok then
+            let* () = release t held in
+            P.return (Error `Abort)
+          else
+            let* () =
+              P.iter
+                (fun (x, versions) ->
+                  match List.assoc_opt x tx.wbuf with
+                  | Some v ->
+                      P.write t.cells.(x)
+                        (pack ~owner:Orec.none (cons ~ver:wv ~v versions))
+                  | None -> P.return ())
+                held
+            in
+            P.return (Ok ())
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

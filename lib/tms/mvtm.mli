@@ -15,3 +15,7 @@
     weak DAP — Theorem 3 survives multi-versioning. *)
 
 include Ptm_core.Tm_intf.S
+
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. *)

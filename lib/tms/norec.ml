@@ -1,19 +1,7 @@
 open Ptm_machine
-module Sm = Proc.Step
 
-let ( let* ) = Sm.bind
-
-(* Step-form short-circuiting [List.for_all]. *)
-let rec forall f = function
-  | [] -> Sm.return true
-  | x :: rest ->
-      let* ok = f x in
-      if ok then forall f rest else Sm.return false
-
-(* The implementation is written once, in step-machine form; the
-   direct-style interface below is derived from it via [Tm_intf.Of_step],
-   so both forms execute the identical event sequence. *)
-module Stepwise = struct
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
   let name = "norec"
 
   let props =
@@ -45,10 +33,10 @@ module Stepwise = struct
   let fresh _t ~pid:_ ~id:_ = { snap = -1; rset = []; wbuf = [] }
 
   let wait_even t =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec go () =
-      let* s = Sm.read_int t.seq in
-      if s land 1 = 1 then go () else Sm.return s
+      let* s = P.read_int t.seq in
+      if s land 1 = 1 then go () else P.return s
     in
     go ()
 
@@ -57,52 +45,52 @@ module Stepwise = struct
      new consistent snapshot, or None if an observed value changed (a
      conflict). *)
   let validate t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec go () =
       let* s = wait_even t in
       let* unchanged =
-        forall
+        P.for_all
           (fun (x, v) ->
-            let* v' = Sm.read_int t.data.(x) in
-            Sm.return (v' = v))
+            let* v' = P.read_int t.data.(x) in
+            P.return (v' = v))
           tx.rset
       in
       if unchanged then
-        let* s' = Sm.read_int t.seq in
-        if s' = s then Sm.return (Some s) else go ()
-      else Sm.return None
+        let* s' = P.read_int t.seq in
+        if s' = s then P.return (Some s) else go ()
+      else P.return None
     in
     go ()
 
   (* Initialize the snapshot on the transaction's first shared access. *)
   let ensure_snap t tx =
-    Sm.suspend @@ fun () ->
-    if tx.snap >= 0 then Sm.return ()
+    P.suspend @@ fun () ->
+    if tx.snap >= 0 then P.return ()
     else
       let* s = wait_even t in
       tx.snap <- s;
-      Sm.return ()
+      P.return ()
 
   let read t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match List.assoc_opt x tx.wbuf with
-    | Some v -> Sm.return (Ok v)
+    | Some v -> P.return (Ok v)
     | None -> (
         match List.assoc_opt x tx.rset with
-        | Some v -> Sm.return (Ok v)
+        | Some v -> P.return (Ok v)
         | None ->
             let* () = ensure_snap t tx in
             let rec go () =
-              let* v = Sm.read_int t.data.(x) in
-              let* s = Sm.read_int t.seq in
+              let* v = P.read_int t.data.(x) in
+              let* s = P.read_int t.seq in
               if s = tx.snap then begin
                 tx.rset <- (x, v) :: tx.rset;
-                Sm.return (Ok v)
+                P.return (Ok v)
               end
               else
                 let* r = validate t tx in
                 match r with
-                | None -> Sm.return (Error `Abort)
+                | None -> P.return (Error `Abort)
                 | Some s' ->
                     tx.snap <- s';
                     go ()
@@ -110,46 +98,47 @@ module Stepwise = struct
             go ())
 
   let write _t tx x v =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     tx.wbuf <- (x, v) :: tx.wbuf;
-    Sm.return (Ok ())
+    P.return (Ok ())
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
-    if tx.wbuf = [] then Sm.return (Ok ())
+    P.suspend @@ fun () ->
+    if tx.wbuf = [] then P.return (Ok ())
     else
       let* () = ensure_snap t tx in
       let rec acquire () =
         let* won =
-          Sm.cas t.seq ~expected:(Value.Int tx.snap)
+          P.cas t.seq ~expected:(Value.Int tx.snap)
             ~desired:(Value.Int (tx.snap + 1))
         in
-        if won then Sm.return true
+        if won then P.return true
         else
           let* r = validate t tx in
           match r with
-          | None -> Sm.return false
+          | None -> P.return false
           | Some s ->
               tx.snap <- s;
               acquire ()
       in
       let* acquired = acquire () in
-      if not acquired then Sm.return (Error `Abort)
+      if not acquired then P.return (Error `Abort)
       else begin
         let seen = Hashtbl.create 8 in
         let* () =
-          Sm.iter
+          P.iter
             (fun (x, v) ->
-              if Hashtbl.mem seen x then Sm.return ()
+              if Hashtbl.mem seen x then P.return ()
               else begin
                 Hashtbl.add seen x ();
-                Sm.write t.data.(x) (Value.Int v)
+                P.write t.data.(x) (Value.Int v)
               end)
             tx.wbuf
         in
-        let* () = Sm.write t.seq (Value.Int (tx.snap + 2)) in
-        Sm.return (Ok ())
+        let* () = P.write t.seq (Value.Int (tx.snap + 2)) in
+        P.return (Ok ())
       end
 end
 
-include Ptm_core.Tm_intf.Of_step (Stepwise)
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -9,6 +9,6 @@
 
 include Ptm_core.Tm_intf.S
 
-module Stepwise : Ptm_core.Tm_intf.S_step with type t = t and type tx = tx
-(** The step-machine form the direct-style interface is derived from;
-    runnable on either {!Ptm_machine.Machine} backend. *)
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. *)

@@ -1,8 +1,5 @@
 open Ptm_machine
-module Sm = Proc.Step
 module Cm = Ptm_core.Cm
-
-let ( let* ) = Sm.bind
 
 (* DSTM-style obstruction-free TM (Herlihy–Luchangco–Moir–Scherer): every
    t-object is a locator that either holds a committed (version, value)
@@ -44,7 +41,9 @@ module type CONFIG = sig
   val cm : Cm.kind
 end
 
-module Make_step (C : CONFIG) = struct
+module Make (C : CONFIG) (P : Proc.S) = struct
+  let ( let* ) = P.bind
+
   let name =
     match C.cm with Cm.Karma -> "ofree" | k -> "ofree+" ^ Cm.kind_name k
 
@@ -121,14 +120,14 @@ module Make_step (C : CONFIG) = struct
      then report. With no status cell nothing was shared and the abort is
      free. The CAS may lose to a thief — same decided outcome. *)
   let self_abort tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match tx.status with
-    | None -> Sm.return (Error `Abort)
+    | None -> P.return (Error `Abort)
     | Some d ->
         let* _ =
-          Sm.cas d ~expected:(Value.int_ active) ~desired:(Value.int_ aborted)
+          P.cas d ~expected:(Value.int_ active) ~desired:(Value.int_ aborted)
         in
-        Sm.return (Error `Abort)
+        P.return (Error `Abort)
 
   (* Resolve object [x] to a decided state: the effective (version, value)
      plus the raw header it was computed from (the CAS-expected value for
@@ -136,15 +135,15 @@ module Make_step (C : CONFIG) = struct
      contention manager; stealing is one CAS on the rival's status word and
      works identically when the rival crashed mid-transaction. *)
   let resolve t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec go waited =
-      let* h = Sm.read t.headers.(x) in
+      let* h = P.read t.headers.(x) in
       match header_of h with
-      | Clean (ver, v) -> Sm.return (Ok (ver, v, h))
+      | Clean (ver, v) -> P.return (Ok (ver, v, h))
       | Owned { desc; opid; over; oval; nval } ->
-          if mine tx desc then Sm.return (Ok (over, nval, h))
+          if mine tx desc then P.return (Ok (over, nval, h))
           else
-            let* st = Sm.read_int desc in
+            let* st = P.read_int desc in
             if st = committed then
               (* [nval] is only the owner's FINAL new value if the header
                  did not move between our two reads: the owner re-publishes
@@ -155,20 +154,20 @@ module Make_step (C : CONFIG) = struct
                  confirmation: over/oval are immutable for a given desc.
                  The acquire path's CAS on the expected header subsumes
                  this check for writes.) *)
-              let* h2 = Sm.read t.headers.(x) in
-              if h2 = h then Sm.return (Ok (over + 1, nval, h))
+              let* h2 = P.read t.headers.(x) in
+              if h2 = h then P.return (Ok (over + 1, nval, h))
               else go waited
-            else if st = aborted then Sm.return (Ok (over, oval, h))
+            else if st = aborted then P.return (Ok (over, oval, h))
             else begin
               match Cm.decide t.cm ~pid:tx.pid ~owner:opid ~waited with
               | Cm.Steal ->
                   let* _ =
-                    Sm.cas desc ~expected:(Value.int_ active)
+                    P.cas desc ~expected:(Value.int_ active)
                       ~desired:(Value.int_ aborted)
                   in
                   go waited
               | Cm.Wait -> go (waited + 1)
-              | Cm.Self_abort -> Sm.return (Error `Abort)
+              | Cm.Self_abort -> P.return (Error `Abort)
             end
     in
     go 0
@@ -178,33 +177,33 @@ module Make_step (C : CONFIG) = struct
      (no stealing here — conflicts are resolved at acquisition time; a
      validation-time conflict means the snapshot is already in doubt). *)
   let valid t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec go = function
-      | [] -> Sm.return true
+      | [] -> P.return true
       | (x, (ver, _)) :: rest -> (
-          let* h = Sm.read t.headers.(x) in
+          let* h = P.read t.headers.(x) in
           match header_of h with
-          | Clean (ver', _) -> if ver' = ver then go rest else Sm.return false
+          | Clean (ver', _) -> if ver' = ver then go rest else P.return false
           | Owned { desc; over; _ } ->
               if mine tx desc then
-                if over = ver then go rest else Sm.return false
+                if over = ver then go rest else P.return false
               else
-                let* st = Sm.read_int desc in
+                let* st = P.read_int desc in
                 if st = committed then
-                  if over + 1 = ver then go rest else Sm.return false
+                  if over + 1 = ver then go rest else P.return false
                 else if st = aborted then
-                  if over = ver then go rest else Sm.return false
-                else Sm.return false)
+                  if over = ver then go rest else P.return false
+                else P.return false)
     in
     go tx.rset
 
   let read t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match List.assoc_opt x tx.wset with
-    | Some (_, _, nval) -> Sm.return (Ok nval)
+    | Some (_, _, nval) -> P.return (Ok nval)
     | None -> (
         match List.assoc_opt x tx.rset with
-        | Some (_, v) -> Sm.return (Ok v)
+        | Some (_, v) -> P.return (Ok v)
         | None -> (
             let* r = resolve t tx x in
             match r with
@@ -215,11 +214,11 @@ module Make_step (C : CONFIG) = struct
                 else begin
                   tx.rset <- (x, (ver, v)) :: tx.rset;
                   Cm.on_open t.cm ~pid:tx.pid;
-                  Sm.return (Ok v)
+                  P.return (Ok v)
                 end))
 
   let write t tx x v =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match List.assoc_opt x tx.wset with
     | Some (over, oval, nval0) ->
         (* Re-publish the new speculative value: peers compute our
@@ -228,13 +227,13 @@ module Make_step (C : CONFIG) = struct
            owner already replaced the header. *)
         let d = Option.get tx.status in
         let* won =
-          Sm.cas t.headers.(x)
+          P.cas t.headers.(x)
             ~expected:(owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:nval0)
             ~desired:(owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:v)
         in
         if won then begin
           tx.wset <- (x, (over, oval, v)) :: List.remove_assoc x tx.wset;
-          Sm.return (Ok ())
+          P.return (Ok ())
         end
         else self_abort tx
     | None ->
@@ -263,63 +262,66 @@ module Make_step (C : CONFIG) = struct
                   self_abort tx
               | _ ->
                   let* won =
-                    Sm.cas t.headers.(x) ~expected
+                    P.cas t.headers.(x) ~expected
                       ~desired:
                         (owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:v)
                   in
                   if won then begin
                     tx.wset <- (x, (over, oval, v)) :: tx.wset;
                     Cm.on_open t.cm ~pid:tx.pid;
-                    Sm.return (Ok ())
+                    P.return (Ok ())
                   end
                   else acquire ())
         in
         acquire ()
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let* ok = valid t tx in
     match tx.status with
     | None ->
         (* read-only: the final validation is the commit point *)
         if ok then begin
           Cm.on_commit t.cm ~pid:tx.pid;
-          Sm.return (Ok ())
+          P.return (Ok ())
         end
-        else Sm.return (Error `Abort)
+        else P.return (Error `Abort)
     | Some d ->
         if not ok then self_abort tx
         else
           let* won =
-            Sm.cas d ~expected:(Value.int_ active)
+            P.cas d ~expected:(Value.int_ active)
               ~desired:(Value.int_ committed)
           in
           if won then begin
             Cm.on_commit t.cm ~pid:tx.pid;
-            Sm.return (Ok ())
+            P.return (Ok ())
           end
           else (* stolen: the thief already decided us aborted *)
-            Sm.return (Error `Abort)
+            P.return (Error `Abort)
 end
 
-module Stepwise = Make_step (struct
+module Karma = struct
   let cm = Cm.Karma
-end)
+end
 
-module Stepwise_aggressive = Make_step (struct
+include Make (Karma) (Proc.Direct)
+module Stepwise = Make (Karma) (Proc.Step)
+
+(* One variant per other contention manager, in both forms. *)
+module Variant (C : CONFIG) = struct
+  include Make (C) (Proc.Direct)
+  module Stepwise = Make (C) (Proc.Step)
+end
+
+module Aggressive = Variant (struct
   let cm = Cm.Aggressive
 end)
 
-module Stepwise_polite = Make_step (struct
+module Polite = Variant (struct
   let cm = Cm.Polite
 end)
 
-module Stepwise_timestamp = Make_step (struct
+module Timestamp = Variant (struct
   let cm = Cm.Timestamp
 end)
-
-include Ptm_core.Tm_intf.Of_step (Stepwise)
-
-module Aggressive = Ptm_core.Tm_intf.Of_step (Stepwise_aggressive)
-module Polite = Ptm_core.Tm_intf.Of_step (Stepwise_polite)
-module Timestamp = Ptm_core.Tm_intf.Of_step (Stepwise_timestamp)

@@ -29,19 +29,18 @@ module type CONFIG = sig
   val cm : Ptm_core.Cm.kind
 end
 
-module Make_step (_ : CONFIG) : Ptm_core.Tm_intf.S_step
-(** The family, parameterized by contention manager; named "ofree" for
-    Karma and "ofree+<cm>" otherwise. *)
+module Make (_ : CONFIG) (P : Ptm_machine.Proc.S) :
+  Ptm_core.Tm_intf.Generic with type 'a m := 'a P.t
+(** The family, parameterized by contention manager and written once over
+    the program signature; named "ofree" for Karma and "ofree+<cm>"
+    otherwise. *)
 
-module Stepwise : Ptm_core.Tm_intf.S_step with type t = t and type tx = tx
-(** The Karma default's step-machine form, which the direct-style
-    interface above is derived from; runnable on either
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The Karma default's step instance, runnable on either
     {!Ptm_machine.Machine} backend. *)
 
-module Stepwise_aggressive : Ptm_core.Tm_intf.S_step
-module Stepwise_polite : Ptm_core.Tm_intf.S_step
-module Stepwise_timestamp : Ptm_core.Tm_intf.S_step
+(** The other contention managers, each in both forms. *)
 
-module Aggressive : Ptm_core.Tm_intf.S
-module Polite : Ptm_core.Tm_intf.S
-module Timestamp : Ptm_core.Tm_intf.S
+module Aggressive : Ptm_core.Tm_intf.Both
+module Polite : Ptm_core.Tm_intf.Both
+module Timestamp : Ptm_core.Tm_intf.Both

@@ -1,20 +1,6 @@
 open Ptm_machine
 
-let name = "oneshot-cas"
-
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = true;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = true;
-  }
-
 (* Each t-object is a single base object Pair (Int version, Int value). *)
-
-type t = { cells : Memory.addr array }
 
 let pack ~ver ~v = Value.Pair (Value.Int ver, Value.Int v)
 
@@ -22,56 +8,80 @@ let unpack c =
   let a, b = Value.to_pair c in
   (Value.to_int a, Value.to_int b)
 
-let create machine ~nobjs =
-  {
-    cells =
-      Orec.alloc_array machine ~prefix:"oneshot" ~nobjs
-        ~init:(pack ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "oneshot-cas"
+
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = true;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = true;
+    }
+
+  type t = { cells : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      cells =
+        Orec.alloc_array machine ~prefix:"oneshot" ~nobjs
+          ~init:(pack ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
+    }
+
+  type tx = {
+    mutable obj : int;  (* -1 = no object accessed yet *)
+    mutable seen : (int * int) option;  (* (ver, value) of the unique read *)
+    mutable wv : int option;
   }
 
-type tx = {
-  mutable obj : int;  (* -1 = no object accessed yet *)
-  mutable seen : (int * int) option;  (* (ver, value) of the unique read *)
-  mutable wv : int option;
-}
+  let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
 
-let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
+  let restrict tx x =
+    if tx.obj = -1 then tx.obj <- x
+    else if tx.obj <> x then
+      invalid_arg "Oneshot: transactions may access a single t-object only"
 
-let restrict tx x =
-  if tx.obj = -1 then tx.obj <- x
-  else if tx.obj <> x then
-    invalid_arg "Oneshot: transactions may access a single t-object only"
-
-let read t tx x =
-  restrict tx x;
-  match tx.wv with
-  | Some v -> Ok v
-  | None -> (
-      match tx.seen with
-      | Some (_, v) -> Ok v
-      | None ->
-          let ver, v = unpack (Proc.read t.cells.(x)) in
-          tx.seen <- Some (ver, v);
-          Ok v)
-
-let write _t tx x v =
-  restrict tx x;
-  tx.wv <- Some v;
-  Ok ()
-
-let try_commit t tx =
-  match tx.wv with
-  | None -> Ok () (* read-only: a single read is trivially atomic *)
-  | Some v ->
-      let x = tx.obj in
-      let ver, cur =
+  let read t tx x =
+    P.suspend @@ fun () ->
+    restrict tx x;
+    match tx.wv with
+    | Some v -> P.return (Ok v)
+    | None -> (
         match tx.seen with
-        | Some s -> s
-        | None -> unpack (Proc.read t.cells.(x)) (* blind write *)
-      in
-      if
-        Proc.cas t.cells.(x)
-          ~expected:(pack ~ver ~v:cur)
-          ~desired:(pack ~ver:(ver + 1) ~v)
-      then Ok ()
-      else Error `Abort
+        | Some (_, v) -> P.return (Ok v)
+        | None ->
+            let* c = P.read t.cells.(x) in
+            let ver, v = unpack c in
+            tx.seen <- Some (ver, v);
+            P.return (Ok v))
+
+  let write _t tx x v =
+    P.suspend @@ fun () ->
+    restrict tx x;
+    tx.wv <- Some v;
+    P.return (Ok ())
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    match tx.wv with
+    | None -> P.return (Ok ()) (* read-only: a single read is trivially atomic *)
+    | Some v ->
+        let x = tx.obj in
+        let* ver, cur =
+          match tx.seen with
+          | Some s -> P.return s
+          | None -> P.map unpack (P.read t.cells.(x)) (* blind write *)
+        in
+        let* won =
+          P.cas t.cells.(x)
+            ~expected:(pack ~ver ~v:cur)
+            ~desired:(pack ~ver:(ver + 1) ~v)
+        in
+        P.return (if won then Ok () else Error `Abort)
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

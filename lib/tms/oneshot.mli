@@ -10,3 +10,7 @@
     violating the restriction raises [Invalid_argument]. *)
 
 include Ptm_core.Tm_intf.S
+
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. *)

@@ -1,61 +1,76 @@
 open Ptm_machine
 
-let name = "oneshot-llsc"
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "oneshot-llsc"
 
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = true;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = true;
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = true;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = true;
+    }
+
+  type t = { cells : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      cells =
+        Orec.alloc_array machine ~prefix:"oneshot-llsc" ~nobjs
+          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+    }
+
+  type tx = {
+    mutable obj : int;  (* -1 = no object accessed yet *)
+    mutable seen : int option;  (* value of the unique load-linked read *)
+    mutable wv : int option;
   }
 
-type t = { cells : Memory.addr array }
+  let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
 
-let create machine ~nobjs =
-  {
-    cells =
-      Orec.alloc_array machine ~prefix:"oneshot-llsc" ~nobjs
-        ~init:(Value.Int Ptm_core.Tm_intf.init_value);
-  }
+  let restrict tx x =
+    if tx.obj = -1 then tx.obj <- x
+    else if tx.obj <> x then
+      invalid_arg
+        "Oneshot_llsc: transactions may access a single t-object only"
 
-type tx = {
-  mutable obj : int;  (* -1 = no object accessed yet *)
-  mutable seen : int option;  (* value of the unique load-linked read *)
-  mutable wv : int option;
-}
+  let read t tx x =
+    P.suspend @@ fun () ->
+    restrict tx x;
+    match tx.wv with
+    | Some v -> P.return (Ok v)
+    | None -> (
+        match tx.seen with
+        | Some v -> P.return (Ok v)
+        | None ->
+            let* c = P.ll t.cells.(x) in
+            let v = Value.to_int c in
+            tx.seen <- Some v;
+            P.return (Ok v))
 
-let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
+  let write _t tx x v =
+    P.suspend @@ fun () ->
+    restrict tx x;
+    tx.wv <- Some v;
+    P.return (Ok ())
 
-let restrict tx x =
-  if tx.obj = -1 then tx.obj <- x
-  else if tx.obj <> x then
-    invalid_arg "Oneshot_llsc: transactions may access a single t-object only"
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    match tx.wv with
+    | None -> P.return (Ok ()) (* read-only: a single load is trivially atomic *)
+    | Some v ->
+        let x = tx.obj in
+        (* A blind write still needs a link for the SC. *)
+        let* () =
+          if tx.seen = None then P.map ignore (P.ll t.cells.(x))
+          else P.return ()
+        in
+        let* won = P.sc t.cells.(x) (Value.Int v) in
+        P.return (if won then Ok () else Error `Abort)
+end
 
-let read t tx x =
-  restrict tx x;
-  match tx.wv with
-  | Some v -> Ok v
-  | None -> (
-      match tx.seen with
-      | Some v -> Ok v
-      | None ->
-          let v = Value.to_int (Proc.ll t.cells.(x)) in
-          tx.seen <- Some v;
-          Ok v)
-
-let write _t tx x v =
-  restrict tx x;
-  tx.wv <- Some v;
-  Ok ()
-
-let try_commit t tx =
-  match tx.wv with
-  | None -> Ok () (* read-only: a single load is trivially atomic *)
-  | Some v ->
-      let x = tx.obj in
-      (* A blind write still needs a link for the SC. *)
-      if tx.seen = None then ignore (Proc.ll t.cells.(x) : Value.t);
-      if Proc.sc t.cells.(x) (Value.Int v) then Ok () else Error `Abort
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -1,19 +1,7 @@
 open Ptm_machine
-module Sm = Proc.Step
 
-let ( let* ) = Sm.bind
-
-(* Step-form short-circuiting [List.for_all]. *)
-let rec forall f = function
-  | [] -> Sm.return true
-  | x :: rest ->
-      let* ok = f x in
-      if ok then forall f rest else Sm.return false
-
-(* The implementation is written once, in step-machine form; the
-   direct-style interface below is derived from it via [Tm_intf.Of_step],
-   so both forms execute the identical event sequence. *)
-module Stepwise = struct
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
   let name = "ostm"
 
   let props =
@@ -126,10 +114,10 @@ module Stepwise = struct
      CAS. Sorted acquisition orders write-write helping; read-write rivals
      are aborted rather than helped forward (see the check phase). *)
   let complete t desc0 =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec load d stack =
-      let* w = Sm.read (d + 1) in
-      let* r = Sm.read (d + 2) in
+      let* w = P.read (d + 1) in
+      let* r = P.read (d + 2) in
       let writes = decode_writes w in
       acquire d writes (decode_reads r) writes stack
     (* acquire phase *)
@@ -137,11 +125,11 @@ module Stepwise = struct
       match pending with
       | [] -> check d writes reads stack
       | (x, (over, oval, _)) :: rest -> (
-          let* st = Sm.read_int d in
+          let* st = P.read_int d in
           if st <> undecided then check d writes reads stack
             (* already decided: skip straight to the decide/release pass *)
           else
-            let* h = Sm.read t.headers.(x) in
+            let* h = P.read t.headers.(x) in
             match header_of h with
             | Owned dd when dd = d -> acquire d writes reads rest stack
             | Owned dd ->
@@ -152,7 +140,7 @@ module Stepwise = struct
             | Clean (ver, v) ->
                 if ver = over && v = oval then
                   let* won =
-                    Sm.cas t.headers.(x)
+                    P.cas t.headers.(x)
                       ~expected:(clean ~ver:over ~v:oval)
                       ~desired:(Value.Int d)
                   in
@@ -162,7 +150,7 @@ module Stepwise = struct
                 else
                   (* the object moved on: this commit must fail *)
                   let* _ =
-                    Sm.cas d ~expected:(Value.Int undecided)
+                    P.cas d ~expected:(Value.Int undecided)
                       ~desired:(Value.Int failed)
                   in
                   check d writes reads stack)
@@ -176,39 +164,39 @@ module Stepwise = struct
       match pending with
       | [] -> decide d writes stack
       | (x, ver) :: rest -> (
-          let* st = Sm.read_int d in
+          let* st = P.read_int d in
           if st <> undecided then decide d writes stack
           else
-            let* h = Sm.read t.headers.(x) in
+            let* h = P.read t.headers.(x) in
             match header_of h with
             | Owned dd when dd = d -> check d writes rest stack
             | Owned dd ->
-                let* std = Sm.read_int dd in
+                let* std = P.read_int dd in
                 let* () =
                   if std = undecided then
                     let* _ =
-                      Sm.cas dd ~expected:(Value.Int undecided)
+                      P.cas dd ~expected:(Value.Int undecided)
                         ~desired:(Value.Int failed)
                     in
-                    Sm.return ()
-                  else Sm.return ()
+                    P.return ()
+                  else P.return ()
                 in
                 load dd (K_check (d, writes, (x, ver) :: rest) :: stack)
             | Clean (ver', _) ->
                 if ver' = ver then check d writes rest stack
                 else
                   let* _ =
-                    Sm.cas d ~expected:(Value.Int undecided)
+                    P.cas d ~expected:(Value.Int undecided)
                       ~desired:(Value.Int failed)
                   in
                   decide d writes stack)
     (* decide *)
     and decide d writes stack =
       let* _ =
-        Sm.cas d ~expected:(Value.Int undecided)
+        P.cas d ~expected:(Value.Int undecided)
           ~desired:(Value.Int successful)
       in
-      let* outcome = Sm.read_int d in
+      let* outcome = P.read_int d in
       release d writes outcome stack
     (* release phase *)
     and release d writes outcome stack =
@@ -220,12 +208,12 @@ module Stepwise = struct
             else clean ~ver:over ~v:oval
           in
           let* _ =
-            Sm.cas t.headers.(x) ~expected:(Value.Int d) ~desired:resolution
+            P.cas t.headers.(x) ~expected:(Value.Int d) ~desired:resolution
           in
           release d rest outcome stack
     (* a finished completion resumes the helper that needed it, if any *)
     and pop = function
-      | [] -> Sm.return ()
+      | [] -> P.return ()
       | K_acquire (d, writes, reads, pending) :: stack ->
           acquire d writes reads pending stack
       | K_check (d, writes, pending) :: stack -> check d writes pending stack
@@ -234,11 +222,11 @@ module Stepwise = struct
 
   (* Read a stable (clean) header, helping any commit in progress. *)
   let stable_header t x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let rec go () =
-      let* h = Sm.read t.headers.(x) in
+      let* h = P.read t.headers.(x) in
       match header_of h with
-      | Clean (ver, v) -> Sm.return (ver, v)
+      | Clean (ver, v) -> P.return (ver, v)
       | Owned d ->
           let* () = complete t d in
           go ()
@@ -246,49 +234,49 @@ module Stepwise = struct
     go ()
 
   let valid t tx =
-    Sm.suspend @@ fun () ->
-    forall
+    P.suspend @@ fun () ->
+    P.for_all
       (fun (x, (ver, _)) ->
         let* ver', _ = stable_header t x in
-        Sm.return (ver' = ver))
+        P.return (ver' = ver))
       tx.rset
 
   let read t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match List.assoc_opt x tx.wbuf with
-    | Some v -> Sm.return (Ok v)
+    | Some v -> P.return (Ok v)
     | None -> (
         match List.assoc_opt x tx.rset with
-        | Some (_, v) -> Sm.return (Ok v)
+        | Some (_, v) -> P.return (Ok v)
         | None ->
             let* ver, v = stable_header t x in
             let* ok = valid t tx in
-            if not ok then Sm.return (Error `Abort)
+            if not ok then P.return (Error `Abort)
             else begin
               tx.rset <- (x, (ver, v)) :: tx.rset;
-              Sm.return (Ok v)
+              P.return (Ok v)
             end)
 
   let write _t tx x v =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     tx.wbuf <- (x, v) :: tx.wbuf;
-    Sm.return (Ok ())
+    P.return (Ok ())
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     if tx.wbuf = [] then
       let* ok = valid t tx in
-      Sm.return (if ok then Ok () else Error `Abort)
+      P.return (if ok then Ok () else Error `Abort)
     else
       (* Snapshot expected old values for the write set (helping rivals as
          needed), reusing read-set knowledge where available. *)
       let wset = List.sort_uniq compare (List.map fst tx.wbuf) in
       let rec snap acc = function
-        | [] -> Sm.return (List.rev acc)
+        | [] -> P.return (List.rev acc)
         | x :: rest ->
             let* over, oval =
               match List.assoc_opt x tx.rset with
-              | Some (ver, v) -> Sm.return (ver, v)
+              | Some (ver, v) -> P.return (ver, v)
               | None -> stable_header t x
             in
             snap ((x, (over, oval, List.assoc x tx.wbuf)) :: acc) rest
@@ -318,14 +306,15 @@ module Stepwise = struct
           Value.Unit
       in
       assert (wcell = desc + 1 && rcell = desc + 2);
-      let* () = Sm.write (desc + 1) (encode_writes writes) in
-      let* () = Sm.write (desc + 2) (encode_reads reads) in
+      let* () = P.write (desc + 1) (encode_writes writes) in
+      let* () = P.write (desc + 2) (encode_reads reads) in
       (* also validate the reads that overlap the write set: their expected
          old version is the acquire phase's expected header, so acquisition
          itself validates them *)
       let* () = complete t desc in
-      let* st = Sm.read_int desc in
-      Sm.return (if st = successful then Ok () else Error `Abort)
+      let* st = P.read_int desc in
+      P.return (if st = successful then Ok () else Error `Abort)
 end
 
-include Ptm_core.Tm_intf.Of_step (Stepwise)
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -18,9 +18,8 @@
 
 include Ptm_core.Tm_intf.S
 
-module Stepwise : Ptm_core.Tm_intf.S_step with type t = t and type tx = tx
-(** The step-machine form the direct-style interface is derived from;
-    runnable on either {!Ptm_machine.Machine} backend. Helping is an
-    iterative loop over an explicit continuation stack, so helping chains of
-    any length run in constant OCaml stack (the direct-style form inherits
-    this: no depth limit). *)
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. Helping is an iterative loop over an
+    explicit continuation stack, so helping chains of any length run in
+    constant OCaml stack, in both instances: no depth limit. *)

@@ -1,50 +1,66 @@
-(** All TM implementations, for generic tests, benches and experiments. *)
+(** All TM implementations, for generic tests, benches and experiments.
 
-val all : Ptm_core.Tm_intf.tm list
+    Every TM is written once over the program signature and comes in both
+    forms ({!Ptm_core.Tm_intf.Both}). The registry keeps one hand-written
+    list per family; every other list is a view of those: {!direct} gives
+    the direct-style form, {!step} the step form, of the same entry. *)
+
+type entry = (module Ptm_core.Tm_intf.Both)
+
+val direct : entry -> Ptm_core.Tm_intf.tm
+val step : entry -> Ptm_core.Tm_intf.tm_step
+
+(** {1 Families} *)
+
+val base : entry list
 (** Every general-purpose TM (excludes the single-object TMs, which restrict
     transactions to one t-object). *)
 
-val single_object : Ptm_core.Tm_intf.tm list
+val single : entry list
 (** The Section 5 substrates: {!Oneshot} (CAS) and {!Oneshot_llsc}. *)
 
-val validation_class : Ptm_core.Tm_intf.tm list
-(** The TMs in the Theorem 3 class: weak DAP + invisible reads. *)
-
-val escape_class : Ptm_core.Tm_intf.tm list
-(** TMs escaping the Theorem 3 bound by violating one premise. *)
-
-val sharded : Ptm_core.Tm_intf.tm list
+val x4 : entry list
 (** The sharded multi-TM family ({!Sharded.Make} at 4 shards over NOrec,
     TL2, undo-log, SGL and Ofree — names ["norec.x4"] etc.). Excluded from
-    {!all}: generic property tests assume the inner TMs' fine-grained
+    {!base}: generic property tests assume the inner TMs' fine-grained
     guarantees, which sharding deliberately forfeits (see {!Sharded}). *)
 
-val ofree_cms : Ptm_core.Tm_intf.tm list
+val cms : entry list
 (** The obstruction-free family under every contention manager: ["ofree"]
-    (Karma, the only variant also in {!all}), ["ofree+aggr"],
+    (Karma, the only variant also in {!base}), ["ofree+aggr"],
     ["ofree+polite"], ["ofree+ts"]. E18's sweep axis. *)
 
-val ofree_with_cm : Ptm_core.Cm.kind -> Ptm_core.Tm_intf.tm
+val ofree_with_cm : Ptm_core.Cm.kind -> entry
 (** The {!Ofree} variant running the given contention manager (the [--cm]
     flag's resolution). *)
 
+(** {1 Lookup} *)
+
+val entries : entry list
+(** Every registry TM once: {!single}, {!base}, {!x4}, then the {!cms}
+    variants not in {!base} — 21 names. *)
+
+val names : string list
+(** The names of {!entries}, in order: everything {!find} and {!by_name}
+    accept. *)
+
+val find : string -> entry option
 val by_name : string -> Ptm_core.Tm_intf.tm option
 
-val stepwise : Ptm_core.Tm_intf.tm_step list
-(** The TMs available in step-machine form ({!Ptm_core.Tm_intf.S_step}),
-    runnable on either {!Ptm_machine.Machine} backend. Their direct-style
-    modules in {!all} are derived from these, so the two forms are
-    event-identical. *)
+(** {1 Direct-style views} *)
 
-val ofree_cms_stepwise : Ptm_core.Tm_intf.tm_step list
-(** Step forms of {!ofree_cms}, for exploration per contention manager. *)
+val all : Ptm_core.Tm_intf.tm list
+(** {!base}. *)
 
-val ofree_with_cm_step : Ptm_core.Cm.kind -> Ptm_core.Tm_intf.tm_step
-(** Step form of {!ofree_with_cm}. *)
+val single_object : Ptm_core.Tm_intf.tm list
+(** {!single}. *)
 
-val sharded_stepwise : Ptm_core.Tm_intf.tm_step list
-(** Step-form sharded instantiations ({!Sharded.Make_step} at 4 shards
-    over the step-form NOrec, SGL and Ofree). *)
+val sharded : Ptm_core.Tm_intf.tm list
+(** {!x4}. *)
 
-val stepwise_by_name : string -> Ptm_core.Tm_intf.tm_step option
-(** Looks up {!stepwise}, {!sharded_stepwise} and {!ofree_cms_stepwise}. *)
+val ofree_cms : Ptm_core.Tm_intf.tm list
+(** {!cms}. *)
+
+val validation_class : Ptm_core.Tm_intf.tm list
+(** The TMs of {!base} in the Theorem 3 class: weak DAP + (weakly)
+    invisible reads. *)

@@ -1,12 +1,7 @@
 open Ptm_machine
-module Sm = Proc.Step
 
-let ( let* ) = Sm.bind
-
-(* The implementation is written once, in step-machine form; the
-   direct-style interface below is derived from it via [Tm_intf.Of_step],
-   so both forms execute the identical event sequence. *)
-module Stepwise = struct
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
   let name = "sgl"
 
   let props =
@@ -36,40 +31,41 @@ module Stepwise = struct
   (* Test-and-test-and-set acquisition: spin on the cached value, attempt
      the TAS only when the lock looks free. *)
   let acquire t tx =
-    Sm.suspend @@ fun () ->
-    if tx.holding then Sm.return ()
+    P.suspend @@ fun () ->
+    if tx.holding then P.return ()
     else
       let rec go () =
-        let* held = Sm.read_bool t.lock in
+        let* held = P.read_bool t.lock in
         if held then go ()
         else
-          let* taken = Sm.tas t.lock in
-          if taken then go () else Sm.return ()
+          let* taken = P.tas t.lock in
+          if taken then go () else P.return ()
       in
       let* () = go () in
       tx.holding <- true;
-      Sm.return ()
+      P.return ()
 
   let read t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let* () = acquire t tx in
-    let* v = Sm.read_int t.data.(x) in
-    Sm.return (Ok v)
+    let* v = P.read_int t.data.(x) in
+    P.return (Ok v)
 
   let write t tx x v =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let* () = acquire t tx in
-    let* () = Sm.write t.data.(x) (Value.Int v) in
-    Sm.return (Ok ())
+    let* () = P.write t.data.(x) (Value.Int v) in
+    P.return (Ok ())
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     if tx.holding then begin
-      let* () = Sm.write t.lock (Value.Bool false) in
+      let* () = P.write t.lock (Value.Bool false) in
       tx.holding <- false;
-      Sm.return (Ok ())
+      P.return (Ok ())
     end
-    else Sm.return (Ok ())
+    else P.return (Ok ())
 end
 
-include Ptm_core.Tm_intf.Of_step (Stepwise)
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -1,7 +1,4 @@
 open Ptm_machine
-module Sm = Proc.Step
-
-let ( let* ) = Sm.bind
 
 (* Sharded multi-TM: N independent inner TM instances keyed by object hash
    (shard of object [x] is [x mod shards]; its index inside the shard is
@@ -60,9 +57,15 @@ end
    re-runs replay them) offset far above any outer id a run can reach. *)
 let sub_id_base = 1_000_000_000
 
-module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
+(* The protocol, written once over the program signature: [Make] is its
+   direct instance, [Make_step] its step instance. *)
+module Body
+    (P : Proc.S)
+    (C : Config)
+    (T : Ptm_core.Tm_intf.Generic with type 'a m := 'a P.t) =
+struct
+  let ( let* ) = P.bind
   let () = if C.shards < 1 then invalid_arg "Sharded.Make: shards must be >= 1"
-
   let name = Printf.sprintf "%s.x%d" T.name C.shards
 
   let props =
@@ -145,17 +148,22 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
     Memory.poke t.mem t.sub_id (Value.int_ (n + 1));
     sub_id_base + n
 
+  (* The helpers below are built only inside the t-operations' bodies,
+     where each is bound, so they take no [suspend] of their own. *)
+
   (* One one-shot read of shard [s]'s slot [sx]: [None] if the inner TM
      aborted the attempt (the caller re-samples). An aborted inner handle
      has already released everything it held, so abandoning it is safe. *)
   let mini_read t ~pid s sx =
     let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    match T.read t.inner.(s) sub sx with
-    | Error `Abort -> None
+    let* r = T.read t.inner.(s) sub sx in
+    match r with
+    | Error `Abort -> P.return None
     | Ok v -> (
-        match T.try_commit t.inner.(s) sub with
-        | Ok () -> Some v
-        | Error `Abort -> None)
+        let* c = T.try_commit t.inner.(s) sub in
+        match c with
+        | Ok () -> P.return (Some v)
+        | Error `Abort -> P.return None)
 
   (* Sample (value, seq) of object [x] inside a stable window: fence clear
      before, seqlock unchanged and fence clear after. Publications bump the
@@ -164,15 +172,20 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      holds no fence outside try_commit, which never samples this way. *)
   let rec stable_read t ~pid x =
     let s = shard x in
-    if Proc.read_int t.fence.(s) <> 0 then stable_read t ~pid x
+    let* f0 = P.read_int t.fence.(s) in
+    if f0 <> 0 then stable_read t ~pid x
     else
-      let q0 = Proc.read_int t.seq.(s) in
-      match mini_read t ~pid s (slot x) with
+      let* q0 = P.read_int t.seq.(s) in
+      let* r = mini_read t ~pid s (slot x) in
+      match r with
       | None -> stable_read t ~pid x
       | Some v ->
-          if Proc.read_int t.seq.(s) = q0 && Proc.read_int t.fence.(s) = 0
-          then (v, q0)
-          else stable_read t ~pid x
+          let* q1 = P.read_int t.seq.(s) in
+          (* no closing fence read once the seqlock moved *)
+          if q1 <> q0 then stable_read t ~pid x
+          else
+            let* f1 = P.read_int t.fence.(s) in
+            if f1 = 0 then P.return (v, q0) else stable_read t ~pid x
 
   let touched tx =
     let acc = ref [] in
@@ -180,6 +193,11 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
       if tx.shard_seq.(s) >= 0 then acc := s :: !acc
     done;
     !acc
+
+  (* The read cache in [Hashtbl.fold] order ([fold] prepends, hence the
+     reversal). *)
+  let cached tx =
+    List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
 
   (* Re-sample the cached reads of every shard whose seqlock moved since
      the transaction last validated it ([tx.shard_seq]), and require (a)
@@ -192,32 +210,40 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      fails it. *)
   let rec revalidate t tx =
     let pass = Array.make C.shards (-1) in
-    List.iter (fun s -> pass.(s) <- Proc.read_int t.seq.(s)) (touched tx);
-    let outcome =
-      Hashtbl.fold
-        (fun y v_old acc ->
-          let s = shard y in
-          match acc with
-          | `Fail | `Restart -> acc
-          | `Ok when pass.(s) = tx.shard_seq.(s) -> `Ok
-          | `Ok ->
-              let v', q' = stable_read t ~pid:tx.pid y in
-              if q' <> pass.(s) then `Restart
-              else if v' <> v_old then `Fail
-              else `Ok)
-        tx.rcache `Ok
+    let* () =
+      P.iter
+        (fun s ->
+          let* q = P.read_int t.seq.(s) in
+          pass.(s) <- q;
+          P.return ())
+        (touched tx)
     in
+    let rec check = function
+      | [] -> P.return `Ok
+      | (y, v_old) :: rest ->
+          let s = shard y in
+          if pass.(s) = tx.shard_seq.(s) then check rest
+          else
+            let* v', q' = stable_read t ~pid:tx.pid y in
+            if q' <> pass.(s) then P.return `Restart
+            else if v' <> v_old then P.return `Fail
+            else check rest
+    in
+    let* outcome = check (cached tx) in
     match outcome with
-    | `Fail -> false
+    | `Fail -> P.return false
     | `Restart -> revalidate t tx
     | `Ok ->
-        if
-          List.for_all
-            (fun s -> Proc.read_int t.seq.(s) = pass.(s))
+        let* ok =
+          P.for_all
+            (fun s ->
+              let* q = P.read_int t.seq.(s) in
+              P.return (q = pass.(s)))
             (touched tx)
-        then begin
+        in
+        if ok then begin
           List.iter (fun s -> tx.shard_seq.(s) <- pass.(s)) (touched tx);
-          true
+          P.return true
         end
         else revalidate t tx
 
@@ -229,60 +255,79 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
      aborts it, as in [stable_read]) and must be unchanged. *)
   let validate_fenced t tx =
     let moved = Array.make C.shards false in
-    List.iter
-      (fun s -> moved.(s) <- Proc.read_int t.seq.(s) <> tx.shard_seq.(s))
-      (touched tx);
-    let rec reread s sx =
-      match mini_read t ~pid:tx.pid s sx with
-      | Some v -> v
-      | None -> reread s sx
+    let* () =
+      P.iter
+        (fun s ->
+          let* q = P.read_int t.seq.(s) in
+          moved.(s) <- q <> tx.shard_seq.(s);
+          P.return ())
+        (touched tx)
     in
-    Hashtbl.fold
-      (fun y v_old ok ->
-        ok && ((not moved.(shard y)) || reread (shard y) (slot y) = v_old))
-      tx.rcache true
+    let rec reread s sx =
+      let* r = mini_read t ~pid:tx.pid s sx in
+      match r with Some v -> P.return v | None -> reread s sx
+    in
+    P.for_all
+      (fun (y, v_old) ->
+        if not moved.(shard y) then P.return true
+        else
+          let* v = reread (shard y) (slot y) in
+          P.return (v = v_old))
+      (cached tx)
 
   let read t tx x =
+    P.suspend @@ fun () ->
     match tx.pass with
     | Some sub -> T.read t.inner.(0) sub (slot x)
     | None -> (
         match Hashtbl.find_opt tx.wbuf x with
-        | Some v -> Ok v
+        | Some v -> P.return (Ok v)
         | None -> (
             match Hashtbl.find_opt tx.rcache x with
-            | Some v -> Ok v
+            | Some v -> P.return (Ok v)
             | None ->
-                let v, q = stable_read t ~pid:tx.pid x in
+                let* v, q = stable_read t ~pid:tx.pid x in
                 let s = shard x in
                 let is_new = tx.shard_seq.(s) < 0 in
-                let moved =
-                  ((not is_new) && tx.shard_seq.(s) <> q)
-                  || List.exists
-                       (fun s' ->
-                         s' <> s
-                         && Proc.read_int t.seq.(s') <> tx.shard_seq.(s'))
-                       (touched tx)
+                (* no seqlock reads once the own-shard check already
+                   moved *)
+                let* steady =
+                  if (not is_new) && tx.shard_seq.(s) <> q then
+                    P.return false
+                  else
+                    P.for_all
+                      (fun s' ->
+                        if s' = s then P.return true
+                        else
+                          let* q' = P.read_int t.seq.(s') in
+                          P.return (q' = tx.shard_seq.(s')))
+                      (touched tx)
                 in
                 Hashtbl.replace tx.rcache x v;
                 if is_new then tx.shard_seq.(s) <- q;
-                if (not moved) || revalidate t tx then Ok v
-                else Error `Abort))
+                if steady then P.return (Ok v)
+                else
+                  let* ok = revalidate t tx in
+                  P.return (if ok then Ok v else Error `Abort)))
 
   let write t tx x v =
+    P.suspend @@ fun () ->
     match tx.pass with
     | Some sub -> T.write t.inner.(0) sub (slot x) v
     | None ->
         if not (Hashtbl.mem tx.wbuf x) then tx.worder <- x :: tx.worder;
         Hashtbl.replace tx.wbuf x v;
-        Ok ()
+        P.return (Ok ())
 
   let rec acquire t ~pid s =
-    if Proc.read_int t.fence.(s) <> 0 then acquire t ~pid s
-    else if
-      not
-        (Proc.cas t.fence.(s) ~expected:(Value.Int 0)
-           ~desired:(Value.int_ (pid + 1)))
-    then acquire t ~pid s
+    let* f = P.read_int t.fence.(s) in
+    if f <> 0 then acquire t ~pid s
+    else
+      let* won =
+        P.cas t.fence.(s) ~expected:(Value.Int 0)
+          ~desired:(Value.int_ (pid + 1))
+      in
+      if won then P.return () else acquire t ~pid s
 
   (* Publish one shard's buffered writes as a fresh write-only inner
      transaction, retried until the inner TM accepts it: we hold the
@@ -292,356 +337,44 @@ module Make (C : Config) (T : Ptm_core.Tm_intf.S) = struct
     let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
     let rec go = function
       | [] -> (
-          match T.try_commit t.inner.(s) sub with
-          | Ok () -> true
-          | Error `Abort -> false)
-      | (sx, v) :: rest -> (
-          match T.write t.inner.(s) sub sx v with
-          | Ok () -> go rest
-          | Error `Abort -> false)
-    in
-    if not (go writes) then publish t ~pid s writes
-
-  let try_commit t tx =
-    match tx.pass with
-    | Some sub -> T.try_commit t.inner.(0) sub
-    | None ->
-        if tx.worder = [] then Ok ()
-          (* read-only: the cache was validated as of the last t-read, a
-             legal serialization point inside the transaction's interval *)
-        else begin
-          let wshards =
-            List.sort_uniq compare (List.map shard tx.worder)
-          in
-          (* fence every touched shard, written or read, in ascending
-             order: ordered acquisition is deadlock-free, and with all
-             touched seqlocks frozen the validation below cannot race *)
-          let fshards =
-            List.sort_uniq compare (wshards @ touched tx)
-          in
-          List.iter (acquire t ~pid:tx.pid) fshards;
-          if not (validate_fenced t tx) then begin
-            List.iter
-              (fun s -> Proc.write t.fence.(s) (Value.Int 0))
-              fshards;
-            Error `Abort
-          end
-          else begin
-            List.iter
-              (fun s ->
-                let writes =
-                  List.rev tx.worder
-                  |> List.filter_map (fun x ->
-                         if shard x = s then
-                           Some (slot x, Hashtbl.find tx.wbuf x)
-                         else None)
-                in
-                publish t ~pid:tx.pid s writes;
-                ignore (Proc.faa t.seq.(s) 1 : int))
-              wshards;
-            List.iter
-              (fun s -> Proc.write t.fence.(s) (Value.Int 0))
-              fshards;
-            Ok ()
-          end
-        end
-end
-
-(* The step-form twin of [Make]: the same protocol with every operation a
-   step-machine program, so a sharded step TM runs on either machine
-   backend. Kept a line-by-line mirror of [Make] — when editing one, edit
-   both. *)
-module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
-  let () =
-    if C.shards < 1 then invalid_arg "Sharded.Make_step: shards must be >= 1"
-
-  let name = Printf.sprintf "%s.x%d" T.name C.shards
-
-  let props =
-    if C.shards = 1 then T.props
-    else
-      {
-        Ptm_core.Tm_intf.opaque = true;
-        weak_dap = false;
-        invisible_reads = false;
-        weak_invisible_reads = false;
-        progressive = false;
-        strongly_progressive = false;
-      }
-
-  type t = {
-    mem : Memory.t;
-    inner : T.t array;
-    fence : Memory.addr array;
-    seq : Memory.addr array;
-    sub_id : Memory.addr;
-  }
-
-  let shard x = x mod C.shards
-  let slot x = x / C.shards
-
-  let shard_size ~nobjs s =
-    if s >= nobjs then 0 else ((nobjs - s - 1) / C.shards) + 1
-
-  let create machine ~nobjs =
-    let inner =
-      Array.init C.shards (fun s ->
-          T.create machine ~nobjs:(shard_size ~nobjs s))
-    in
-    if C.shards = 1 then
-      (* full passthrough: allocate nothing of our own, so the machine —
-         run-time allocations of the inner TM included — is cell-for-cell
-         the one the bare TM would build *)
-      { mem = Machine.memory machine; inner; fence = [||]; seq = [||];
-        sub_id = -1 }
-    else
-      let fence =
-        Array.init C.shards (fun s ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "%s.fence[%d]" name s)
-              (Value.Int 0))
-      in
-      let seq =
-        Array.init C.shards (fun s ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "%s.seq[%d]" name s)
-              (Value.Int 0))
-      in
-      let sub_id =
-        Machine.alloc machine ~name:(name ^ ".sub_id") (Value.Int 0)
-      in
-      { mem = Machine.memory machine; inner; fence; seq; sub_id }
-
-  type tx = {
-    pid : int;
-    pass : T.tx option;
-    rcache : (int, int) Hashtbl.t;
-    wbuf : (int, int) Hashtbl.t;
-    mutable worder : int list;
-    shard_seq : int array;
-  }
-
-  let fresh t ~pid ~id =
-    {
-      pid;
-      pass = (if C.shards = 1 then Some (T.fresh t.inner.(0) ~pid ~id) else None);
-      rcache = Hashtbl.create 8;
-      wbuf = Hashtbl.create 8;
-      worder = [];
-      shard_seq = Array.make C.shards (-1);
-    }
-
-  let next_sub t =
-    let n = Value.to_int (Memory.peek t.mem t.sub_id) in
-    Memory.poke t.mem t.sub_id (Value.int_ (n + 1));
-    sub_id_base + n
-
-  let mini_read t ~pid s sx =
-    Sm.suspend @@ fun () ->
-    let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    let* r = T.read t.inner.(s) sub sx in
-    match r with
-    | Error `Abort -> Sm.return None
-    | Ok v -> (
-        let* c = T.try_commit t.inner.(s) sub in
-        match c with
-        | Ok () -> Sm.return (Some v)
-        | Error `Abort -> Sm.return None)
-
-  let rec stable_read t ~pid x =
-    Sm.suspend @@ fun () ->
-    let s = shard x in
-    let* f0 = Sm.read_int t.fence.(s) in
-    if f0 <> 0 then stable_read t ~pid x
-    else
-      let* q0 = Sm.read_int t.seq.(s) in
-      let* r = mini_read t ~pid s (slot x) in
-      match r with
-      | None -> stable_read t ~pid x
-      | Some v ->
-          let* q1 = Sm.read_int t.seq.(s) in
-          (* short-circuits like the direct form's (&&): no closing fence
-             read once the seqlock moved *)
-          if q1 <> q0 then stable_read t ~pid x
-          else
-            let* f1 = Sm.read_int t.fence.(s) in
-            if f1 = 0 then Sm.return (v, q0) else stable_read t ~pid x
-
-  let touched tx =
-    let acc = ref [] in
-    for s = C.shards - 1 downto 0 do
-      if tx.shard_seq.(s) >= 0 then acc := s :: !acc
-    done;
-    !acc
-
-  (* The read cache in [Hashtbl.fold] order, the order in which the direct
-     form samples it — the mirror must issue the same event sequence
-     ([fold] prepends, hence the reversal). *)
-  let cached tx =
-    List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
-
-  let rec revalidate t tx =
-    Sm.suspend @@ fun () ->
-    let pass = Array.make C.shards (-1) in
-    let* () =
-      Sm.iter
-        (fun s ->
-          let* q = Sm.read_int t.seq.(s) in
-          pass.(s) <- q;
-          Sm.return ())
-        (touched tx)
-    in
-    let rec check = function
-      | [] -> Sm.return `Ok
-      | (y, v_old) :: rest ->
-          let s = shard y in
-          if pass.(s) = tx.shard_seq.(s) then check rest
-          else
-            let* v', q' = stable_read t ~pid:tx.pid y in
-            if q' <> pass.(s) then Sm.return `Restart
-            else if v' <> v_old then Sm.return `Fail
-            else check rest
-    in
-    let* outcome = check (cached tx) in
-    match outcome with
-    | `Fail -> Sm.return false
-    | `Restart -> revalidate t tx
-    | `Ok ->
-        let rec steady = function
-          | [] -> Sm.return true
-          | s :: rest ->
-              let* q = Sm.read_int t.seq.(s) in
-              if q = pass.(s) then steady rest else Sm.return false
-        in
-        let* ok = steady (touched tx) in
-        if ok then begin
-          List.iter (fun s -> tx.shard_seq.(s) <- pass.(s)) (touched tx);
-          Sm.return true
-        end
-        else revalidate t tx
-
-  let validate_fenced t tx =
-    Sm.suspend @@ fun () ->
-    let moved = Array.make C.shards false in
-    let* () =
-      Sm.iter
-        (fun s ->
-          let* q = Sm.read_int t.seq.(s) in
-          moved.(s) <- q <> tx.shard_seq.(s);
-          Sm.return ())
-        (touched tx)
-    in
-    let rec reread s sx =
-      let* r = mini_read t ~pid:tx.pid s sx in
-      match r with Some v -> Sm.return v | None -> reread s sx
-    in
-    let rec check = function
-      | [] -> Sm.return true
-      | (y, v_old) :: rest ->
-          if not moved.(shard y) then check rest
-          else
-            let* v = reread (shard y) (slot y) in
-            if v = v_old then check rest else Sm.return false
-    in
-    check (cached tx)
-
-  let read t tx x =
-    Sm.suspend @@ fun () ->
-    match tx.pass with
-    | Some sub -> T.read t.inner.(0) sub (slot x)
-    | None -> (
-        match Hashtbl.find_opt tx.wbuf x with
-        | Some v -> Sm.return (Ok v)
-        | None -> (
-            match Hashtbl.find_opt tx.rcache x with
-            | Some v -> Sm.return (Ok v)
-            | None ->
-                let* v, q = stable_read t ~pid:tx.pid x in
-                let s = shard x in
-                let is_new = tx.shard_seq.(s) < 0 in
-                let rec any_moved = function
-                  | [] -> Sm.return false
-                  | s' :: rest ->
-                      if s' = s then any_moved rest
-                      else
-                        let* q' = Sm.read_int t.seq.(s') in
-                        if q' <> tx.shard_seq.(s') then Sm.return true
-                        else any_moved rest
-                in
-                (* short-circuits exactly like the direct form's (||): no
-                   seqlock reads once the own-shard check already moved *)
-                let* moved =
-                  if (not is_new) && tx.shard_seq.(s) <> q then Sm.return true
-                  else any_moved (touched tx)
-                in
-                Hashtbl.replace tx.rcache x v;
-                if is_new then tx.shard_seq.(s) <- q;
-                if not moved then Sm.return (Ok v)
-                else
-                  let* ok = revalidate t tx in
-                  if ok then Sm.return (Ok v) else Sm.return (Error `Abort)))
-
-  let write t tx x v =
-    Sm.suspend @@ fun () ->
-    match tx.pass with
-    | Some sub -> T.write t.inner.(0) sub (slot x) v
-    | None ->
-        if not (Hashtbl.mem tx.wbuf x) then tx.worder <- x :: tx.worder;
-        Hashtbl.replace tx.wbuf x v;
-        Sm.return (Ok ())
-
-  let rec acquire t ~pid s =
-    Sm.suspend @@ fun () ->
-    let* f = Sm.read_int t.fence.(s) in
-    if f <> 0 then acquire t ~pid s
-    else
-      let* won =
-        Sm.cas t.fence.(s) ~expected:(Value.Int 0)
-          ~desired:(Value.int_ (pid + 1))
-      in
-      if won then Sm.return () else acquire t ~pid s
-
-  let rec publish t ~pid s writes =
-    Sm.suspend @@ fun () ->
-    let sub = T.fresh t.inner.(s) ~pid ~id:(next_sub t) in
-    let rec go = function
-      | [] -> (
           let* c = T.try_commit t.inner.(s) sub in
           match c with
-          | Ok () -> Sm.return true
-          | Error `Abort -> Sm.return false)
+          | Ok () -> P.return true
+          | Error `Abort -> P.return false)
       | (sx, v) :: rest -> (
           let* r = T.write t.inner.(s) sub sx v in
           match r with
           | Ok () -> go rest
-          | Error `Abort -> Sm.return false)
+          | Error `Abort -> P.return false)
     in
     let* ok = go writes in
-    if ok then Sm.return () else publish t ~pid s writes
+    if ok then P.return () else publish t ~pid s writes
+
+  let release t fshards =
+    P.iter (fun s -> P.write t.fence.(s) (Value.Int 0)) fshards
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     match tx.pass with
     | Some sub -> T.try_commit t.inner.(0) sub
     | None ->
-        if tx.worder = [] then Sm.return (Ok ())
-        else begin
+        if tx.worder = [] then P.return (Ok ())
+          (* read-only: the cache was validated as of the last t-read, a
+             legal serialization point inside the transaction's interval *)
+        else
           let wshards = List.sort_uniq compare (List.map shard tx.worder) in
-          let fshards =
-            List.sort_uniq compare (wshards @ touched tx)
-          in
-          let* () = Sm.iter (acquire t ~pid:tx.pid) fshards in
+          (* fence every touched shard, written or read, in ascending
+             order: ordered acquisition is deadlock-free, and with all
+             touched seqlocks frozen the validation below cannot race *)
+          let fshards = List.sort_uniq compare (wshards @ touched tx) in
+          let* () = P.iter (acquire t ~pid:tx.pid) fshards in
           let* valid = validate_fenced t tx in
           if not valid then
-            let* () =
-              Sm.iter
-                (fun s -> Sm.write t.fence.(s) (Value.Int 0))
-                fshards
-            in
-            Sm.return (Error `Abort)
+            let* () = release t fshards in
+            P.return (Error `Abort)
           else
             let* () =
-              Sm.iter
+              P.iter
                 (fun s ->
                   let writes =
                     List.rev tx.worder
@@ -651,15 +384,15 @@ module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) = struct
                            else None)
                   in
                   let* () = publish t ~pid:tx.pid s writes in
-                  let* (_ : int) = Sm.faa t.seq.(s) 1 in
-                  Sm.return ())
+                  let* (_ : int) = P.faa t.seq.(s) 1 in
+                  P.return ())
                 wshards
             in
-            let* () =
-              Sm.iter
-                (fun s -> Sm.write t.fence.(s) (Value.Int 0))
-                fshards
-            in
-            Sm.return (Ok ())
-        end
+            let* () = release t fshards in
+            P.return (Ok ())
 end
+
+module Make (C : Config) (T : Ptm_core.Tm_intf.S) = Body (Proc.Direct) (C) (T)
+
+module Make_step (C : Config) (T : Ptm_core.Tm_intf.S_step) =
+  Body (Proc.Step) (C) (T)

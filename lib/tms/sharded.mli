@@ -34,6 +34,11 @@ module type Config = sig
   val shards : int
 end
 
+(** The protocol is one body over the program signature
+    {!Ptm_machine.Proc.S}; [Make] and [Make_step] are its direct and step
+    instances, and run the identical event sequence over the two instances
+    of one inner TM. *)
+
 module Make (_ : Config) (_ : Ptm_core.Tm_intf.S) : Ptm_core.Tm_intf.S
 
 module Make_step (_ : Config) (_ : Ptm_core.Tm_intf.S_step) :

@@ -1,121 +1,145 @@
 open Ptm_machine
 
-let name = "tl2"
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "tl2"
 
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = false;
-    invisible_reads = true;
-    weak_invisible_reads = true;
-    progressive = true;
-    strongly_progressive = false;
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = false;
+      invisible_reads = true;
+      weak_invisible_reads = true;
+      progressive = true;
+      strongly_progressive = false;
+    }
+
+  type t = {
+    clock : Memory.addr;
+    orecs : Memory.addr array;
+    data : Memory.addr array;
   }
 
-type t = {
-  clock : Memory.addr;
-  orecs : Memory.addr array;
-  data : Memory.addr array;
-}
+  let create machine ~nobjs =
+    {
+      clock = Machine.alloc machine ~name:"tl2.clock" (Value.Int 0);
+      orecs =
+        Orec.alloc_array machine ~prefix:"tl2.orec" ~nobjs
+          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+      data =
+        Orec.alloc_array machine ~prefix:"tl2.data" ~nobjs
+          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+    }
 
-let create machine ~nobjs =
-  {
-    clock = Machine.alloc machine ~name:"tl2.clock" (Value.Int 0);
-    orecs =
-      Orec.alloc_array machine ~prefix:"tl2.orec" ~nobjs
-        ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
-    data =
-      Orec.alloc_array machine ~prefix:"tl2.data" ~nobjs
-        ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+  type tx = {
+    id : int;
+    mutable rv : int;  (* -1 until the first t-operation samples the clock *)
+    mutable rset : (int * int) list;  (* obj -> value read (for caching) *)
+    mutable wbuf : (int * int) list;
   }
 
-type tx = {
-  id : int;
-  mutable rv : int;  (* -1 until the first t-operation samples the clock *)
-  mutable rset : (int * int) list;  (* obj -> value read (for caching) *)
-  mutable wbuf : (int * int) list;
-}
+  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
 
-let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+  let ensure_rv t tx =
+    if tx.rv >= 0 then P.return ()
+    else
+      let* c = P.read_int t.clock in
+      tx.rv <- c;
+      P.return ()
 
-let ensure_rv t tx = if tx.rv < 0 then tx.rv <- Proc.read_int t.clock
+  let read t tx x =
+    P.suspend @@ fun () ->
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> P.return (Ok v)
+    | None -> (
+        match List.assoc_opt x tx.rset with
+        | Some v -> P.return (Ok v)
+        | None ->
+            let* () = ensure_rv t tx in
+            let* o = P.read t.orecs.(x) in
+            let ver, owner = Orec.unpack o in
+            if owner <> Orec.none || ver > tx.rv then P.return (Error `Abort)
+            else
+              let* v = P.read_int t.data.(x) in
+              let* o2 = P.read t.orecs.(x) in
+              let ver2, owner2 = Orec.unpack o2 in
+              if ver2 <> ver || owner2 <> Orec.none then P.return (Error `Abort)
+              else begin
+                tx.rset <- (x, v) :: tx.rset;
+                P.return (Ok v)
+              end)
 
-let read t tx x =
-  match List.assoc_opt x tx.wbuf with
-  | Some v -> Ok v
-  | None -> (
-      match List.assoc_opt x tx.rset with
-      | Some v -> Ok v
-      | None ->
-          ensure_rv t tx;
-          let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-          if owner <> Orec.none || ver > tx.rv then Error `Abort
-          else
-            let v = Value.to_int (Proc.read t.data.(x)) in
-            let ver2, owner2 = Orec.unpack (Proc.read t.orecs.(x)) in
-            if ver2 <> ver || owner2 <> Orec.none then Error `Abort
-            else begin
-              tx.rset <- (x, v) :: tx.rset;
-              Ok v
-            end)
+  let write t tx x v =
+    P.suspend @@ fun () ->
+    let* () = ensure_rv t tx in
+    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.return (Ok ())
 
-let write t tx x v =
-  ensure_rv t tx;
-  tx.wbuf <- (x, v) :: tx.wbuf;
-  Ok ()
+  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
 
-let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let release t held =
+    P.iter
+      (fun (x, ver) -> P.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
+      held
 
-let release t held =
-  List.iter
-    (fun (x, ver) -> Proc.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
-    held
-
-let try_commit t tx =
-  if tx.wbuf = [] then Ok () (* read-only: the rv snapshot already validated *)
-  else begin
-    let rec acquire held = function
-      | [] -> Ok held
-      | x :: rest ->
-          let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-          if owner <> Orec.none || ver > tx.rv then Error held
-          else if
-            Proc.cas t.orecs.(x)
+  let rec acquire t tx held = function
+    | [] -> P.return (Ok held)
+    | x :: rest ->
+        let* o = P.read t.orecs.(x) in
+        let ver, owner = Orec.unpack o in
+        if owner <> Orec.none || ver > tx.rv then P.return (Error held)
+        else
+          let* locked =
+            P.cas t.orecs.(x)
               ~expected:(Orec.pack ~ver ~owner:Orec.none)
               ~desired:(Orec.pack ~ver ~owner:tx.id)
-          then acquire ((x, ver) :: held) rest
-          else Error held
-    in
-    match acquire [] (wset tx) with
-    | Error held ->
-        release t held;
-        Error `Abort
-    | Ok held ->
-        let wv = 1 + Proc.faa t.clock 1 in
-        let rset_ok =
-          List.for_all
-            (fun (x, _) ->
-              if List.mem_assoc x held then true
-              else
-                let ver, owner = Orec.unpack (Proc.read t.orecs.(x)) in
-                owner = Orec.none && ver <= tx.rv)
-            tx.rset
-        in
-        if not rset_ok then begin
-          release t held;
-          Error `Abort
-        end
-        else begin
-          List.iter
-            (fun (x, _) ->
-              match List.assoc_opt x tx.wbuf with
-              | Some v -> Proc.write t.data.(x) (Value.Int v)
-              | None -> ())
-            held;
-          List.iter
-            (fun (x, _) ->
-              Proc.write t.orecs.(x) (Orec.pack ~ver:wv ~owner:Orec.none))
-            held;
-          Ok ()
-        end
-  end
+          in
+          if locked then acquire t tx ((x, ver) :: held) rest
+          else P.return (Error held)
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    if tx.wbuf = [] then P.return (Ok ())
+      (* read-only: the rv snapshot already validated *)
+    else
+      let* acquired = acquire t tx [] (wset tx) in
+      match acquired with
+      | Error held ->
+          let* () = release t held in
+          P.return (Error `Abort)
+      | Ok held ->
+          let* c = P.faa t.clock 1 in
+          let wv = 1 + c in
+          let* rset_ok =
+            P.for_all
+              (fun (x, _) ->
+                if List.mem_assoc x held then P.return true
+                else
+                  let* o = P.read t.orecs.(x) in
+                  let ver, owner = Orec.unpack o in
+                  P.return (owner = Orec.none && ver <= tx.rv))
+              tx.rset
+          in
+          if not rset_ok then
+            let* () = release t held in
+            P.return (Error `Abort)
+          else
+            let* () =
+              P.iter
+                (fun (x, _) ->
+                  match List.assoc_opt x tx.wbuf with
+                  | Some v -> P.write t.data.(x) (Value.Int v)
+                  | None -> P.return ())
+                held
+            in
+            let* () =
+              P.iter
+                (fun (x, _) ->
+                  P.write t.orecs.(x) (Orec.pack ~ver:wv ~owner:Orec.none))
+                held
+            in
+            P.return (Ok ())
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -9,3 +9,7 @@
     also outside the read/write/conditional class of Theorem 9. *)
 
 include Ptm_core.Tm_intf.S
+
+module Stepwise : Ptm_core.Tm_intf.S_step
+(** The step instance of the same program text, runnable on either
+    {!Ptm_machine.Machine} backend. *)

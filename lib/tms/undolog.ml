@@ -1,20 +1,7 @@
 open Ptm_machine
-module Sm = Proc.Step
 
-let ( let* ) = Sm.bind
-
-(* Step-form [List.for_all]: short-circuits left to right exactly like the
-   direct-style fold it replaces. *)
-let rec forall f = function
-  | [] -> Sm.return true
-  | x :: rest ->
-      let* ok = f x in
-      if ok then forall f rest else Sm.return false
-
-(* The implementation is written once, in step-machine form; the
-   direct-style interface below is derived from it via [Tm_intf.Of_step],
-   so both forms execute the identical event sequence. *)
-module Stepwise = struct
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
   let name = "undolog"
 
   let props =
@@ -60,45 +47,45 @@ module Stepwise = struct
      writer, which is a concurrent conflicting transaction, so
      progressiveness is preserved. *)
   let rollback t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let* () =
-      Sm.iter
+      P.iter
         (fun (x, (ver, old)) ->
-          let* () = Sm.write t.data.(x) (Value.Int old) in
-          Sm.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
+          let* () = P.write t.data.(x) (Value.Int old) in
+          P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
         tx.undo
     in
     tx.undo <- [];
-    Sm.return ()
+    P.return ()
 
   let abort t tx =
     let* () = rollback t tx in
-    Sm.return (Error `Abort)
+    P.return (Error `Abort)
 
   let valid t tx =
-    Sm.suspend @@ fun () ->
-    forall
+    P.suspend @@ fun () ->
+    P.for_all
       (fun (x, (ver, _)) ->
-        let* o = Sm.read t.orecs.(x) in
+        let* o = P.read t.orecs.(x) in
         let ver', owner' = Orec.unpack o in
-        Sm.return (ver' = ver && (owner' = Orec.none || owner' = tx.id)))
+        P.return (ver' = ver && (owner' = Orec.none || owner' = tx.id)))
       tx.rset
 
   let read t tx x =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     if locked_by_me tx x then
-      let* v = Sm.read_int t.data.(x) in
-      Sm.return (Ok v)
+      let* v = P.read_int t.data.(x) in
+      P.return (Ok v)
     else
       match List.assoc_opt x tx.rset with
-      | Some (_, v) -> Sm.return (Ok v)
+      | Some (_, v) -> P.return (Ok v)
       | None ->
-          let* o = Sm.read t.orecs.(x) in
+          let* o = P.read t.orecs.(x) in
           let ver, owner = Orec.unpack o in
           if owner <> Orec.none then abort t tx
           else
-            let* v = Sm.read_int t.data.(x) in
-            let* o2 = Sm.read t.orecs.(x) in
+            let* v = P.read_int t.data.(x) in
+            let* o2 = P.read t.orecs.(x) in
             let ver2, owner2 = Orec.unpack o2 in
             if ver2 <> ver || owner2 <> owner then abort t tx
             else
@@ -106,45 +93,46 @@ module Stepwise = struct
               if not ok then abort t tx
               else begin
                 tx.rset <- (x, (ver, v)) :: tx.rset;
-                Sm.return (Ok v)
+                P.return (Ok v)
               end
 
   let write t tx x v =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     if locked_by_me tx x then
-      let* () = Sm.write t.data.(x) (Value.Int v) in
-      Sm.return (Ok ())
+      let* () = P.write t.data.(x) (Value.Int v) in
+      P.return (Ok ())
     else
-      let* o = Sm.read t.orecs.(x) in
+      let* o = P.read t.orecs.(x) in
       let ver, owner = Orec.unpack o in
       if owner <> Orec.none then abort t tx
       else
         let* locked =
-          Sm.cas t.orecs.(x)
+          P.cas t.orecs.(x)
             ~expected:(Orec.pack ~ver ~owner:Orec.none)
             ~desired:(Orec.pack ~ver ~owner:tx.id)
         in
         if locked then
-          let* old = Sm.read_int t.data.(x) in
+          let* old = P.read_int t.data.(x) in
           tx.undo <- (x, (ver, old)) :: tx.undo;
-          let* () = Sm.write t.data.(x) (Value.Int v) in
-          Sm.return (Ok ())
+          let* () = P.write t.data.(x) (Value.Int v) in
+          P.return (Ok ())
         else abort t tx
 
   let try_commit t tx =
-    Sm.suspend @@ fun () ->
+    P.suspend @@ fun () ->
     let* ok = valid t tx in
     if not ok then abort t tx
     else
       (* data is already in place: bump versions and release *)
       let* () =
-        Sm.iter
+        P.iter
           (fun (x, (ver, _)) ->
-            Sm.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
+            P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
           tx.undo
       in
       tx.undo <- [];
-      Sm.return (Ok ())
+      P.return (Ok ())
 end
 
-include Ptm_core.Tm_intf.Of_step (Stepwise)
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

@@ -1,21 +1,7 @@
 open Ptm_machine
 
-let name = "visread"
-
-let props =
-  {
-    Ptm_core.Tm_intf.opaque = true;
-    weak_dap = true;
-    invisible_reads = false;
-    weak_invisible_reads = false;
-    progressive = true;
-    strongly_progressive = false;
-  }
-
 (* orec = Pair (Int writer, Int readers): writer transaction id (-1 = none)
    and the count of registered readers (not counting an upgrading writer). *)
-
-type t = { orecs : Memory.addr array; data : Memory.addr array }
 
 let pack ~writer ~readers = Value.Pair (Value.Int writer, Value.Int readers)
 
@@ -23,100 +9,135 @@ let unpack v =
   let a, b = Value.to_pair v in
   (Value.to_int a, Value.to_int b)
 
-let create machine ~nobjs =
-  {
-    orecs =
-      Orec.alloc_array machine ~prefix:"vr.orec" ~nobjs
-        ~init:(pack ~writer:Orec.none ~readers:0);
-    data =
-      Orec.alloc_array machine ~prefix:"vr.data" ~nobjs
-        ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+module Make (P : Proc.S) = struct
+  let ( let* ) = P.bind
+  let name = "visread"
+
+  let props =
+    {
+      Ptm_core.Tm_intf.opaque = true;
+      weak_dap = true;
+      invisible_reads = false;
+      weak_invisible_reads = false;
+      progressive = true;
+      strongly_progressive = false;
+    }
+
+  type t = { orecs : Memory.addr array; data : Memory.addr array }
+
+  let create machine ~nobjs =
+    {
+      orecs =
+        Orec.alloc_array machine ~prefix:"vr.orec" ~nobjs
+          ~init:(pack ~writer:Orec.none ~readers:0);
+      data =
+        Orec.alloc_array machine ~prefix:"vr.data" ~nobjs
+          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+    }
+
+  type tx = {
+    id : int;
+    mutable rlocks : int list;
+    mutable wlocks : int list;
+    mutable wbuf : (int * int) list;
   }
 
-type tx = {
-  id : int;
-  mutable rlocks : int list;
-  mutable wlocks : int list;
-  mutable wbuf : (int * int) list;
-}
+  let fresh _t ~pid:_ ~id = { id; rlocks = []; wlocks = []; wbuf = [] }
 
-let fresh _t ~pid:_ ~id = { id; rlocks = []; wlocks = []; wbuf = [] }
-
-let unregister_reader t x =
-  let rec go () =
-    let w, r = unpack (Proc.read t.orecs.(x)) in
-    if
-      not
-        (Proc.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
-           ~desired:(pack ~writer:w ~readers:(r - 1)))
-    then go ()
-  in
-  go ()
-
-let release t tx =
-  List.iter
-    (fun x -> Proc.write t.orecs.(x) (pack ~writer:Orec.none ~readers:0))
-    tx.wlocks;
-  List.iter (fun x -> unregister_reader t x) tx.rlocks;
-  tx.wlocks <- [];
-  tx.rlocks <- []
-
-let abort t tx =
-  release t tx;
-  Error `Abort
-
-let read t tx x =
-  match List.assoc_opt x tx.wbuf with
-  | Some v -> Ok v
-  | None ->
-      if List.mem x tx.rlocks then Ok (Value.to_int (Proc.read t.data.(x)))
-      else
-        let rec go () =
-          let w, r = unpack (Proc.read t.orecs.(x)) in
-          if w <> Orec.none then abort t tx
-          else if
-            Proc.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
-              ~desired:(pack ~writer:w ~readers:(r + 1))
-          then begin
-            tx.rlocks <- x :: tx.rlocks;
-            Ok (Value.to_int (Proc.read t.data.(x)))
-          end
-          else go () (* lost a race with another reader: retry, not a conflict *)
-        in
-        go ()
-
-let write t tx x v =
-  if List.mem x tx.wlocks then begin
-    tx.wbuf <- (x, v) :: tx.wbuf;
-    Ok ()
-  end
-  else
-    let rec go () =
-      let w, r = unpack (Proc.read t.orecs.(x)) in
-      let own = if List.mem x tx.rlocks then 1 else 0 in
-      if w <> Orec.none then abort t tx
-      else if r > own then abort t tx (* foreign readers present: conflict *)
-      else if
-        Proc.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
-          ~desired:(pack ~writer:tx.id ~readers:(r - own))
-      then begin
-        if own = 1 then tx.rlocks <- List.filter (fun y -> y <> x) tx.rlocks;
-        tx.wlocks <- x :: tx.wlocks;
-        tx.wbuf <- (x, v) :: tx.wbuf;
-        Ok ()
-      end
-      else go ()
+  let rec unregister_reader t x =
+    let* o = P.read t.orecs.(x) in
+    let w, r = unpack o in
+    let* unregistered =
+      P.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
+        ~desired:(pack ~writer:w ~readers:(r - 1))
     in
-    go ()
+    if unregistered then P.return () else unregister_reader t x
 
-let try_commit t tx =
-  (* Two-phase locking: everything we read or wrote is still locked, so the
-     buffered values can be installed with no validation. *)
-  List.iter
-    (fun x ->
-      match List.assoc_opt x tx.wbuf with
-      | Some v -> Proc.write t.data.(x) (Value.Int v)
-      | None -> ())
-    tx.wlocks;
-  release t tx;
-  Ok ()
+  let release t tx =
+    let* () =
+      P.iter
+        (fun x -> P.write t.orecs.(x) (pack ~writer:Orec.none ~readers:0))
+        tx.wlocks
+    in
+    let* () = P.iter (fun x -> unregister_reader t x) tx.rlocks in
+    tx.wlocks <- [];
+    tx.rlocks <- [];
+    P.return ()
+
+  let abort t tx =
+    let* () = release t tx in
+    P.return (Error `Abort)
+
+  let read t tx x =
+    P.suspend @@ fun () ->
+    match List.assoc_opt x tx.wbuf with
+    | Some v -> P.return (Ok v)
+    | None ->
+        if List.mem x tx.rlocks then P.map Result.ok (P.read_int t.data.(x))
+        else
+          let rec go () =
+            let* o = P.read t.orecs.(x) in
+            let w, r = unpack o in
+            if w <> Orec.none then abort t tx
+            else
+              let* registered =
+                P.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
+                  ~desired:(pack ~writer:w ~readers:(r + 1))
+              in
+              if registered then begin
+                tx.rlocks <- x :: tx.rlocks;
+                P.map Result.ok (P.read_int t.data.(x))
+              end
+              else
+                (* lost a race with another reader: retry, not a conflict *)
+                go ()
+          in
+          go ()
+
+  let write t tx x v =
+    P.suspend @@ fun () ->
+    if List.mem x tx.wlocks then begin
+      tx.wbuf <- (x, v) :: tx.wbuf;
+      P.return (Ok ())
+    end
+    else
+      let rec go () =
+        let* o = P.read t.orecs.(x) in
+        let w, r = unpack o in
+        let own = if List.mem x tx.rlocks then 1 else 0 in
+        if w <> Orec.none then abort t tx
+        else if r > own then abort t tx (* foreign readers present: conflict *)
+        else
+          let* locked =
+            P.cas t.orecs.(x) ~expected:(pack ~writer:w ~readers:r)
+              ~desired:(pack ~writer:tx.id ~readers:(r - own))
+          in
+          if locked then begin
+            if own = 1 then
+              tx.rlocks <- List.filter (fun y -> y <> x) tx.rlocks;
+            tx.wlocks <- x :: tx.wlocks;
+            tx.wbuf <- (x, v) :: tx.wbuf;
+            P.return (Ok ())
+          end
+          else go ()
+      in
+      go ()
+
+  let try_commit t tx =
+    P.suspend @@ fun () ->
+    (* Two-phase locking: everything we read or wrote is still locked, so
+       the buffered values can be installed with no validation. *)
+    let* () =
+      P.iter
+        (fun x ->
+          match List.assoc_opt x tx.wbuf with
+          | Some v -> P.write t.data.(x) (Value.Int v)
+          | None -> P.return ())
+        tx.wlocks
+    in
+    let* () = release t tx in
+    P.return (Ok ())
+end
+
+include Make (Proc.Direct)
+module Stepwise = Make (Proc.Step)

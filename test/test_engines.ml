@@ -1,8 +1,8 @@
 (* Engine-differential tests: the Steps backend must be bit-identical to
    the Fibers backend — on fixed fixtures, on random programs with random
    schedules and fault plans (QCheck), and on whole explorations — and the
-   step-form TMs must be event-identical to their derived direct-style
-   twins. Also: the OSTM deep-helping regression (chains far beyond the old
+   two instances of every registry TM's one program text (direct on
+   Fibers, step on either engine) must be event-identical. Also: the OSTM deep-helping regression (chains far beyond the old
    recursion guard), the typed Bounds_error raised when a lower-bound
    construction diverges, checkpoint/resume crash-safety (including a real
    [kill -9] mid-exploration), and work-stealing determinism across domain
@@ -43,38 +43,48 @@ let fingerprint ~nprocs m =
 (* ------------------------------------------------------------------ *)
 
 (* The canonical 2-process TM workload (as in test_explore): each process
-   writes one object and reads the other, transactionally. [observer] is
-   attached before anything is spawned, so an online monitor sees the
-   t-operation notes emitted while spawn runs each program to its first
-   effect. *)
+   writes one object and reads the other, transactionally — or, for a
+   single-object TM, writes and reads object 0. [observer] is attached
+   before anything is spawned, so an online monitor sees the t-operation
+   notes emitted while spawn runs each program to its first effect. *)
+let single_object name =
+  List.exists
+    (fun (module T : Tm_intf.Both) -> String.equal T.name name)
+    Ptm_tms.Registry.single
+
+let objs name pid =
+  if single_object name then (0, 0) else (pid mod 2, (pid + 1) mod 2)
+
 let mk_step_tm ?observer (module T : Tm_intf.S_step) ~engine ~trace () =
   let m = Machine.create ~trace ~engine ~nprocs:2 () in
   Trace.set_observer (Machine.trace m) observer;
   let module R = Runner.Make_step (T) in
   let ctx = R.init m ~nobjs:2 in
   for pid = 0 to 1 do
+    let w, r = objs T.name pid in
     Machine.spawn_step m pid
       (Sm.bind
          (R.atomically ctx ~pid ~retries:1 (fun tx ->
-              Sm.bind (R.write ctx tx (pid mod 2) (pid + 1)) (function
+              Sm.bind (R.write ctx tx w (pid + 1)) (function
                 | Error `Abort -> Sm.return (Error `Abort)
-                | Ok () -> R.read ctx tx ((pid + 1) mod 2))))
+                | Ok () -> R.read ctx tx r)))
          (fun _ -> Sm.return ()))
   done;
   m
 
-(* The same workload through the derived direct-style module, on fibers. *)
+(* The same workload through the direct instance, on fibers. *)
 let mk_direct_tm (module T : Tm_intf.S) ~trace () =
   let m = Machine.create ~trace ~nprocs:2 () in
   let module R = Runner.Make (T) in
   let ctx = R.init m ~nobjs:2 in
   for pid = 0 to 1 do
+    let w, r = objs T.name pid in
     Machine.spawn m pid (fun () ->
         ignore
           (R.atomically ctx ~pid ~retries:1 (fun tx ->
-               match R.write ctx tx (pid mod 2) (pid + 1) with
+               match R.write ctx tx w (pid + 1) with
                | Error `Abort -> Error `Abort
-               | Ok () -> R.read ctx tx ((pid + 1) mod 2))))
+               | Ok () -> R.read ctx tx r)))
   done;
   m
 
@@ -88,6 +98,9 @@ let schedules =
 (* ------------------------------------------------------------------ *)
 (* Engine differentials                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* Every registry TM, all 21 names, in step form. *)
+let every_step_form = List.map Ptm_tms.Registry.step Ptm_tms.Registry.entries
 
 let test_fixture_differential () =
   List.iter
@@ -105,39 +118,52 @@ let test_fixture_differential () =
             true
             (run Machine.Fibers = run Machine.Steps))
         schedules)
-    Ptm_tms.Registry.stepwise
+    every_step_form
 
+(* The two instances of each registry TM's one program text run the same
+   events: the step instance on Fibers (through [Proc.Step.perform]) and
+   the direct instance, plain code in a fiber. *)
 let test_step_vs_direct () =
+  Alcotest.(check int)
+    "21 registry names, each once" 21
+    (List.length (List.sort_uniq compare Ptm_tms.Registry.names));
   List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      match Ptm_tms.Registry.by_name T.name with
-      | None -> Alcotest.failf "no direct-style %s in the registry" T.name
-      | Some direct ->
-          List.iter
-            (fun (sname, sched) ->
-              let fp mk =
-                let m = mk () in
-                sched m;
-                Machine.check_crashes m;
-                fingerprint ~nprocs:2 m
-              in
-              Alcotest.(check bool)
-                (T.name ^ " under " ^ sname ^ ": step form == direct form")
-                true
-                (fp (mk_step_tm tm ~engine:Machine.Fibers ~trace:Trace.Full)
-                = fp (mk_direct_tm direct ~trace:Trace.Full)))
-            schedules)
-    Ptm_tms.Registry.stepwise
+    (fun e ->
+      let ((module T : Tm_intf.S_step) as tm) = Ptm_tms.Registry.step e in
+      List.iter
+        (fun (sname, sched) ->
+          let fp mk =
+            let m = mk () in
+            sched m;
+            Machine.check_crashes m;
+            fingerprint ~nprocs:2 m
+          in
+          Alcotest.(check bool)
+            (T.name ^ " under " ^ sname ^ ": step form == direct form")
+            true
+            (fp (mk_step_tm tm ~engine:Machine.Fibers ~trace:Trace.Full)
+            = fp (mk_direct_tm (Ptm_tms.Registry.direct e) ~trace:Trace.Full)))
+        schedules)
+    Ptm_tms.Registry.entries
+
+(* The five TMs first written in step form explore their whole tree under
+   the default leaf budget, as they always have; the other sixteen names
+   stop at 20,000 leaves per search, which keeps the naive trees of the
+   sharded and contention-managed TMs to a fraction of a second. *)
+let full_budget = [ "undolog"; "ostm"; "norec"; "sgl"; "ofree" ]
 
 let test_explore_differential () =
   List.iter
     (fun ((module T : Tm_intf.S_step) as tm) ->
+      let max_paths =
+        if List.mem T.name full_budget then None else Some 20_000
+      in
       List.iter
         (fun (mname, mode) ->
           let stats engine =
             Explore.run
               ~mk:(mk_step_tm tm ~engine ~trace:Trace.Off)
-              ~max_steps:32 ~mode ()
+              ~max_steps:32 ?max_paths ~mode ()
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s: explorer stats equal across engines"
@@ -145,7 +171,7 @@ let test_explore_differential () =
             true
             (stats Machine.Fibers = stats Machine.Steps))
         [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
-    Ptm_tms.Registry.stepwise
+    every_step_form
 
 (* ------------------------------------------------------------------ *)
 (* Random-program differential (QCheck)                                *)
@@ -173,7 +199,7 @@ let rec steps_of_ops addrs = function
                  ~desired:(Value.Int d))
               (fun _ -> Sm.return ())
         | F (a, d) -> Sm.bind (Sm.faa addrs.(a) d) (fun _ -> Sm.return ())
-        | P -> Sm.pause)
+        | P -> Sm.pause ())
         (fun () -> steps_of_ops addrs rest)
 
 let mk_random_case ~engine (ops0, ops1, faults) =
@@ -229,6 +255,118 @@ let qcheck_engine_differential =
         fingerprint ~nprocs:2 m
       in
       run Machine.Fibers = run Machine.Steps)
+
+(* ------------------------------------------------------------------ *)
+(* Direct instance vs step instance, whole registry (QCheck)           *)
+(* ------------------------------------------------------------------ *)
+
+(* One workload driver, written once like the TMs: each process runs its
+   transactions through the instrumented TM, one retry per abort. *)
+module Drive
+    (P : Proc.S)
+    (R : Runner.Instrumented with type 'a m := 'a P.t) =
+struct
+  let ( let* ) = P.bind
+
+  let rec ops ctx tx = function
+    | [] -> P.return (Ok ())
+    | Workload.R x :: rest -> (
+        let* r = R.read ctx tx x in
+        match r with Ok _ -> ops ctx tx rest | Error e -> P.return (Error e))
+    | Workload.W (x, v) :: rest -> (
+        let* r = R.write ctx tx x v in
+        match r with Ok () -> ops ctx tx rest | Error e -> P.return (Error e))
+
+  let proc ctx ~pid txs =
+    P.iter
+      (fun spec ->
+        P.map ignore (R.atomically ctx ~pid ~retries:1 (fun tx -> ops ctx tx spec)))
+      txs
+end
+
+let run_instance e ~engine (w : Workload.t) faults seed =
+  let nprocs = Array.length w.procs in
+  let m = Machine.create ~trace:Trace.Full ~engine ~nprocs () in
+  Machine.set_faults m faults;
+  (match engine with
+  | Machine.Fibers ->
+      let (module T : Tm_intf.S) = Ptm_tms.Registry.direct e in
+      let module R = Runner.Make (T) in
+      let module D = Drive (Proc.Direct) (R) in
+      let ctx = R.init m ~nobjs:w.nobjs in
+      Array.iteri
+        (fun pid txs -> Machine.spawn m pid (fun () -> D.proc ctx ~pid txs))
+        w.procs
+  | Machine.Steps ->
+      let (module T : Tm_intf.S_step) = Ptm_tms.Registry.step e in
+      let module R = Runner.Make_step (T) in
+      let module D = Drive (Proc.Step) (R) in
+      let ctx = R.init m ~nobjs:w.nobjs in
+      Array.iteri
+        (fun pid txs -> Machine.spawn_step m pid (D.proc ctx ~pid txs))
+        w.procs);
+  (try Sched.random ~seed ~max_steps:3_000 m with Sched.Out_of_steps -> ());
+  fingerprint ~nprocs m
+
+let qcheck_instances_differential =
+  let entries = Array.of_list Ptm_tms.Registry.entries in
+  let gen =
+    QCheck2.Gen.(
+      let op = function
+        | true -> map2 (fun x v -> Workload.W (x, v)) (int_bound 2) (int_range 1 9)
+        | false -> map (fun x -> Workload.R x) (int_bound 2)
+      in
+      let tx = list_size (int_range 1 3) (bool >>= op) in
+      let procs = array_size (int_range 2 3) (list_size (int_range 1 2) tx) in
+      (* at most one crash or stall per process, and one injected abort *)
+      let slot_fault pid =
+        oneof
+          [
+            map (fun at -> Fault.crash ~pid ~at) (int_bound 12);
+            map2
+              (fun at steps -> Fault.stall ~pid ~at ~steps)
+              (int_bound 12) (int_range 1 6);
+          ]
+      in
+      let faults =
+        map3
+          (fun a b c -> List.filter_map Fun.id [ a; b; c ])
+          (opt (slot_fault 0)) (opt (slot_fault 1))
+          (opt (map2 (fun pid op -> Fault.abort ~pid ~op) (int_bound 1) (int_bound 4)))
+      in
+      quad (int_bound (Array.length entries - 1)) procs faults (int_bound 9999))
+  in
+  let print (i, procs, faults, seed) =
+    let (module T : Tm_intf.Both) = entries.(i) in
+    Printf.sprintf "%s procs=%d faults=[%s] seed=%d" T.name
+      (Array.length procs)
+      (String.concat ";" (List.map Fault.to_string faults))
+      seed
+  in
+  QCheck2.Test.make ~count:1000 ~print
+    ~name:"every TM: direct instance on Fibers == step instance on Steps" gen
+    (fun (i, procs, faults, seed) ->
+      let e = entries.(i) in
+      let (module T : Tm_intf.Both) = e in
+      (* a single-object TM gets each transaction on its first object *)
+      let procs =
+        if single_object T.name then
+          Array.map
+            (List.map (fun spec ->
+                 match spec with
+                 | [] -> spec
+                 | (Workload.R x | Workload.W (x, _)) :: _ ->
+                     List.map
+                       (function
+                         | Workload.R _ -> Workload.R x
+                         | Workload.W (_, v) -> Workload.W (x, v))
+                       spec))
+            procs
+        else procs
+      in
+      let w = { Workload.nobjs = 3; procs } in
+      run_instance e ~engine:Machine.Fibers w faults seed
+      = run_instance e ~engine:Machine.Steps w faults seed)
 
 (* ------------------------------------------------------------------ *)
 (* OSTM deep-helping regression                                        *)
@@ -561,6 +699,7 @@ let () =
           Alcotest.test_case "explorer stats equal" `Slow
             test_explore_differential;
           of_q qcheck_engine_differential;
+          of_q qcheck_instances_differential;
         ] );
       ( "ostm",
         [ Alcotest.test_case "deep helping chain" `Quick test_ostm_deep_helping ]

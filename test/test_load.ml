@@ -206,7 +206,26 @@ let test_bad_configs () =
   expect "write ratio above 1"
     { base with Load.mix = { base.Load.mix with Load.write_ratio = 1.5 } };
   expect "negative write ratio"
-    { base with Load.mix = { base.Load.mix with Load.write_ratio = -0.1 } }
+    { base with Load.mix = { base.Load.mix with Load.write_ratio = -0.1 } };
+  (* rejected by [Load.validate] itself, before any machine is built, so
+     the CLI reports them as bad input *)
+  let rejects name cfg =
+    match Load.validate cfg with
+    | () -> Alcotest.failf "%s: Load.validate accepted it" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "zero objects" { base with Load.nobjs = 0 };
+  rejects "hotspot wider than the objects"
+    {
+      base with
+      Load.nobjs = 8;
+      mix = { base.Load.mix with Load.hotspot = Some (100, 0.5) };
+    };
+  rejects "hotspot probability above 1"
+    { base with Load.mix = { base.Load.mix with Load.hotspot = Some (2, 1.5) } };
+  rejects "zero monitor frontier"
+    { base with Load.monitor_frontier = 0; sample = 1.0 };
+  rejects "negative slot budget" { base with Load.max_slots = -1 }
 
 let () =
   Alcotest.run "load"

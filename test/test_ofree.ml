@@ -232,7 +232,7 @@ let test_cm_engine_bit_identity () =
                crashes)
             true (f.Explore.paths > 0))
         [ 0; 1 ])
-    Ptm_tms.Registry.ofree_cms_stepwise
+    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.cms)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: ofree vs dstm differential under random fault plans         *)
@@ -299,12 +299,12 @@ let qcheck_ofree_vs_dstm =
           ~schedule:(Runner.Random_sched c.d_seed)
           w
       in
-      let of_o = run (Ptm_tms.Registry.ofree_with_cm c.d_cm) in
+      let of_o = run (Ptm_tms.Registry.(direct (ofree_with_cm c.d_cm))) in
       let ds_o = run (module Ptm_tms.Dstm) in
       agree ("ofree+" ^ Cm.kind_name c.d_cm) of_o;
       agree "dstm" ds_o;
       (* determinism: the ofree run replays bit-identically *)
-      let of_o' = run (Ptm_tms.Registry.ofree_with_cm c.d_cm) in
+      let of_o' = run (Ptm_tms.Registry.(direct (ofree_with_cm c.d_cm))) in
       if of_o.Runner.history <> of_o'.Runner.history then
         QCheck2.Test.fail_reportf "ofree replay diverged";
       true)

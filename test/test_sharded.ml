@@ -5,10 +5,10 @@
    one-shard writer touches exactly one fence); genuinely cross-shard
    commits are opacity-clean under the streaming monitor (every sharded
    registry TM, and — via QCheck — random mixes and fault plans on both
-   machine engines); the step-form instantiations are bit-identical
-   across engines and event-identical to their direct twins, also under
-   the load engine's contended traffic; and a revalidation re-samples only
-   the shards whose seqlock moved. *)
+   machine engines); the one sharded body's step instance is
+   bit-identical across engines and event-identical to its direct
+   instance, also under the load engine's contended traffic; and a
+   revalidation re-samples only the shards whose seqlock moved. *)
 
 open Ptm_machine
 open Ptm_core
@@ -287,34 +287,45 @@ let test_step_engines_bit_identical () =
             true
             (run Machine.Fibers = run Machine.Steps))
         [ 1; 7; 42 ])
-    Ptm_tms.Registry.sharded_stepwise
+    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.x4)
 
+(* The one sharded body's two instances run the same events. *)
 let test_step_vs_direct () =
   List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      match Ptm_tms.Registry.by_name T.name with
-      | None -> Alcotest.failf "no direct-style %s in the registry" T.name
-      | Some direct ->
-          let fp mk =
-            let m = mk () in
-            Sched.random ~seed:7 m;
-            Machine.check_crashes m;
-            fingerprint ~nprocs:(nprocs_of cross_shard_w) m
-          in
-          Alcotest.(check bool)
-            (T.name ^ ": step form == direct form")
-            true
-            (fp (fun () -> mk_step_run tm ~engine:Machine.Fibers cross_shard_w)
-            = fp (fun () -> mk_direct_run direct cross_shard_w)))
-    Ptm_tms.Registry.sharded_stepwise
+    (fun e ->
+      let ((module T : Tm_intf.S_step) as tm) = Ptm_tms.Registry.step e in
+      let fp mk =
+        let m = mk () in
+        Sched.random ~seed:7 m;
+        Machine.check_crashes m;
+        fingerprint ~nprocs:(nprocs_of cross_shard_w) m
+      in
+      Alcotest.(check bool)
+        (T.name ^ ": step form == direct form")
+        true
+        (fp (fun () -> mk_step_run tm ~engine:Machine.Fibers cross_shard_w)
+        = fp (fun () ->
+              mk_direct_run (Ptm_tms.Registry.direct e) cross_shard_w)))
+    Ptm_tms.Registry.x4
+
+(* A step instance's t-operations performed inside the caller's fiber, so
+   the step instance can serve where a direct TM is expected (under
+   [Load], in a direct-style scenario). *)
+module Performed (T : Tm_intf.S_step) : Tm_intf.S = struct
+  include T
+
+  let read t tx x = Proc.Step.perform (T.read t tx x)
+  let write t tx x v = Proc.Step.perform (T.write t tx x v)
+  let try_commit t tx = Proc.Step.perform (T.try_commit t tx)
+end
 
 (* ------------------------------------------------------------------ *)
-(* Twins under load: the direct and step forms serve identical runs     *)
+(* Under load: the direct and step instances serve identical runs       *)
 (* ------------------------------------------------------------------ *)
 
 (* The hot-key mix with retries that never run out: contended enough to
    reach the revalidation restarts and the stable-window re-samples, where
-   a single event of difference between the twins shifts every later
+   a single event of difference between the instances shifts every later
    interleaving and so every counter. *)
 let twin_cfg seed =
   {
@@ -336,16 +347,16 @@ let twin_cfg seed =
   }
 
 let test_twins_under_load () =
-  let step_twin (module T : Tm_intf.S_step) : Tm_intf.tm =
-    (module Tm_intf.Of_step (Ptm_tms.Sharded.Make_step (X4) (T)))
+  let performed name : Tm_intf.tm =
+    let (module T : Tm_intf.S_step) =
+      Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find name))
+    in
+    (module Performed (T))
   in
   let pairs =
-    [
-      ("norec.x4", step_twin (module Ptm_tms.Norec.Stepwise));
-      ("sgl.x4", step_twin (module Ptm_tms.Sgl.Stepwise));
-      ("ofree.x4", step_twin (module Ptm_tms.Ofree.Stepwise));
-      ("undolog.x4", step_twin (module Ptm_tms.Undolog.Stepwise));
-    ]
+    List.map
+      (fun name -> (name, performed name))
+      [ "norec.x4"; "sgl.x4"; "ofree.x4"; "undolog.x4" ]
   in
   let counters (r : Load.result) =
     (r.Load.committed, r.aborted, r.failed, r.steps, r.wasted)
@@ -361,7 +372,7 @@ let test_twins_under_load () =
           (List.init 100 (fun i -> i + 1) @ [ 176; 267 ])
       in
       Alcotest.(check (list int))
-        (name ^ ": seeds where the step twin's counters differ")
+        (name ^ ": seeds where the step instance's counters differ")
         [] differing)
     pairs
 
@@ -464,8 +475,7 @@ let test_selective_resample () =
     [
       ("direct", (module Ptm_tms.Sharded.Make (X4) (Norec_rec) : Tm_intf.S));
       ( "step",
-        (module Tm_intf.Of_step
-                  (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))) );
+        (module Performed (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -512,7 +522,9 @@ let qcheck_cross_shard_opacity =
             faults))
       seed
   in
-  let tm = Option.get (Ptm_tms.Registry.stepwise_by_name "norec.x4") in
+  let tm =
+    Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec.x4"))
+  in
   QCheck2.Test.make ~count:120 ~print
     ~name:"sharded: random mixes + faults opacity-clean on both engines" gen
     (fun (w, (faults, seed)) ->

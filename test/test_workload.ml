@@ -215,6 +215,26 @@ let test_bank_touches_two_accounts () =
         txs)
     w.Workload.procs
 
+(* A bad size is rejected up front, with a message naming the field. *)
+let test_random_bad_sizes () =
+  let rejects field f =
+    match f () with
+    | (_ : Workload.t) -> Alcotest.failf "%s: expected Invalid_argument" field
+    | exception Invalid_argument msg ->
+        let n = String.length field in
+        let rec has i =
+          i + n <= String.length msg
+          && (String.equal (String.sub msg i n) field || has (i + 1))
+        in
+        Alcotest.(check bool) (field ^ " named in: " ^ msg) true (has 0)
+  in
+  rejects "txs_per_proc" (fun () ->
+      Workload.random ~seed:1 ~nprocs:2 ~nobjs:4 ~txs_per_proc:(-1)
+        ~ops_per_tx:3 ());
+  rejects "nobjs" (fun () ->
+      Workload.random ~seed:1 ~nprocs:2 ~nobjs:0 ~txs_per_proc:1 ~ops_per_tx:3
+        ())
+
 let () =
   Alcotest.run "workload"
     [
@@ -230,5 +250,6 @@ let () =
           Alcotest.test_case "zipf golden" `Quick test_zipf_golden;
           Alcotest.test_case "zipf bias" `Quick test_zipf_bias;
           Alcotest.test_case "bank" `Quick test_bank_touches_two_accounts;
+          Alcotest.test_case "bad sizes rejected" `Quick test_random_bad_sizes;
         ] );
     ]
