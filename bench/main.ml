@@ -38,8 +38,10 @@
      dune exec bench/main.exe -- gate     # exact check against both files
 
    The committed BENCH files hold the quick-budget cells, deterministic
-   counters only (see [gate]); a run without [quick] writes its
-   full-budget cells over them.
+   counters only (see [gate]). Only a run with [quick] rewrites them
+   ([e11 quick], [e17 quick], or a full pass with [quick]); a full-budget
+   run leaves them as committed. A word outside [accepted] exits 2 before
+   a pass runs.
 *)
 
 open Ptm_core
@@ -1411,10 +1413,16 @@ let render b cells =
   Printf.sprintf "{\n  \"experiment\": %S,\n  \"cells\": [\n%s\n  ]\n}\n"
     b.experiment (String.concat ",\n" cells)
 
-let write_baseline b cells =
-  Out_channel.with_open_bin b.file (fun oc ->
-      output_string oc (render b cells));
-  Fmt.pr "Wrote %s (%d cells).@." b.file (List.length cells)
+(* Only quick-budget cells, the ones [gate] compares, are ever written: a
+   full-budget pass prints its tables and leaves the baseline alone. *)
+let write_baseline ~quick b cells =
+  if quick then begin
+    Out_channel.with_open_bin b.file (fun oc ->
+        output_string oc (render b cells));
+    Fmt.pr "Wrote %s (%d cells).@." b.file (List.length cells)
+  end
+  else
+    Fmt.pr "%s left as committed: it holds quick-budget cells.@." b.file
 
 let explore_cells ~quick =
   e11 ~quick () @ e14 ~quick () @ e15 ~quick () @ e18_explore ~quick ()
@@ -1537,18 +1545,31 @@ let bechamel_pass () =
       | _ -> Fmt.pr "%-32s (no estimate)@." name)
     (List.sort compare names)
 
+(* Every word the dispatcher knows; any other exits 2 before a pass runs,
+   so a typo cannot fall through to the full suite. *)
+let accepted =
+  [ "fast"; "quick"; "e11"; "e12"; "e13"; "e14"; "e15"; "e17"; "e18"; "gate" ]
+
 let () =
-  let arg a = Array.exists (fun x -> x = a) Sys.argv in
+  let words = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun w -> not (List.mem w accepted)) words with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "bench: unknown argument %s; accepted: %s@."
+        (String.concat " " unknown)
+        (String.concat " " accepted);
+      exit 2);
+  let arg a = List.mem a words in
   let fast = arg "fast" in
   let quick = arg "quick" in
   Fmt.pr
     "Progressive Transactional Memory in Time and Space — experiment suite@.";
-  if arg "e11" then write_baseline explore_json (explore_cells ~quick)
+  if arg "e11" then write_baseline ~quick explore_json (explore_cells ~quick)
   else if arg "e12" then e12 ~quick ()
   else if arg "e13" then e13 ()
   else if arg "e14" then ignore (e14 ~quick ())
   else if arg "e15" then ignore (e15 ~quick ())
-  else if arg "e17" then write_baseline load_json (load_cells ~quick)
+  else if arg "e17" then write_baseline ~quick load_json (load_cells ~quick)
   else if arg "e18" then begin
     ignore (e18_explore ~quick ());
     ignore (e18_load ~quick ())
@@ -1569,8 +1590,8 @@ let () =
     let c14 = e14 ~quick () in
     let c15 = e15 ~quick () in
     let c18x = e18_explore ~quick () in
-    write_baseline explore_json (c11 @ c14 @ c15 @ c18x);
-    write_baseline load_json (load_cells ~quick);
+    write_baseline ~quick explore_json (c11 @ c14 @ c15 @ c18x);
+    write_baseline ~quick load_json (load_cells ~quick);
     if not fast then bechamel_pass ()
   end;
   Fmt.pr "@.done.@."

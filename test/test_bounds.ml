@@ -269,6 +269,25 @@ let test_thm9_sweep_shape () =
     true
     (t16 > 4 * t4)
 
+(* E4's exact totals at n = 64, its one cell with pids past 61, in the
+   order CC/WT, CC/WB, DSM. A change to how the simulator stores its line
+   state must leave every count as it is. *)
+let test_thm9_pinned_n64 () =
+  let rows =
+    Theorem9.sweep
+      ~locks:[ (module Ptm_mutex.Tas); (module Ptm_mutex.Mcs) ]
+      ~ns:[ 64 ] ~rounds:2 ()
+  in
+  List.iter
+    (fun (lock, expected) ->
+      let r = List.find (fun r -> r.Theorem9.lock = lock) rows in
+      Alcotest.(check (list int))
+        (lock ^ " totals") expected
+        (List.map
+           (fun m -> List.assoc m r.Theorem9.rmr)
+           Ptm_machine.Rmr.all_models))
+    [ ("tas", [ 18_656; 18_653; 18_656 ]); ("mcs", [ 1_148; 1_147; 639 ]) ]
+
 let test_thm7_constant_overhead () =
   (* Algorithm 1's hand-off RMRs per passage stay bounded as n grows. *)
   let per_passage n =
@@ -343,6 +362,7 @@ let () =
       ( "theorem9",
         [
           Alcotest.test_case "sweep shape" `Quick test_thm9_sweep_shape;
+          Alcotest.test_case "n = 64 totals pinned" `Quick test_thm9_pinned_n64;
           Alcotest.test_case "thm7 constant overhead" `Quick
             test_thm7_constant_overhead;
           Alcotest.test_case "thm7 dsm local spin" `Quick

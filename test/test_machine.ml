@@ -674,17 +674,20 @@ let test_rmr_local_spin_is_free () =
   Alcotest.(check int) "wt one miss" 1 wt.Rmr.total;
   Alcotest.(check int) "wb one miss" 1 wb.Rmr.total
 
-let test_rmr_stream_matches_offline () =
+let rmr_stream_matches_offline ~early () =
   (* The incremental accountant must agree with the offline replay on every
      model, over a randomized event sequence mixing trivial and nontrivial
-     primitives, owned and unowned cells. *)
+     primitives, owned and unowned cells. The streams are created when
+     [early] of the 6 cells exist; the others are allocated one every 50
+     events from the middle of the run on, as OSTM allocates descriptors
+     under [ptm load --rmr]. *)
   let rng = Random.State.make [| 421 |] in
   let mem = Memory.create () in
-  let addrs =
-    Array.init 6 (fun i ->
-        let owner = if i mod 2 = 0 then Some (i mod 3) else None in
-        Memory.alloc mem ?owner ~name:(Printf.sprintf "s%d" i) (Value.Int 0))
+  let alloc i =
+    let owner = if i mod 2 = 0 then Some (i mod 3) else None in
+    Memory.alloc mem ?owner ~name:(Printf.sprintf "s%d" i) (Value.Int 0)
   in
+  let addrs = ref (Array.init early alloc) in
   let tr = Trace.create () in
   let nprocs = 3 in
   let streams =
@@ -692,9 +695,12 @@ let test_rmr_stream_matches_offline () =
       (fun m -> (m, Rmr.Stream.create m ~nprocs mem))
       Rmr.all_models
   in
-  for _ = 1 to 500 do
+  for i = 1 to 500 do
+    let n = Array.length !addrs in
+    if n < 6 && i > 250 && i mod 50 = 1 then
+      addrs := Array.append !addrs [| alloc n |];
     let pid = Random.State.int rng nprocs in
-    let addr = addrs.(Random.State.int rng (Array.length addrs)) in
+    let addr = !addrs.(Random.State.int rng (Array.length !addrs)) in
     let prim =
       match Random.State.int rng 4 with
       | 0 -> Primitive.Read
@@ -710,6 +716,7 @@ let test_rmr_stream_matches_offline () =
         Rmr.Stream.feed s ~pid ~addr ~trivial:(Primitive.is_trivial prim))
       streams
   done;
+  Alcotest.(check int) "every cell allocated" 6 (Memory.size mem);
   List.iter
     (fun (m, s) ->
       let offline = Rmr.count m ~nprocs mem tr in
@@ -721,6 +728,65 @@ let test_rmr_stream_matches_offline () =
         (Rmr.model_name m ^ " per pid")
         offline.Rmr.per_pid online.Rmr.per_pid)
     streams
+
+(* Bad input to the accountant is a typed error naming the value and its
+   range, raised before the simulator changes. *)
+let test_rmr_rejects_nprocs () =
+  let mem = Memory.create () in
+  Alcotest.check_raises "nprocs 0"
+    (Invalid_argument "Rmr.Stream.create: nprocs 0, need >= 1") (fun () ->
+      ignore (Rmr.Stream.create Rmr.Dsm ~nprocs:0 mem))
+
+let test_rmr_rejects_pid () =
+  let mem = Memory.create () in
+  let a = Memory.alloc mem ~owner:0 ~name:"x" (Value.Int 0) in
+  List.iter
+    (fun m ->
+      let s = Rmr.Stream.create m ~nprocs:2 mem in
+      List.iter
+        (fun pid ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s pid %d" (Rmr.model_name m) pid)
+            (Invalid_argument (Printf.sprintf "Rmr: pid %d outside [0, 2)" pid))
+            (fun () -> Rmr.Stream.feed s ~pid ~addr:a ~trivial:true))
+        [ 2; -1 ];
+      Alcotest.(check int) (Rmr.model_name m ^ " nothing charged") 0
+        (Rmr.Stream.counts s).Rmr.total)
+    Rmr.all_models;
+  let tr = Trace.create () in
+  apply_recorded mem tr ~pid:2 a Primitive.Read;
+  Alcotest.check_raises "count over a trace holding pid 2"
+    (Invalid_argument "Rmr: pid 2 outside [0, 2)") (fun () ->
+      ignore (Rmr.count Rmr.Cc_write_back ~nprocs:2 mem tr))
+
+let test_rmr_rejects_address () =
+  let mem = Memory.create () in
+  ignore (Memory.alloc mem ~owner:0 ~name:"x" (Value.Int 0) : Memory.addr);
+  ignore (Memory.alloc mem ~name:"y" (Value.Int 0) : Memory.addr);
+  let outside addr =
+    Invalid_argument
+      (Printf.sprintf "Rmr: address %d outside the memory [0, 2)" addr)
+  in
+  let tr = Trace.create () in
+  Trace.add_mem tr ~pid:0 ~addr:2 Primitive.Read Value.Unit false;
+  List.iter
+    (fun m ->
+      let name = Rmr.model_name m in
+      let s = Rmr.Stream.create m ~nprocs:2 mem in
+      List.iter
+        (fun (addr, trivial) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s feed address %d" name addr)
+            (outside addr)
+            (fun () -> Rmr.Stream.feed s ~pid:0 ~addr ~trivial))
+        [ (2, true); (2, false); (-1, true) ];
+      Alcotest.(check int) (name ^ " nothing charged") 0
+        (Rmr.Stream.counts s).Rmr.total;
+      Alcotest.check_raises (name ^ " count") (outside 2) (fun () ->
+          ignore (Rmr.count m ~nprocs:2 mem tr));
+      Alcotest.check_raises (name ^ " iter") (outside 2) (fun () ->
+          Rmr.iter m mem tr ignore))
+    Rmr.all_models
 
 let () =
   Alcotest.run "machine"
@@ -798,6 +864,14 @@ let () =
           Alcotest.test_case "local spin free" `Quick
             test_rmr_local_spin_is_free;
           Alcotest.test_case "stream matches offline" `Quick
-            test_rmr_stream_matches_offline;
+            (rmr_stream_matches_offline ~early:6);
+          Alcotest.test_case "stream created before later cells" `Quick
+            (rmr_stream_matches_offline ~early:1);
+          Alcotest.test_case "rejects nprocs < 1" `Quick
+            test_rmr_rejects_nprocs;
+          Alcotest.test_case "rejects pid outside [0, nprocs)" `Quick
+            test_rmr_rejects_pid;
+          Alcotest.test_case "rejects address outside the memory" `Quick
+            test_rmr_rejects_address;
         ] );
     ]
