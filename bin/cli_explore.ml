@@ -140,12 +140,16 @@ let explore_cmd =
       value
       & opt
           (enum [ ("fibers", `Fibers); ("steps", `Steps); ("both", `Both) ])
-          `Fibers
+          `Steps
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Machine backend for the $(b,--tm) fixture: $(b,fibers), \
-             $(b,steps), or $(b,both) (run twice and require identical \
-             stats).")
+            "Machine backend for the $(b,--tm) fixture: $(b,steps) (the \
+             default: the search saves each branching node and restores it \
+             for every further branch), $(b,fibers) (effect-handler \
+             processes, one-shot: every further branch replays its prefix \
+             on a restarted machine), or $(b,both) (run both and require \
+             the same search: equal paths, cut, pruned, violations, \
+             witness, fault branches and budget outcome).")
   in
   let check_arg =
     Arg.(
@@ -252,37 +256,7 @@ let explore_cmd =
           (Atomic.get disagreements)
           (Atomic.get undecided)
     in
-    let mk () =
-      let m = Ptm_machine.Machine.create ~trace ~nprocs () in
-      let lock = L.create m ~nprocs in
-      let c = Ptm_machine.Machine.alloc m ~name:"c" (Ptm_machine.Value.Int 0) in
-      (* occupancy lives in a machine cell (peek/poke: no events, same
-         schedule tree) so machine pooling can reset it between runs *)
-      let occ =
-        Ptm_machine.Machine.alloc m ~name:"occ" (Ptm_machine.Value.Int 0)
-      in
-      let mem = Ptm_machine.Machine.memory m in
-      let occ_read () =
-        match Ptm_machine.Memory.peek mem occ with
-        | Ptm_machine.Value.Int o -> o
-        | _ -> assert false
-      in
-      let occ_write o =
-        Ptm_machine.Memory.poke mem occ (Ptm_machine.Value.Int o)
-      in
-      for pid = 0 to nprocs - 1 do
-        Ptm_machine.Machine.spawn m pid (fun () ->
-            L.enter lock ~pid;
-            occ_write (occ_read () + 1);
-            assert (occ_read () = 1);
-            let v = Ptm_machine.Proc.read_int c in
-            Ptm_machine.Proc.write c (Ptm_machine.Value.Int (v + 1));
-            assert (occ_read () = 1);
-            occ_write (occ_read () - 1);
-            L.exit_cs lock ~pid)
-      done;
-      m
-    in
+    let mk = Ptm_mutex.Harness.explored (module L) ~trace ~nprocs in
     (* Step-form TM fixture: each process runs one instrumented read-write
        transaction (write own object, read the neighbour's; a single-object
        TM writes and reads object 0), expressible on either machine
@@ -359,8 +333,9 @@ let explore_cmd =
               Fmt.pr "%s: %a@." (name Ptm_machine.Machine.Steps)
                 Ptm_machine.Explore.pp_stats b;
               report_check ();
-              if a <> b then begin
-                Fmt.epr "engines disagree: the backends must be bit-identical@.";
+              if not (Ptm_machine.Explore.same_search a b) then begin
+                Fmt.epr "engines disagree: the backends must search the same \
+                         tree@.";
                 exit 1
               end;
               if a.Ptm_machine.Explore.violations > 0 then exit 1

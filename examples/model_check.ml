@@ -27,31 +27,7 @@ module Racy_lock : Mutex_intf.S = struct
   let exit_cs t ~pid:_ = Proc.write t.flag (Value.Bool false)
 end
 
-let mk (module L : Mutex_intf.S) () =
-  let m = Machine.create ~nprocs:2 () in
-  let lock = L.create m ~nprocs:2 in
-  let c = Machine.alloc m ~name:"c" (Value.Int 0) in
-  (* The occupancy counter lives in a machine cell, updated via peek/poke:
-     no events, so the schedule tree is unchanged — but unlike a captured
-     [ref] it is restored when the explorer resets a pooled machine. *)
-  let occ = Machine.alloc m ~name:"occ" (Value.Int 0) in
-  let mem = Machine.memory m in
-  let occ_read () =
-    match Memory.peek mem occ with Value.Int o -> o | _ -> assert false
-  in
-  let occ_write o = Memory.poke mem occ (Value.Int o) in
-  for pid = 0 to 1 do
-    Machine.spawn m pid (fun () ->
-        L.enter lock ~pid;
-        occ_write (occ_read () + 1);
-        assert (occ_read () = 1);
-        let v = Proc.read_int c in
-        Proc.write c (Value.Int (v + 1));
-        assert (occ_read () = 1);
-        occ_write (occ_read () - 1);
-        L.exit_cs lock ~pid)
-  done;
-  m
+let mk (module L : Mutex_intf.S) () = Harness.explored (module L) ~nprocs:2 ()
 
 let check name lock =
   let s = Explore.run ~mk:(mk lock) ~max_steps:22 ~max_paths:2_000_000 () in

@@ -55,7 +55,7 @@ struct
 
   let tm_state ctx = ctx.state
 
-  type tx = { pid : int; id : int; inner : T.tx; mutable dead : bool }
+  type tx = { pid : int; id : int; inner : T.tx; dead : bool P.var }
 
   let tx_id tx = tx.id
 
@@ -63,9 +63,10 @@ struct
     P.suspend @@ fun () ->
     let id = Value.to_int (Memory.peek ctx.mem ctx.next_id) in
     Memory.poke ctx.mem ctx.next_id (Value.int_ (id + 1));
-    P.return { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = false }
+    P.return { pid; id; inner = T.fresh ctx.state ~pid ~id; dead = P.var false }
 
-  let guard tx = if tx.dead then invalid_arg "Runner: use of dead transaction"
+  let guard tx =
+    if P.get tx.dead then invalid_arg "Runner: use of dead transaction"
 
   (* The fault layer's injected aborts are decided here, at the runner
      boundary, before the TM sees the operation: each t-operation consumes
@@ -81,7 +82,7 @@ struct
     Machine.abort_due ctx.machine tx.pid ~op_index:k
 
   let injected tx op =
-    tx.dead <- true;
+    P.set tx.dead true;
     let* () = P.note (History.Tx_inv { pid = tx.pid; tx = tx.id; op }) in
     let* () =
       P.note (History.Tx_injected_abort { pid = tx.pid; tx = tx.id })
@@ -104,7 +105,7 @@ struct
       let* r = run () in
       let res = res r in
       (match res with
-      | History.RAbort | History.RCommit -> tx.dead <- true
+      | History.RAbort | History.RCommit -> P.set tx.dead true
       | History.RVal _ | History.ROk -> ());
       let* () =
         P.note (History.Tx_res { pid = tx.pid; tx = tx.id; op; res })

@@ -99,12 +99,15 @@ module Sampler = struct
         | Some cdf -> search cdf (Random.State.float rng 1.0))
 end
 
+(* Reject a count below [k] with an [Invalid_argument] naming the generator
+   and the field. *)
+let at_least gen k field v =
+  if v < k then
+    invalid_arg (Printf.sprintf "Workload.%s: %s must be >= %d" gen field k)
+
 let random ~seed ~nprocs ~nobjs ~txs_per_proc ~ops_per_tx
     ?(write_ratio = 0.5) ?(unique_writes = true) ?hotspot ?(dist = Uniform) () =
-  let at_least k field v =
-    if v < k then
-      invalid_arg (Printf.sprintf "Workload.random: %s must be >= %d" field k)
-  in
+  let at_least = at_least "random" in
   at_least 1 "nobjs" nobjs;
   at_least 0 "nprocs" nprocs;
   at_least 0 "txs_per_proc" txs_per_proc;
@@ -131,7 +134,9 @@ let random ~seed ~nprocs ~nobjs ~txs_per_proc ~ops_per_tx
   { nobjs; procs }
 
 let bank ~nprocs ~naccounts ~transfers_per_proc ~seed =
-  assert (naccounts >= 2);
+  at_least "bank" 2 "naccounts" naccounts;
+  at_least "bank" 0 "nprocs" nprocs;
+  at_least "bank" 0 "transfers_per_proc" transfers_per_proc;
   let rng = Random.State.make [| seed |] in
   let tx () =
     let a = Random.State.int rng naccounts in
@@ -148,6 +153,8 @@ let bank ~nprocs ~naccounts ~transfers_per_proc ~seed =
   }
 
 let read_only_scaling ~readers ~nobjs =
+  at_least "read_only_scaling" 0 "readers" readers;
+  at_least "read_only_scaling" 0 "nobjs" nobjs;
   {
     nobjs;
     procs = Array.init readers (fun _ -> [ List.init nobjs (fun x -> R x) ]);

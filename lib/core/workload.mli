@@ -81,8 +81,11 @@ val random :
 val bank : nprocs:int -> naccounts:int -> transfers_per_proc:int -> seed:int -> t
 (** A transfer workload: each transaction reads two accounts and rewrites
     them, moving one unit. The total balance is an invariant checked by
-    examples and tests. *)
+    examples and tests.
+    @raise Invalid_argument naming the field when [naccounts < 2] or
+    [nprocs] or [transfers_per_proc] is negative. *)
 
 val read_only_scaling : readers:int -> nobjs:int -> t
 (** Each process reads every object once in a single transaction — the
-    workload of the Theorem 3 experiments' baseline. *)
+    workload of the Theorem 3 experiments' baseline.
+    @raise Invalid_argument naming the field when a count is negative. *)

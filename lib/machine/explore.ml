@@ -27,15 +27,24 @@ let pp_stats ppf s =
           (String.concat ";" (List.map string_of_int w)))
     (if s.exhausted then " exhausted" else "")
 
+let same_search a b =
+  a.paths = b.paths && a.cut = b.cut && a.pruned = b.pruned
+  && a.violations = b.violations
+  && a.first_violation = b.first_violation
+  && a.fault_branches = b.fault_branches
+  && a.exhausted = b.exhausted
+
 let reduction_ratio ~naive ~reduced =
   float_of_int naive.paths /. float_of_int (max 1 reduced.paths)
 
 (* The search state is deliberately allocation-free: schedules are grow-only
    int arrays, process sets are int bitmasks (hence the [max_procs] bound),
    and pending transitions are packed into ints. The machine's own stepping
-   (with the trace sink off) allocates only the re-boxed process state, and
-   sibling replays draw pooled machines from a free list instead of building
-   fresh ones. *)
+   (with the trace sink off) allocates only the re-boxed process state.
+   A restorable machine ({!Machine.restorable}) is saved at each branching
+   node into a per-depth buffer and restored for every further branch; any
+   other machine replays the prefix on a pooled machine drawn from a free
+   list instead of building a fresh one. *)
 
 let max_procs = 62
 
@@ -180,7 +189,12 @@ type ctx = {
   max_steps : int;
   max_paths : int;
   pool : bool;  (* effective: forced off when [mk] pre-steps the machine *)
-  stride : int;  (* checkpoint depth stride; 0 = checkpointing off *)
+  restore : bool;
+      (* the machines are restorable: a search saves and restores nodes
+         instead of replaying prefixes *)
+  stride : int;
+      (* checkpoint depth stride; 0 = checkpointing off (always, in a
+         restoring search) *)
   crashes : int;  (* crash-injection budget per path *)
   stalls : int;  (* stall-injection budget per path *)
   stall_steps : int;  (* slots a stall branch parks its pid for *)
@@ -223,12 +237,14 @@ let stats_of ctx acc =
 (* stack, and the per-address access index for the DPOR conflict scan.  *)
 (*                                                                     *)
 (* A checkpoint is a memory snapshot taken when the machine sat exactly *)
-(* after schedule position [c_depth - 1]. Machines themselves cannot be *)
-(* checkpoints — their continuations are one-shot, so a parked machine  *)
-(* is spent the moment it is stepped — but memory snapshots plus the    *)
-(* schedule's response log reconstruct the same state: restart a pooled *)
-(* machine, [feed] the logged responses (which replays control flow and *)
-(* the trace without touching memory), then restore the snapshot.       *)
+(* after schedule position [c_depth - 1]. A replaying search's machines *)
+(* cannot be checkpoints themselves — fiber continuations are one-shot, *)
+(* so a parked machine is spent the moment it is stepped — but memory   *)
+(* snapshots plus the schedule's response log reconstruct the same     *)
+(* state: restart a pooled machine, [feed] the logged responses (which  *)
+(* replays control flow and the trace without touching memory), then    *)
+(* restore the snapshot. (A restoring search saves whole nodes instead  *)
+(* and lays no checkpoints.)                                            *)
 (* Checkpoint depths on the stack are strictly increasing and only ever *)
 (* refer to the current schedule's unchanged prefix: every sibling      *)
 (* replay happens at its node's depth, and drops deeper checkpoints     *)
@@ -250,12 +266,39 @@ type pstate = {
   mutable n_cks : int;
   mutable ai_stk : int array array;
   mutable ai_len : int array;
+  mutable saves : Machine.saved array;  (* restoring: the node per depth *)
 }
 
 let pstate_make () =
-  { free = []; cks = [||]; n_cks = 0; ai_stk = [||]; ai_len = [||] }
+  {
+    free = [];
+    cks = [||];
+    n_cks = 0;
+    ai_stk = [||];
+    ai_len = [||];
+    saves = [||];
+  }
 
-let release ctx st m = if ctx.pool then st.free <- m :: st.free
+let pool_put ctx st m = if ctx.pool then st.free <- m :: st.free
+
+(* A finished path's machine goes back to the pool, except in a restoring
+   search, where it is the machine every open node restores. *)
+let release ctx st m = if not ctx.restore then pool_put ctx st m
+
+(* Save the node at [depth] of a restoring search, growing the per-depth
+   buffers on first use. Once the node's last branch returns, [done_node]
+   drops the buffer's hold on the node's program closures, which would
+   otherwise stay reachable until a later path saves at this depth. *)
+let save_node st m depth =
+  let n = Array.length st.saves in
+  if depth >= n then
+    st.saves <-
+      Array.init
+        (max (depth + 1) (2 * n))
+        (fun i -> if i < n then st.saves.(i) else Machine.saved_make m);
+  Machine.save m (Array.unsafe_get st.saves depth)
+
+let done_node st depth = Machine.forget (Array.unsafe_get st.saves depth)
 
 let ckpt_lay st mem depth =
   let i = st.n_cks in
@@ -429,22 +472,46 @@ let replay ctx acc st sched =
     done;
   m
 
-(* Enumerate the fault branches at the current node: one crash branch per
-   live pid while the crash budget lasts, one stall branch per live
-   not-already-stalled pid while the stall budget lasts. Each branch
-   replays the prefix on its own machine, performs the injection (a
-   schedule position that executes no memory event) and explores the
-   subtree via [go] with the budget decremented. Skipped entirely at
-   budget 0, which keeps budget-0 searches bit-identical to the fault-free
-   explorer. [m] is the (unconsumed) machine parked at this node, used
-   only to probe stall state. *)
-let fault_branches ctx acc st m sched ~live ~cr ~sl
+(* The machine for one branch of the node at [depth], whose own machine is
+   [m]; [fresh] holds until a branch of the node has run on [m]. A
+   restoring search runs every branch on [m], restored to the node's saved
+   state unless fresh. A replaying search runs the one branch it reserves
+   for [m] ([in_place], while fresh) on [m] and replays the prefix on a
+   pooled machine for every other. *)
+let branch_machine ctx acc st sched m depth fresh ~in_place =
+  if ctx.restore then begin
+    if !fresh then fresh := false
+    else Machine.restore m (Array.unsafe_get st.saves depth);
+    m
+  end
+  else if in_place && !fresh then begin
+    fresh := false;
+    m
+  end
+  else replay ctx acc st sched
+
+(* Enumerate the fault branches at the node at [depth]: one crash branch
+   per live pid while the crash budget lasts, one stall branch per live
+   not-already-stalled pid while the stall budget lasts. Each branch gets
+   its machine from [branch_machine] (a replay, or the restored node),
+   performs the injection (a schedule position that executes no memory
+   event) and explores the subtree via [go] with the budget decremented.
+   Skipped entirely at budget 0, which keeps budget-0 searches
+   bit-identical to the fault-free explorer. [m] is the node's machine,
+   probed for stall state before any branch runs on it. *)
+let fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
     ~(go : Machine.t -> cr:int -> sl:int -> unit) =
   let n = Machine.nprocs m in
+  let stalled = ref 0 in
+  for q = 0 to n - 1 do
+    if live land (1 lsl q) <> 0 && Machine.stalled m q then
+      stalled := !stalled lor (1 lsl q)
+  done;
+  let stalled = !stalled in
   if cr > 0 then
     for q = 0 to n - 1 do
       if live land (1 lsl q) <> 0 then begin
-        let m' = replay ctx acc st sched in
+        let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
         Machine.inject_crash m' q;
         acc.a_faults <- acc.a_faults + 1;
         sched_push sched m' (act_crash q);
@@ -454,8 +521,8 @@ let fault_branches ctx acc st m sched ~live ~cr ~sl
     done;
   if sl > 0 then
     for q = 0 to n - 1 do
-      if live land (1 lsl q) <> 0 && not (Machine.stalled m q) then begin
-        let m' = replay ctx acc st sched in
+      if live land (1 lsl q) <> 0 && stalled land (1 lsl q) = 0 then begin
+        let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
         Machine.inject_stall m' q ~steps:ctx.stall_steps;
         acc.a_faults <- acc.a_faults + 1;
         sched_push sched m' (act_stall q);
@@ -466,12 +533,13 @@ let fault_branches ctx acc st m sched ~live ~cr ~sl
 
 (* ------------------------------------------------------------------ *)
 (* Naive exhaustive DFS (the reference the reduction is validated      *)
-(* against). The first child of each node reuses the current machine   *)
-(* in place (machines are single-shot, but the first branch needs no   *)
-(* replay); every other sibling replays its prefix on a pooled         *)
-(* machine — one replay per extra branch, not per node. Siblings are   *)
-(* visited before the in-place head branch, preserving the PR 1 leaf   *)
-(* order.                                                              *)
+(* against). Replaying, the head child of each node reuses the current *)
+(* machine in place (fibers are one-shot, but one branch needs no      *)
+(* replay) and every other sibling replays its prefix on a pooled      *)
+(* machine — one replay per extra branch, not per node. Restoring, the *)
+(* node is saved and every branch after the first restores it.         *)
+(* Either way siblings are visited before the head branch, so both     *)
+(* searches produce their leaves in one order.                         *)
 (* ------------------------------------------------------------------ *)
 
 let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
@@ -496,14 +564,19 @@ let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
     end
     else begin
       maybe_ckpt ctx st m depth;
+      let saved =
+        ctx.restore && (cr > 0 || sl > 0 || live land (live - 1) <> 0)
+      in
+      if saved then save_node st m depth;
+      let fresh = ref true in
       if cr > 0 || sl > 0 then
-        fault_branches ctx acc st m sched ~live ~cr ~sl
+        fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
           ~go:(fun m' ~cr ~sl -> naive_dfs ctx acc st m' sched (depth + 1) ~cr ~sl);
       let n = Machine.nprocs m in
       let head = lowest_bit live in
       for pid = head + 1 to n - 1 do
         if live land (1 lsl pid) <> 0 then begin
-          let m' = replay ctx acc st sched in
+          let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
           step1 acc m' pid;
           sched_push sched m' pid;
           naive_dfs ctx acc st m' sched (depth + 1) ~cr ~sl;
@@ -517,6 +590,8 @@ let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
       while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
         st.n_cks <- st.n_cks - 1
       done;
+      let m = branch_machine ctx acc st sched m depth fresh ~in_place:true in
+      if saved then done_node st depth;
       step1 acc m head;
       sched_push sched m head;
       naive_dfs ctx acc st m sched (depth + 1) ~cr ~sl;
@@ -623,23 +698,10 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
     end
     else begin
       maybe_ckpt ctx st m depth;
-      (* Fault branches are orthogonal to the reduction: they are added at
-         every branching node while budget lasts, are never slept or
-         backtracked, and their subtrees start with an empty sleep set
-         (the coverage argument behind sleep sets does not extend across
-         an injection). The step branches below are reduced exactly as in
-         the fault-free search. *)
-      if cr > 0 || sl > 0 then begin
-        fault_branches ctx acc st m sched ~live ~cr ~sl
-          ~go:(fun m' ~cr ~sl ->
-            dpor_dfs ctx acc st stack m' sched (depth + 1) 0 ~cr ~sl);
-        (* The fault subtrees laid checkpoints along their own branches;
-           the in-place step branch below runs without a [replay] (which
-           is what otherwise trims them), so drop them explicitly. *)
-        while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
-          st.n_cks <- st.n_cks - 1
-        done
-      end;
+      (* The node's record is filled from [m] before any branch runs on
+         it. The fault subtrees below neither read nor write it: their
+         nodes sit deeper, and the access index holds no entry at this
+         depth until a step branch pushes one. *)
       let n = Machine.nprocs m in
       let nd = stack.(depth) in
       nd.n_enabled <- live;
@@ -655,6 +717,28 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
         if live land (1 lsl q) <> 0 then scan_add st stack n q nd.n_pend.(q)
       done;
       let awake = live land lnot nd.n_sleep in
+      let saved =
+        ctx.restore && (cr > 0 || sl > 0 || awake land (awake - 1) <> 0)
+      in
+      if saved then save_node st m depth;
+      let fresh = ref true in
+      (* Fault branches are orthogonal to the reduction: they are added at
+         every branching node while budget lasts, are never slept or
+         backtracked, and their subtrees start with an empty sleep set
+         (the coverage argument behind sleep sets does not extend across
+         an injection). The step branches below are reduced exactly as in
+         the fault-free search. *)
+      if cr > 0 || sl > 0 then begin
+        fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
+          ~go:(fun m' ~cr ~sl ->
+            dpor_dfs ctx acc st stack m' sched (depth + 1) 0 ~cr ~sl);
+        (* The fault subtrees laid checkpoints along their own branches;
+           the in-place step branch below runs without a [replay] (which
+           is what otherwise trims them), so drop them explicitly. *)
+        while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
+          st.n_cks <- st.n_cks - 1
+        done
+      end;
       if awake = 0 then begin
         (* sleep-blocked: every enabled transition is covered by an
            already-explored sibling subtree *)
@@ -663,7 +747,6 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
       end
       else begin
         nd.n_backtrack <- 1 lsl lowest_bit awake;
-        let in_place = ref true in
         let rec branches () =
           let cand = nd.n_backtrack land lnot nd.n_done in
           if cand <> 0 then begin
@@ -680,11 +763,7 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
                  the independent ones carry into the child *)
               let child_sleep = sleep_filter nd.n_sleep q eq nd.n_pend in
               let m' =
-                if !in_place then begin
-                  in_place := false;
-                  m
-                end
-                else replay ctx acc st sched
+                branch_machine ctx acc st sched m depth fresh ~in_place:true
               in
               step1 acc m' q;
               sched_push sched m' q;
@@ -700,7 +779,8 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
           end
         in
         branches ()
-      end
+      end;
+      if saved then done_node st depth
     end
   end
 
@@ -771,7 +851,7 @@ let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 let journal_header ~mode ~max_steps ~max_paths ~crashes ~stalls ~stall_steps
     ~nprocs ~ntasks =
-  Printf.sprintf "ptm-ckpt 3 %s %d %d %d %d %d %d %d" (mode_name mode)
+  Printf.sprintf "ptm-ckpt 4 %s %d %d %d %d %d %d %d" (mode_name mode)
     max_steps max_paths crashes stalls stall_steps nprocs ntasks
 
 let task_line t =
@@ -885,7 +965,7 @@ let expand_node ctx acc st mode task' =
     leaf ctx acc;
     acc.a_paths <- acc.a_paths + 1;
     note_violation acc sched;
-    release ctx st m;
+    pool_put ctx st m;
     []
   end
   else begin
@@ -894,13 +974,13 @@ let expand_node ctx acc st mode task' =
       leaf ctx acc;
       acc.a_paths <- acc.a_paths + 1;
       if not (ctx.final m) then note_violation acc sched;
-      release ctx st m;
+      pool_put ctx st m;
       []
     end
     else if Array.length task'.t_prefix >= ctx.max_steps then begin
       leaf ctx acc;
       acc.a_cut <- acc.a_cut + 1;
-      release ctx st m;
+      pool_put ctx st m;
       []
     end
     else begin
@@ -963,7 +1043,7 @@ let expand_node ctx acc st mode task' =
             done;
             List.rev !children
       in
-      release ctx st m;
+      pool_put ctx st m;
       !fault_children @ children
     end
   end
@@ -1001,6 +1081,7 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
     done;
     !r
   in
+  let restore = Machine.restorable root in
   let ctx =
     {
       mk;
@@ -1008,7 +1089,8 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
       max_steps;
       max_paths;
       pool = pool && not pre_stepped;
-      stride = checkpoint_stride;
+      restore;
+      stride = (if restore then 0 else checkpoint_stride);
       crashes;
       stalls;
       stall_steps;
@@ -1018,10 +1100,20 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
       progress_every;
     }
   in
+  (* A restoring search logs its programs' var writes on the domain's trail
+     for exactly its own duration: the trail is stopped, and emptied, when
+     the search returns or unwinds. *)
   let explore_sub acc st stack m sched depth sleep0 ~cr ~sl =
-    match mode with
-    | Naive -> naive_dfs ctx acc st m sched depth ~cr ~sl
-    | Dpor -> dpor_dfs ctx acc st stack m sched depth sleep0 ~cr ~sl
+    let search () =
+      match mode with
+      | Naive -> naive_dfs ctx acc st m sched depth ~cr ~sl
+      | Dpor -> dpor_dfs ctx acc st stack m sched depth sleep0 ~cr ~sl
+    in
+    if ctx.restore then begin
+      Proc.Trail.start ();
+      Fun.protect ~finally:Proc.Trail.stop search
+    end
+    else search ()
   in
   let journal_on = checkpoint_file <> None in
   if (domains <= 1 && not journal_on) || max_steps <= 0
@@ -1157,7 +1249,9 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
              let m = replay ctx acc st sched in
              explore_sub acc st stack m sched (Array.length t.t_prefix)
                t.t_sleep ~cr:(ctx.crashes - used_cr)
-               ~sl:(ctx.stalls - used_sl)
+               ~sl:(ctx.stalls - used_sl);
+             (* a restoring search ran the whole task on [m] *)
+             if ctx.restore then pool_put ctx st m
            with Budget -> ());
           results.(i) <- stats_of ctx acc;
           match journal with

@@ -2,10 +2,31 @@
     optionally with partial-order reduction.
 
     Enumerates interleavings of the spawned processes' steps, up to a total
-    step bound, re-executing the (deterministic) machine from scratch along
-    each scheduling path. Invariants are expressed as assertions inside the
-    process programs (a violation crashes the process) plus an optional
-    final-state predicate checked on every maximal path.
+    step bound, along a depth-first search of the schedule tree.
+    Invariants are expressed as assertions inside the process programs (a
+    violation crashes the process) plus an optional final-state predicate
+    checked on every maximal path.
+
+    The search needs, for every further branch of a node, a machine
+    positioned at that node. How it gets one depends on the machine, which
+    decides for itself ({!Machine.restorable}):
+
+    - {e Restoring} (the [Steps] engine, every program installed with
+      {!Machine.spawn_step}): the search saves the node once
+      ({!Machine.save}) and restores it before each further branch. Step
+      programs must then keep their host state in {!Proc.S} vars or
+      machine cells, so a parked closure resumed from a restored node
+      replays the same steps; the domain's {!Proc.Trail} is on for the
+      duration of each search and emptied when it returns or unwinds.
+    - {e Replaying} (any program in a fiber, e.g. the [Fibers] engine):
+      fiber continuations are one-shot, so each further branch restarts a
+      machine and replays the schedule prefix, with the [pool] and
+      [checkpoint_stride] devices below cutting the cost.
+
+    Both explore the same tree in the same leaf order, with the same
+    witness and the same [paths], [cut], [pruned], [violations] and
+    [fault_branches]; only [replays], [steps] and [replay_steps_saved]
+    differ (see {!stats} and {!same_search}).
 
     Two search modes:
 
@@ -39,7 +60,8 @@
     transitions are packed ints. The bitmask encoding caps the machine at
     62 processes ({!run} rejects larger machines with [Invalid_argument]);
     pair with {!Trace.Off} machines to make whole paths allocation-free
-    apart from the per-sibling machine replays. *)
+    apart from the per-sibling machine replays or the programs' own
+    allocation. *)
 
 type stats = {
   paths : int;  (** maximal paths fully explored *)
@@ -54,17 +76,22 @@ type stats = {
       (** the path budget tripped: the stats are a partial tally of an
           incomplete search (any witness found so far is still reported) *)
   replays : int;
-      (** machines (re)initialized to re-execute a schedule prefix (one per
-          non-first sibling branch, plus one per parallel subtree task);
-          pooled machines are restarted in place rather than rebuilt *)
+      (** machines (re)initialized to re-execute a schedule prefix. A
+          replaying search counts one per non-first sibling branch, plus
+          one per frontier node and subtree task of a parallel or journaled
+          run; pooled machines are restarted in place rather than rebuilt.
+          A restoring search counts only the frontier ones (0 on a single
+          domain without a journal): it restores its nodes instead *)
   steps : int;
-      (** machine steps actually executed, re-executed replay suffixes
-          included; [steps + replay_steps_saved] is invariant across
-          checkpointing settings (and equals [steps] with checkpointing
-          off) *)
+      (** machine steps actually executed. A replaying search includes its
+          re-executed replay suffixes, and [steps + replay_steps_saved] is
+          invariant across checkpointing settings (and equals [steps] with
+          checkpointing off). A restoring search executes each tree edge
+          once, plus the frontier replays *)
   replay_steps_saved : int;
       (** replayed prefix steps that were fed from a checkpoint's response
-          log instead of re-executed (0 when [checkpoint_stride = 0]) *)
+          log instead of re-executed (0 when [checkpoint_stride = 0], and
+          always 0 in a restoring search, which lays no checkpoints) *)
   fault_branches : int;
       (** fault injections performed as branch points (0 when the crash and
           stall budgets are 0) *)
@@ -131,11 +158,12 @@ val run :
     otherwise [Invalid_argument] is raised; an absent or truncated journal
     starts a fresh run (and rewrites the file).
 
-    Replay machinery — none of it changes which schedules are explored;
-    [paths]/[cut]/[pruned]/[violations]/[replays] and the sum
-    [steps + replay_steps_saved] are bit-identical across every
-    combination of the two switches below and across both machine
-    engines:
+    Replay machinery of a replaying search — none of it changes which
+    schedules are explored; [paths]/[cut]/[pruned]/[violations]/[replays]
+    and the sum [steps + replay_steps_saved] are bit-identical across
+    every combination of the two switches below (a restoring search
+    replays only its frontier tasks' prefixes, so there [pool] recycles
+    task machines and [checkpoint_stride] has no effect):
 
     - [pool] (default [true]) recycles finished machines through a
       per-worker free list: a sibling replay restarts a pooled machine in
@@ -172,6 +200,12 @@ val run :
     [progress] (with [progress_every], default 10_000) is invoked with a
     snapshot of the calling worker's tallies every [progress_every] leaves
     — from each domain concurrently when [domains > 1]. *)
+
+val same_search : stats -> stats -> bool
+(** The two stats describe the same search: equal [paths], [cut],
+    [pruned], [violations], [first_violation], [fault_branches] and
+    [exhausted]. The other three fields count how the search reached its
+    nodes, which depends on the engine, and are not compared. *)
 
 val reduction_ratio : naive:stats -> reduced:stats -> float
 (** [naive.paths / reduced.paths] (guarding against division by zero): how

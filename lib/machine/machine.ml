@@ -68,6 +68,9 @@ type t = {
      under [Off] only ticks the seq counter. *)
   mutable last_resp : Value.t;
   mutable last_changed : bool;
+  (* Some program runs in a fiber, whose continuations are one-shot: such
+     a machine cannot be restored to a saved node. *)
+  mutable fibers : bool;
 }
 
 let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
@@ -93,6 +96,7 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     base_cells = -1;
     last_resp = Value.Unit;
     last_changed = false;
+    fibers = false;
   }
 
 let nprocs t = Array.length t.procs
@@ -135,6 +139,7 @@ let spawn t pid f =
   let s = slot t pid in
   pre_spawn t pid s;
   s.prog <- Prog_fun f;
+  t.fibers <- true;
   s.state <- drain t pid (F (Proc.start f))
 
 (* A step program runs on whichever backend the machine was created with:
@@ -144,7 +149,9 @@ let spawn t pid f =
 let start_step t p =
   match t.engine with
   | Steps -> S (Proc.Step.start p)
-  | Fibers -> F (Proc.start (fun () -> Proc.Step.perform p))
+  | Fibers ->
+      t.fibers <- true;
+      F (Proc.start (fun () -> Proc.Step.perform p))
 
 let spawn_step t pid p =
   let s = slot t pid in
@@ -176,6 +183,91 @@ let restart t =
     | Prog_step p -> s.state <- drain t pid (start_step t p)
     | Prog_none -> invariant t pid s "spawn order lists a pid with no program"
   done
+
+(* ------------------------------------------------------------------ *)
+(* Saved nodes                                                         *)
+(*                                                                     *)
+(* A saved node is the machine's whole dynamic state at one schedule    *)
+(* position: each slot's parked outcome and counters, the last step's   *)
+(* response, memory (values, links and size), the trace position and    *)
+(* the mark of the domain's undo trail. The buffers are preallocated    *)
+(* per machine, so saving a node allocates nothing once the memory      *)
+(* snapshot has grown to the store's size.                              *)
+(* ------------------------------------------------------------------ *)
+
+type saved = {
+  sv_state : pstate array;
+  sv_steps : int array;
+  sv_scheds : int array;
+  sv_stall : int array;
+  sv_halted : bool array;
+  sv_fnext : int array;
+  mutable sv_resp : Value.t;
+  mutable sv_changed : bool;
+  sv_mem : Memory.snapshot;
+  mutable sv_cells : int;
+  mutable sv_trace : int;
+  mutable sv_trail : int;
+}
+
+let saved_make t =
+  let n = Array.length t.procs in
+  {
+    sv_state = Array.make n P_idle;
+    sv_steps = Array.make n 0;
+    sv_scheds = Array.make n 0;
+    sv_stall = Array.make n 0;
+    sv_halted = Array.make n false;
+    sv_fnext = Array.make n 0;
+    sv_resp = Value.Unit;
+    sv_changed = false;
+    sv_mem = Memory.snapshot_make ();
+    sv_cells = 0;
+    sv_trace = 0;
+    sv_trail = 0;
+  }
+
+let restorable t = not t.fibers
+
+let save t sv =
+  if t.fibers then
+    invalid_arg "Machine.save: a program runs in a fiber (one-shot)";
+  if Array.length sv.sv_state <> Array.length t.procs then
+    invalid_arg "Machine.save: buffer made for another machine";
+  for i = 0 to Array.length t.procs - 1 do
+    let s = Array.unsafe_get t.procs i in
+    Array.unsafe_set sv.sv_state i s.state;
+    Array.unsafe_set sv.sv_steps i s.steps;
+    Array.unsafe_set sv.sv_scheds i s.scheds;
+    Array.unsafe_set sv.sv_stall i s.stall_left;
+    Array.unsafe_set sv.sv_halted i s.halted;
+    Array.unsafe_set sv.sv_fnext i s.f_next
+  done;
+  sv.sv_resp <- t.last_resp;
+  sv.sv_changed <- t.last_changed;
+  Memory.snapshot_into t.memory sv.sv_mem;
+  sv.sv_cells <- Memory.size t.memory;
+  sv.sv_trace <- Trace.length t.trace;
+  sv.sv_trail <- Proc.Trail.length ()
+
+let forget sv = Array.fill sv.sv_state 0 (Array.length sv.sv_state) P_idle
+
+let restore t sv =
+  for i = 0 to Array.length t.procs - 1 do
+    let s = Array.unsafe_get t.procs i in
+    s.state <- Array.unsafe_get sv.sv_state i;
+    s.steps <- Array.unsafe_get sv.sv_steps i;
+    s.scheds <- Array.unsafe_get sv.sv_scheds i;
+    s.stall_left <- Array.unsafe_get sv.sv_stall i;
+    s.halted <- Array.unsafe_get sv.sv_halted i;
+    s.f_next <- Array.unsafe_get sv.sv_fnext i
+  done;
+  t.last_resp <- sv.sv_resp;
+  t.last_changed <- sv.sv_changed;
+  Memory.truncate t.memory sv.sv_cells;
+  Memory.restore_from t.memory sv.sv_mem;
+  Trace.rewind t.trace sv.sv_trace;
+  Proc.Trail.undo_to sv.sv_trail
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                         *)

@@ -96,6 +96,49 @@ val restart : t -> unit
     the machine (captured [ref]s or closures over external state survive
     the reset and leak between runs; put such state in machine cells). *)
 
+(** {1 Saved nodes}
+
+    The schedule explorer branches from one node several times. On a
+    restorable machine it saves the node once and restores it before each
+    further branch, instead of replaying the schedule prefix on a restarted
+    machine. *)
+
+type saved
+(** A reusable buffer holding one node: each process's parked outcome,
+    step and slot counters and fault state, {!last_resp} and
+    {!last_changed}, the memory (values, load-links and size), the trace
+    position and the mark of the domain's {!Proc.Trail}. *)
+
+val saved_make : t -> saved
+(** A buffer sized for [t]'s processes. *)
+
+val restorable : t -> bool
+(** No program runs in a fiber: the machine uses the [Steps] engine and
+    every program was installed with {!spawn_step}. Fiber continuations
+    are one-shot, so only such a machine can be restored. *)
+
+val save : t -> saved -> unit
+(** Overwrite the buffer with [t]'s current node. Allocates nothing once
+    the buffer's memory snapshot has grown to the store's size. Raises
+    [Invalid_argument] if [t] is not {!restorable} or the buffer was made
+    for a machine with another process count. *)
+
+val restore : t -> saved -> unit
+(** Put [t] back at a node saved from it, and on this path: every later
+    process state, counter and memory value is replaced, cells allocated
+    since the save are forgotten (and re-allocated at the same addresses
+    when the programs run again), the trace is rewound ({!Trace.rewind})
+    and the trail is undone to the node's mark. Programs then resume from
+    their saved parked closures, which replays the same steps only if
+    they keep their host state in vars ({!Proc.S}) or machine cells — and
+    the vars are rewound only while the trail is on. *)
+
+val forget : saved -> unit
+(** Drop the buffer's references to the saved parked outcomes, so a node
+    that will not be restored again keeps no program closures alive until
+    the buffer is next saved into. Restoring a forgotten buffer leaves every
+    process idle. *)
+
 val status : t -> pid -> status
 
 val set_faults : t -> Fault.spec list -> unit

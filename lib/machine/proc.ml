@@ -54,7 +54,11 @@ let sc a v = Value.to_bool (apply a (Primitive.Sc v))
 
 module type S = sig
   type 'a t
+  type 'a var
 
+  val var : 'a -> 'a var
+  val get : 'a var -> 'a
+  val set : 'a var -> 'a -> unit
   val return : 'a -> 'a t
   val bind : 'a t -> ('a -> 'b t) -> 'b t
   val map : ('a -> 'b) -> 'a t -> 'b t
@@ -82,7 +86,11 @@ end
    performed effect. *)
 module Direct = struct
   type 'a t = 'a
+  type 'a var = 'a ref
 
+  let var = ref
+  let get = ( ! )
+  let set = ( := )
   let return x = x
   let bind x f = f x
   let map f x = f x
@@ -117,6 +125,61 @@ end
 (* makes the two backends bit-identical by construction.               *)
 (* ------------------------------------------------------------------ *)
 
+(* The undo trail behind step-instance vars: while a search has it on,
+   every [Step.set] first logs the var and its previous value, so a saved
+   node's host state is recovered by undoing the entries logged since the
+   node's mark, newest first. One trail per domain: a frontier search runs
+   one worker per domain, each over its own machines. *)
+type undo = Undo : 'a ref * 'a -> undo
+
+type trail = {
+  mutable on : bool;
+  mutable log : undo array;
+  mutable len : int;
+}
+
+let no_undo = Undo (ref (), ())
+
+let trail_key =
+  Domain.DLS.new_key (fun () -> { on = false; log = [||]; len = 0 })
+
+let trail () = Domain.DLS.get trail_key
+
+let trail_push tr (c : 'a ref) =
+  if tr.len >= Array.length tr.log then begin
+    let fresh = Array.make (max 64 (2 * tr.len)) no_undo in
+    Array.blit tr.log 0 fresh 0 tr.len;
+    tr.log <- fresh
+  end;
+  Array.unsafe_set tr.log tr.len (Undo (c, !c));
+  tr.len <- tr.len + 1
+
+module Trail = struct
+  let active () = (trail ()).on
+  let length () = (trail ()).len
+
+  let start () =
+    let tr = trail () in
+    if tr.len > 0 then invalid_arg "Proc.Trail.start: the trail is not empty";
+    tr.on <- true
+
+  let stop () =
+    let tr = trail () in
+    tr.on <- false;
+    tr.log <- [||];
+    tr.len <- 0
+
+  let undo_to mark =
+    let tr = trail () in
+    if mark < 0 || mark > tr.len then invalid_arg "Proc.Trail.undo_to";
+    for i = tr.len - 1 downto mark do
+      let (Undo (c, old)) = Array.unsafe_get tr.log i in
+      c := old;
+      Array.unsafe_set tr.log i no_undo
+    done;
+    tr.len <- mark
+end
+
 module Step = struct
   type outcome =
     | Done
@@ -126,6 +189,15 @@ module Step = struct
     | Wants_pause of (unit -> outcome)
 
   type 'a t = ('a -> outcome) -> outcome
+  type 'a var = 'a ref
+
+  let var = ref
+  let get = ( ! )
+
+  let set c x =
+    let tr = trail () in
+    if tr.on then trail_push tr c;
+    c := x
 
   let return x k = k x
   let bind m f k = m (fun x -> f x k)

@@ -68,10 +68,34 @@ val sc : Memory.addr -> Value.t -> bool
     runs them in constant stack. Side effects outside a [bind] body or a
     {!S.suspend} thunk run at program-{e construction} time under {!Step},
     and would not replay under {!Machine.restart}: operations that allocate
-    or mutate must live inside [suspend]/[bind] bodies. *)
+    or mutate must live inside [suspend]/[bind] bodies.
+
+    {b Host state lives in vars.} A parked step program is a closure the
+    explorer resumes once per branch of a node: it saves the node
+    ({!Machine.save}), runs one branch, restores the node and resumes the
+    same closure again. Machine cells are restored with the node; host
+    values are not, unless they are vars. So a program keeps every
+    mutable value that it writes after a wait (a primitive, a note or a
+    pause) in a {!S.var} or in a machine cell ({!Memory.peek}/{!Memory.poke}).
+    A [ref], a mutable field, an array or a [Hashtbl] written after a wait
+    would carry one branch's writes into its siblings. A mutable value
+    built and filled between two waits and only read afterwards is
+    immutable as far as a resumption can tell. Under {!Direct} a var is a
+    plain [ref]; under {!Step} its [set] logs the previous value on the
+    domain's {!Trail} while a search has the trail on, and a restore
+    undoes the entries logged since the node was saved. *)
 module type S = sig
   type 'a t
   (** A program delivering an ['a]. *)
+
+  type 'a var
+  (** A host cell for state that outlives a wait (see above). *)
+
+  val var : 'a -> 'a var
+  val get : 'a var -> 'a
+
+  val set : 'a var -> 'a -> unit
+  (** Under {!Step}, while the trail is on, logs the old value first. *)
 
   val return : 'a -> 'a t
   val bind : 'a t -> ('a -> 'b t) -> 'b t
@@ -110,13 +134,38 @@ module Direct : S with type 'a t = 'a
     primitive performs its effect when called. Callable only from inside a
     fiber-backed process body. *)
 
+(** The domain-local undo trail behind {!Step} vars. It is off by default,
+    and then [Step.set] is a plain store that allocates nothing. The
+    schedule explorer turns it on for a worker's search on a restorable
+    machine and stops it when the search returns or unwinds. *)
+module Trail : sig
+  val start : unit -> unit
+  (** Log every [Step.set] from now on. Raises [Invalid_argument] if the
+      trail still holds entries. *)
+
+  val stop : unit -> unit
+  (** Stop logging and drop every entry. *)
+
+  val active : unit -> bool
+  val length : unit -> int
+  (** Entries logged and not undone: a mark for {!undo_to}. *)
+
+  val undo_to : int -> unit
+  (** Undo, newest first, every entry logged since [length ()] was [mark]:
+      each var gets back the value it held at the mark. Raises
+      [Invalid_argument] if [mark] is negative or above {!length}. *)
+end
+
 (** Processes as defunctionalized step machines.
 
     A [Step.t] program is an explicit state value in continuation-passing
     style: running it yields an {!Step.outcome} whose [Wants_*] constructors
     carry a plain OCaml closure instead of an effect continuation, so the
-    scheduler advances the process with an ordinary (multi-shot, exception-
-    catching) function call — no fiber switch per step. The constructors
+    scheduler advances the process with an ordinary (exception-catching)
+    function call — no fiber switch per step. The closures are multi-shot
+    for programs that keep their host state in vars: resuming one twice
+    from the same saved node, with the trail undone in between, replays
+    the same steps. The constructors
     mirror {!outcome} one for one, and {!Step.perform} interprets a step
     program inside an effect-handler process performing the identical effect
     sequence, so a step program run under either machine backend produces

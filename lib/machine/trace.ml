@@ -93,6 +93,17 @@ let clear t =
   t.stored <- 0;
   t.total <- 0
 
+(* Every retained entry sits at index [seq mod n] of a [Ring n] (the ring
+   starts empty at 0 and overwrites its oldest slot), so dropping the
+   entries from [n'] on leaves the retained ones below [n'] in place: no
+   entry moves, only the bounds do. *)
+let rewind t n' =
+  if n' < 0 || n' > t.total then invalid_arg "Trace.rewind";
+  let first = min n' (t.total - t.stored) in
+  t.stored <- n' - first;
+  t.total <- n';
+  match t.sink with Ring cap -> t.start <- first mod cap | Off | Full -> ()
+
 let length t = t.total
 let stored t = t.stored
 let first_seq t = t.total - t.stored

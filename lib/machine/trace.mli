@@ -68,6 +68,13 @@ val clear : t -> unit
 (** Return to the freshly-created state — seq counter back to 0, nothing
     stored — keeping the underlying buffer allocated for reuse. *)
 
+val rewind : t -> int -> unit
+(** [rewind t n] returns the trace to the moment it had [length] [n]:
+    entries with sequence number [n] or above are dropped and numbering
+    resumes at [n]. Under {!Ring} the retained entries below [n] are those
+    that later entries did not overwrite. Notes are not re-sent to the
+    observer. Raises [Invalid_argument] unless [0 <= n <= length t]. *)
+
 val length : t -> int
 (** Total entries recorded since creation (the seq counter), whether or not
     the sink retained them. *)

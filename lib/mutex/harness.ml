@@ -65,3 +65,34 @@ let run (module L : Mutex_intf.S) ~nprocs ~rounds ?(schedule = `Round_robin)
   { nprocs; rounds; total_steps; rmr; machine }
 
 let rmr_of r model = (List.assoc model r.rmr).Rmr.total
+
+let explored (module L : Mutex_intf.S) ?(trace = Trace.Full) ~nprocs () =
+  let m = Machine.create ~trace ~nprocs () in
+  let lock = L.create m ~nprocs in
+  let c = Machine.alloc m ~name:"c" (Value.Int 0) in
+  (* Occupancy lives in a machine cell updated via peek/poke: no events, so
+     the schedule tree is unchanged, and unlike a captured [ref] it is
+     restored when the explorer resets a pooled machine. *)
+  let occ = Machine.alloc m ~name:"occ" (Value.Int 0) in
+  let mem = Machine.memory m in
+  let occupancy () = Value.to_int (Memory.peek mem occ) in
+  let set_occupancy o = Memory.poke mem occ (Value.Int o) in
+  let check pid =
+    let o = occupancy () in
+    if o <> 1 then
+      raise
+        (Mutual_exclusion_violation
+           (Printf.sprintf "p%d saw occupancy %d" pid o))
+  in
+  for pid = 0 to nprocs - 1 do
+    Machine.spawn m pid (fun () ->
+        L.enter lock ~pid;
+        set_occupancy (occupancy () + 1);
+        check pid;
+        let v = Proc.read_int c in
+        Proc.write c (Value.Int (v + 1));
+        check pid;
+        set_occupancy (occupancy () - 1);
+        L.exit_cs lock ~pid)
+  done;
+  m

@@ -34,3 +34,12 @@ val run :
     counter mismatch as a violation too. *)
 
 val rmr_of : result -> Rmr.model -> int
+
+val explored :
+  (module Mutex_intf.S) -> ?trace:Trace.sink -> nprocs:int -> unit -> Machine.t
+(** The schedule explorer's lock fixture (trace sink default {!Trace.Full}):
+    [nprocs] processes each enter the lock once, increment the cell named
+    ["c"] non-atomically (read, then write) and leave. A process that finds
+    another in the critical section raises {!Mutual_exclusion_violation},
+    which crashes it, so the explorer counts the path as a violation. The
+    occupancy count lives in a machine cell. *)

@@ -28,20 +28,21 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
-    mutable wlocks : (int * int) list;  (* obj -> ver at lock time *)
-    mutable wbuf : (int * int) list;  (* obj -> value, latest first *)
+    rset : (int * (int * int)) list P.var;  (* obj -> (ver, value) *)
+    wlocks : (int * int) list P.var;  (* obj -> ver at lock time *)
+    wbuf : (int * int) list P.var;  (* obj -> value, latest first *)
   }
 
-  let fresh _t ~pid:_ ~id = { id; rset = []; wlocks = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id =
+    { id; rset = P.var []; wlocks = P.var []; wbuf = P.var [] }
 
   let abort t tx =
     let* () =
       P.iter
         (fun (x, ver) -> P.write t.orecs.(x) (Orec.pack ~ver ~owner:Orec.none))
-        tx.wlocks
+        (P.get tx.wlocks)
     in
-    tx.wlocks <- [];
+    P.set tx.wlocks [];
     P.return (Error `Abort)
 
   (* Re-read the orec of every read-set entry; a version change or a foreign
@@ -53,14 +54,14 @@ module Make (P : Proc.S) = struct
         let* o = P.read t.orecs.(x) in
         let ver', owner' = Orec.unpack o in
         P.return (ver' = ver && (owner' = Orec.none || owner' = tx.id)))
-      tx.rset
+      (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some (_, v) -> P.return (Ok v)
         | None ->
             let* o = P.read t.orecs.(x) in
@@ -75,14 +76,14 @@ module Make (P : Proc.S) = struct
                 let* ok = valid t tx in
                 if not ok then abort t tx
                 else begin
-                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                  P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
                   P.return (Ok v)
                 end)
 
   let write t tx x v =
     P.suspend @@ fun () ->
-    if List.mem_assoc x tx.wlocks then begin
-      tx.wbuf <- (x, v) :: tx.wbuf;
+    if List.mem_assoc x (P.get tx.wlocks) then begin
+      P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
       P.return (Ok ())
     end
     else
@@ -96,8 +97,8 @@ module Make (P : Proc.S) = struct
             ~desired:(Orec.pack ~ver ~owner:tx.id)
         in
         if locked then begin
-          tx.wlocks <- (x, ver) :: tx.wlocks;
-          tx.wbuf <- (x, v) :: tx.wbuf;
+          P.set tx.wlocks ((x, ver) :: P.get tx.wlocks);
+          P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
           P.return (Ok ())
         end
         else abort t tx
@@ -112,18 +113,18 @@ module Make (P : Proc.S) = struct
       let* () =
         P.iter
           (fun (x, _) ->
-            match List.assoc_opt x tx.wbuf with
+            match List.assoc_opt x (P.get tx.wbuf) with
             | Some v -> P.write t.data.(x) (Value.Int v)
             | None -> P.return ())
-          tx.wlocks
+          (P.get tx.wlocks)
       in
       let* () =
         P.iter
           (fun (x, ver) ->
             P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
-          tx.wlocks
+          (P.get tx.wlocks)
       in
-      tx.wlocks <- [];
+      P.set tx.wlocks [];
       P.return (Ok ())
 end
 

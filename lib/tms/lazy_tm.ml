@@ -28,11 +28,11 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rset : (int * (int * int)) list;
-    mutable wbuf : (int * int) list;  (* latest first *)
+    rset : (int * (int * int)) list P.var;
+    wbuf : (int * int) list P.var;  (* latest first *)
   }
 
-  let fresh _t ~pid:_ ~id = { id; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id = { id; rset = P.var []; wbuf = P.var [] }
 
   let valid ?(held = []) t tx =
     P.for_all
@@ -42,14 +42,14 @@ module Make (P : Proc.S) = struct
         P.return
           (ver' = ver
           && (owner' = Orec.none || (owner' = tx.id && List.mem_assoc x held))))
-      tx.rset
+      (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some (_, v) -> P.return (Ok v)
         | None ->
             let* o = P.read t.orecs.(x) in
@@ -64,16 +64,16 @@ module Make (P : Proc.S) = struct
                 let* ok = valid t tx in
                 if not ok then P.return (Error `Abort)
                 else begin
-                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                  P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
                   P.return (Ok v)
                 end)
 
   let write _t tx x v =
     P.suspend @@ fun () ->
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
-  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let wset tx = List.sort_uniq compare (List.map fst (P.get tx.wbuf))
 
   let release t held =
     P.iter
@@ -99,7 +99,7 @@ module Make (P : Proc.S) = struct
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then
+    if P.get tx.wbuf = [] then
       let* ok = valid t tx in
       P.return (if ok then Ok () else Error `Abort)
     else
@@ -117,7 +117,7 @@ module Make (P : Proc.S) = struct
             let* () =
               P.iter
                 (fun (x, _) ->
-                  match List.assoc_opt x tx.wbuf with
+                  match List.assoc_opt x (P.get tx.wbuf) with
                   | Some v -> P.write t.data.(x) (Value.Int v)
                   | None -> P.return ())
                 held

@@ -57,18 +57,19 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rv : int;  (* -1 until the first operation samples the clock *)
-    mutable rset : (int * int) list;  (* obj -> value read, for caching *)
-    mutable wbuf : (int * int) list;
+    rv : int P.var;  (* -1 until the first operation samples the clock *)
+    rset : (int * int) list P.var;  (* obj -> value read, for caching *)
+    wbuf : (int * int) list P.var;
   }
 
-  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id =
+    { id; rv = P.var (-1); rset = P.var []; wbuf = P.var [] }
 
   let ensure_rv t tx =
-    if tx.rv >= 0 then P.return ()
+    if P.get tx.rv >= 0 then P.return ()
     else
       let* c = P.read_int t.clock in
-      tx.rv <- c;
+      P.set tx.rv c;
       P.return ()
 
   (* Read the cell, waiting out a commit in progress (writers hold the lock
@@ -82,27 +83,27 @@ module Make (P : Proc.S) = struct
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some v -> P.return (Ok v)
         | None -> (
             let* () = ensure_rv t tx in
             let* versions = stable_read t tx x in
-            match find_version versions tx.rv with
+            match find_version versions (P.get tx.rv) with
             | Some (_, v) ->
-                tx.rset <- (x, v) :: tx.rset;
+                P.set tx.rset ((x, v) :: P.get tx.rset);
                 P.return (Ok v)
             | None -> invalid_arg "Mvtm: no version visible at snapshot"))
 
   let write t tx x v =
     P.suspend @@ fun () ->
     let* () = ensure_rv t tx in
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
-  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let wset tx = List.sort_uniq compare (List.map fst (P.get tx.wbuf))
 
   let release t held =
     P.iter
@@ -127,7 +128,7 @@ module Make (P : Proc.S) = struct
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then P.return (Ok ())
+    if P.get tx.wbuf = [] then P.return (Ok ())
       (* read-only: the snapshot was consistent *)
     else
       let* acquired = acquire t tx [] (wset tx) in
@@ -147,12 +148,12 @@ module Make (P : Proc.S) = struct
             P.for_all
               (fun (x, _) ->
                 if List.mem_assoc x held then
-                  P.return (newest (List.assoc x held) <= tx.rv)
+                  P.return (newest (List.assoc x held) <= P.get tx.rv)
                 else
                   let* cell = P.read t.cells.(x) in
                   let owner, versions = unpack cell in
-                  P.return (owner = Orec.none && newest versions <= tx.rv))
-              tx.rset
+                  P.return (owner = Orec.none && newest versions <= P.get tx.rv))
+              (P.get tx.rset)
           in
           if not rset_ok then
             let* () = release t held in
@@ -161,7 +162,7 @@ module Make (P : Proc.S) = struct
             let* () =
               P.iter
                 (fun (x, versions) ->
-                  match List.assoc_opt x tx.wbuf with
+                  match List.assoc_opt x (P.get tx.wbuf) with
                   | Some v ->
                       P.write t.cells.(x)
                         (pack ~owner:Orec.none (cons ~ver:wv ~v versions))

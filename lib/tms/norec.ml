@@ -25,12 +25,13 @@ module Make (P : Proc.S) = struct
     }
 
   type tx = {
-    mutable snap : int;  (* -1 until initialized *)
-    mutable rset : (int * int) list;  (* obj -> value read *)
-    mutable wbuf : (int * int) list;
+    snap : int P.var;  (* -1 until initialized *)
+    rset : (int * int) list P.var;  (* obj -> value read *)
+    wbuf : (int * int) list P.var;
   }
 
-  let fresh _t ~pid:_ ~id:_ = { snap = -1; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id:_ =
+    { snap = P.var (-1); rset = P.var []; wbuf = P.var [] }
 
   let wait_even t =
     P.suspend @@ fun () ->
@@ -53,7 +54,7 @@ module Make (P : Proc.S) = struct
           (fun (x, v) ->
             let* v' = P.read_int t.data.(x) in
             P.return (v' = v))
-          tx.rset
+          (P.get tx.rset)
       in
       if unchanged then
         let* s' = P.read_int t.seq in
@@ -65,26 +66,26 @@ module Make (P : Proc.S) = struct
   (* Initialize the snapshot on the transaction's first shared access. *)
   let ensure_snap t tx =
     P.suspend @@ fun () ->
-    if tx.snap >= 0 then P.return ()
+    if P.get tx.snap >= 0 then P.return ()
     else
       let* s = wait_even t in
-      tx.snap <- s;
+      P.set tx.snap s;
       P.return ()
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some v -> P.return (Ok v)
         | None ->
             let* () = ensure_snap t tx in
             let rec go () =
               let* v = P.read_int t.data.(x) in
               let* s = P.read_int t.seq in
-              if s = tx.snap then begin
-                tx.rset <- (x, v) :: tx.rset;
+              if s = P.get tx.snap then begin
+                P.set tx.rset ((x, v) :: P.get tx.rset);
                 P.return (Ok v)
               end
               else
@@ -92,25 +93,25 @@ module Make (P : Proc.S) = struct
                 match r with
                 | None -> P.return (Error `Abort)
                 | Some s' ->
-                    tx.snap <- s';
+                    P.set tx.snap s';
                     go ()
             in
             go ())
 
   let write _t tx x v =
     P.suspend @@ fun () ->
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then P.return (Ok ())
+    if P.get tx.wbuf = [] then P.return (Ok ())
     else
       let* () = ensure_snap t tx in
       let rec acquire () =
+        let snap = P.get tx.snap in
         let* won =
-          P.cas t.seq ~expected:(Value.Int tx.snap)
-            ~desired:(Value.Int (tx.snap + 1))
+          P.cas t.seq ~expected:(Value.Int snap) ~desired:(Value.Int (snap + 1))
         in
         if won then P.return true
         else
@@ -118,26 +119,25 @@ module Make (P : Proc.S) = struct
           match r with
           | None -> P.return false
           | Some s ->
-              tx.snap <- s;
+              P.set tx.snap s;
               acquire ()
       in
       let* acquired = acquire () in
       if not acquired then P.return (Error `Abort)
-      else begin
-        let seen = Hashtbl.create 8 in
-        let* () =
-          P.iter
-            (fun (x, v) ->
-              if Hashtbl.mem seen x then P.return ()
-              else begin
-                Hashtbl.add seen x ();
-                P.write t.data.(x) (Value.Int v)
-              end)
-            tx.wbuf
+      else
+        (* the newest buffered value of each object, newest first *)
+        let writes =
+          List.fold_left
+            (fun acc (x, v) ->
+              if List.mem_assoc x acc then acc else (x, v) :: acc)
+            [] (P.get tx.wbuf)
+          |> List.rev
         in
-        let* () = P.write t.seq (Value.Int (tx.snap + 2)) in
+        let* () =
+          P.iter (fun (x, v) -> P.write t.data.(x) (Value.Int v)) writes
+        in
+        let* () = P.write t.seq (Value.Int (P.get tx.snap + 2)) in
         P.return (Ok ())
-      end
 end
 
 include Make (Proc.Direct)

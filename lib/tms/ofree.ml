@@ -103,17 +103,19 @@ module Make (C : CONFIG) (P : Proc.S) = struct
   type tx = {
     id : int;
     pid : int;
-    mutable status : Memory.addr option;
+    status : Memory.addr option P.var;
         (* allocated at the first write acquisition; a read-only
            transaction never publishes anything *)
-    mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
-    mutable wset : (int * (int * int * int)) list;
+    rset : (int * (int * int)) list P.var;  (* obj -> (ver, value) *)
+    wset : (int * (int * int * int)) list P.var;
         (* obj -> (over, oval, nval) as published in the header *)
   }
 
-  let fresh _t ~pid ~id = { id; pid; status = None; rset = []; wset = [] }
+  let fresh _t ~pid ~id =
+    { id; pid; status = P.var None; rset = P.var []; wset = P.var [] }
 
-  let mine tx desc = match tx.status with Some d -> d = desc | None -> false
+  let mine tx desc =
+    match P.get tx.status with Some d -> d = desc | None -> false
 
   (* Abort this attempt: publish the decision (peers must be able to
      observe it and recover (over, oval) from any header we still own),
@@ -121,7 +123,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
      free. The CAS may lose to a thief — same decided outcome. *)
   let self_abort tx =
     P.suspend @@ fun () ->
-    match tx.status with
+    match P.get tx.status with
     | None -> P.return (Error `Abort)
     | Some d ->
         let* _ =
@@ -195,14 +197,14 @@ module Make (C : CONFIG) (P : Proc.S) = struct
                   if over = ver then go rest else P.return false
                 else P.return false)
     in
-    go tx.rset
+    go (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wset with
+    match List.assoc_opt x (P.get tx.wset) with
     | Some (_, _, nval) -> P.return (Ok nval)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some (_, v) -> P.return (Ok v)
         | None -> (
             let* r = resolve t tx x in
@@ -212,33 +214,33 @@ module Make (C : CONFIG) (P : Proc.S) = struct
                 let* ok = valid t tx in
                 if not ok then self_abort tx
                 else begin
-                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                  P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
                   Cm.on_open t.cm ~pid:tx.pid;
                   P.return (Ok v)
                 end))
 
   let write t tx x v =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wset with
+    match List.assoc_opt x (P.get tx.wset) with
     | Some (over, oval, nval0) ->
         (* Re-publish the new speculative value: peers compute our
            post-commit value from the header, so it must be there before
            our commit CAS. A failed CAS means a thief aborted us and a new
            owner already replaced the header. *)
-        let d = Option.get tx.status in
+        let d = Option.get (P.get tx.status) in
         let* won =
           P.cas t.headers.(x)
             ~expected:(owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:nval0)
             ~desired:(owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:v)
         in
         if won then begin
-          tx.wset <- (x, (over, oval, v)) :: List.remove_assoc x tx.wset;
+          P.set tx.wset ((x, (over, oval, v)) :: List.remove_assoc x (P.get tx.wset));
           P.return (Ok ())
         end
         else self_abort tx
     | None ->
         let d =
-          match tx.status with
+          match P.get tx.status with
           | Some d -> d
           | None ->
               (* set-up allocation, not a step; explorer restarts re-land
@@ -248,7 +250,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
                   ~name:(Printf.sprintf "ofree.st[%d]" tx.id)
                   (Value.int_ active)
               in
-              tx.status <- Some d;
+              P.set tx.status (Some d);
               d
         in
         let rec acquire () =
@@ -256,7 +258,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
           match r with
           | Error `Abort -> self_abort tx
           | Ok (over, oval, expected) -> (
-              match List.assoc_opt x tx.rset with
+              match List.assoc_opt x (P.get tx.rset) with
               | Some (ver, _) when ver <> over ->
                   (* the object moved on since we read it: doomed anyway *)
                   self_abort tx
@@ -267,7 +269,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
                         (owned ~desc:d ~pid:tx.pid ~over ~oval ~nval:v)
                   in
                   if won then begin
-                    tx.wset <- (x, (over, oval, v)) :: tx.wset;
+                    P.set tx.wset ((x, (over, oval, v)) :: P.get tx.wset);
                     Cm.on_open t.cm ~pid:tx.pid;
                     P.return (Ok ())
                   end
@@ -278,7 +280,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
   let try_commit t tx =
     P.suspend @@ fun () ->
     let* ok = valid t tx in
-    match tx.status with
+    match P.get tx.status with
     | None ->
         (* read-only: the final validation is the commit point *)
         if ok then begin

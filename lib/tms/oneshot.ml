@@ -32,46 +32,48 @@ module Make (P : Proc.S) = struct
     }
 
   type tx = {
-    mutable obj : int;  (* -1 = no object accessed yet *)
-    mutable seen : (int * int) option;  (* (ver, value) of the unique read *)
-    mutable wv : int option;
+    obj : int P.var;  (* -1 = no object accessed yet *)
+    seen : (int * int) option P.var;  (* (ver, value) of the unique read *)
+    wv : int option P.var;
   }
 
-  let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
+  let fresh _t ~pid:_ ~id:_ =
+    { obj = P.var (-1); seen = P.var None; wv = P.var None }
 
   let restrict tx x =
-    if tx.obj = -1 then tx.obj <- x
-    else if tx.obj <> x then
+    let o = P.get tx.obj in
+    if o = -1 then P.set tx.obj x
+    else if o <> x then
       invalid_arg "Oneshot: transactions may access a single t-object only"
 
   let read t tx x =
     P.suspend @@ fun () ->
     restrict tx x;
-    match tx.wv with
+    match P.get tx.wv with
     | Some v -> P.return (Ok v)
     | None -> (
-        match tx.seen with
+        match P.get tx.seen with
         | Some (_, v) -> P.return (Ok v)
         | None ->
             let* c = P.read t.cells.(x) in
             let ver, v = unpack c in
-            tx.seen <- Some (ver, v);
+            P.set tx.seen (Some (ver, v));
             P.return (Ok v))
 
   let write _t tx x v =
     P.suspend @@ fun () ->
     restrict tx x;
-    tx.wv <- Some v;
+    P.set tx.wv (Some v);
     P.return (Ok ())
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    match tx.wv with
+    match P.get tx.wv with
     | None -> P.return (Ok ()) (* read-only: a single read is trivially atomic *)
     | Some v ->
-        let x = tx.obj in
+        let x = P.get tx.obj in
         let* ver, cur =
-          match tx.seen with
+          match P.get tx.seen with
           | Some s -> P.return s
           | None -> P.map unpack (P.read t.cells.(x)) (* blind write *)
         in

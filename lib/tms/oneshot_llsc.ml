@@ -24,48 +24,50 @@ module Make (P : Proc.S) = struct
     }
 
   type tx = {
-    mutable obj : int;  (* -1 = no object accessed yet *)
-    mutable seen : int option;  (* value of the unique load-linked read *)
-    mutable wv : int option;
+    obj : int P.var;  (* -1 = no object accessed yet *)
+    seen : int option P.var;  (* value of the unique load-linked read *)
+    wv : int option P.var;
   }
 
-  let fresh _t ~pid:_ ~id:_ = { obj = -1; seen = None; wv = None }
+  let fresh _t ~pid:_ ~id:_ =
+    { obj = P.var (-1); seen = P.var None; wv = P.var None }
 
   let restrict tx x =
-    if tx.obj = -1 then tx.obj <- x
-    else if tx.obj <> x then
+    let o = P.get tx.obj in
+    if o = -1 then P.set tx.obj x
+    else if o <> x then
       invalid_arg
         "Oneshot_llsc: transactions may access a single t-object only"
 
   let read t tx x =
     P.suspend @@ fun () ->
     restrict tx x;
-    match tx.wv with
+    match P.get tx.wv with
     | Some v -> P.return (Ok v)
     | None -> (
-        match tx.seen with
+        match P.get tx.seen with
         | Some v -> P.return (Ok v)
         | None ->
             let* c = P.ll t.cells.(x) in
             let v = Value.to_int c in
-            tx.seen <- Some v;
+            P.set tx.seen (Some v);
             P.return (Ok v))
 
   let write _t tx x v =
     P.suspend @@ fun () ->
     restrict tx x;
-    tx.wv <- Some v;
+    P.set tx.wv (Some v);
     P.return (Ok ())
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    match tx.wv with
+    match P.get tx.wv with
     | None -> P.return (Ok ()) (* read-only: a single load is trivially atomic *)
     | Some v ->
-        let x = tx.obj in
+        let x = P.get tx.obj in
         (* A blind write still needs a link for the SC. *)
         let* () =
-          if tx.seen = None then P.map ignore (P.ll t.cells.(x))
+          if P.get tx.seen = None then P.map ignore (P.ll t.cells.(x))
           else P.return ()
         in
         let* won = P.sc t.cells.(x) (Value.Int v) in

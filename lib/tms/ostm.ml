@@ -86,11 +86,11 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
-    mutable wbuf : (int * int) list;  (* latest first *)
+    rset : (int * (int * int)) list P.var;  (* obj -> (ver, value) *)
+    wbuf : (int * int) list P.var;  (* latest first *)
   }
 
-  let fresh _t ~pid:_ ~id = { id; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id = { id; rset = P.var []; wbuf = P.var [] }
 
   (* Suspended frames of in-progress completions: finding a header owned by
      a rival used to recurse into the rival's descriptor (with a depth-64
@@ -239,54 +239,55 @@ module Make (P : Proc.S) = struct
       (fun (x, (ver, _)) ->
         let* ver', _ = stable_header t x in
         P.return (ver' = ver))
-      tx.rset
+      (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some (_, v) -> P.return (Ok v)
         | None ->
             let* ver, v = stable_header t x in
             let* ok = valid t tx in
             if not ok then P.return (Error `Abort)
             else begin
-              tx.rset <- (x, (ver, v)) :: tx.rset;
+              P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
               P.return (Ok v)
             end)
 
   let write _t tx x v =
     P.suspend @@ fun () ->
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then
+    let wbuf = P.get tx.wbuf and rset = P.get tx.rset in
+    if wbuf = [] then
       let* ok = valid t tx in
       P.return (if ok then Ok () else Error `Abort)
     else
       (* Snapshot expected old values for the write set (helping rivals as
          needed), reusing read-set knowledge where available. *)
-      let wset = List.sort_uniq compare (List.map fst tx.wbuf) in
+      let wset = List.sort_uniq compare (List.map fst wbuf) in
       let rec snap acc = function
         | [] -> P.return (List.rev acc)
         | x :: rest ->
             let* over, oval =
-              match List.assoc_opt x tx.rset with
+              match List.assoc_opt x rset with
               | Some (ver, v) -> P.return (ver, v)
               | None -> stable_header t x
             in
-            snap ((x, (over, oval, List.assoc x tx.wbuf)) :: acc) rest
+            snap ((x, (over, oval, List.assoc x wbuf)) :: acc) rest
       in
       let* writes = snap [] wset in
       (* reads not overlapping the write set are checked by version *)
       let reads =
         List.filter_map
           (fun (x, (ver, _)) -> if List.mem x wset then None else Some (x, ver))
-          tx.rset
+          rset
       in
       (* publish the descriptor: status, writes, reads, in three consecutive
          cells (set-up allocation + initializing stores) *)

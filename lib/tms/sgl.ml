@@ -24,15 +24,15 @@ module Make (P : Proc.S) = struct
           ~init:(Value.Int Ptm_core.Tm_intf.init_value);
     }
 
-  type tx = { mutable holding : bool }
+  type tx = { holding : bool P.var }
 
-  let fresh _t ~pid:_ ~id:_ = { holding = false }
+  let fresh _t ~pid:_ ~id:_ = { holding = P.var false }
 
   (* Test-and-test-and-set acquisition: spin on the cached value, attempt
      the TAS only when the lock looks free. *)
   let acquire t tx =
     P.suspend @@ fun () ->
-    if tx.holding then P.return ()
+    if P.get tx.holding then P.return ()
     else
       let rec go () =
         let* held = P.read_bool t.lock in
@@ -42,7 +42,7 @@ module Make (P : Proc.S) = struct
           if taken then go () else P.return ()
       in
       let* () = go () in
-      tx.holding <- true;
+      P.set tx.holding true;
       P.return ()
 
   let read t tx x =
@@ -59,9 +59,9 @@ module Make (P : Proc.S) = struct
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.holding then begin
+    if P.get tx.holding then begin
       let* () = P.write t.lock (Value.Bool false) in
-      tx.holding <- false;
+      P.set tx.holding false;
       P.return (Ok ())
     end
     else P.return (Ok ())

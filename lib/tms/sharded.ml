@@ -127,20 +127,19 @@ struct
   type tx = {
     pid : int;
     pass : T.tx option;  (* [shards = 1]: full passthrough *)
-    rcache : (int, int) Hashtbl.t;  (* obj -> first value read *)
-    wbuf : (int, int) Hashtbl.t;  (* obj -> last value written *)
-    mutable worder : int list;  (* distinct written objects, newest first *)
-    shard_seq : int array;  (* SQ_s at last validation; -1 = untouched *)
+    rcache : (int * int) list P.var;  (* obj -> first value read, newest first *)
+    wbuf : (int * int) list P.var;
+        (* obj -> last value written; objects newest first by first write *)
+    shard_seq : int P.var array;  (* SQ_s at last validation; -1 = untouched *)
   }
 
   let fresh t ~pid ~id =
     {
       pid;
       pass = (if C.shards = 1 then Some (T.fresh t.inner.(0) ~pid ~id) else None);
-      rcache = Hashtbl.create 8;
-      wbuf = Hashtbl.create 8;
-      worder = [];
-      shard_seq = Array.make C.shards (-1);
+      rcache = P.var [];
+      wbuf = P.var [];
+      shard_seq = Array.init C.shards (fun _ -> P.var (-1));
     }
 
   let next_sub t =
@@ -190,14 +189,25 @@ struct
   let touched tx =
     let acc = ref [] in
     for s = C.shards - 1 downto 0 do
-      if tx.shard_seq.(s) >= 0 then acc := s :: !acc
+      if P.get tx.shard_seq.(s) >= 0 then acc := s :: !acc
     done;
     !acc
 
-  (* The read cache in [Hashtbl.fold] order ([fold] prepends, hence the
-     reversal). *)
+  (* The read cache in the order validation visits it: the [Hashtbl.fold]
+     order of a table filled with the cached reads, oldest first ([fold]
+     prepends, hence the reversal). *)
   let cached tx =
-    List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) tx.rcache [])
+    let h = Hashtbl.create 8 in
+    List.iter (fun (y, v) -> Hashtbl.replace h y v) (List.rev (P.get tx.rcache));
+    List.rev (Hashtbl.fold (fun y v acc -> (y, v) :: acc) h [])
+
+  (* The seqlock of each listed shard, read in list order. *)
+  let rec read_seqs t = function
+    | [] -> P.return []
+    | s :: rest ->
+        let* q = P.read_int t.seq.(s) in
+        let* qs = read_seqs t rest in
+        P.return ((s, q) :: qs)
 
   (* Re-sample the cached reads of every shard whose seqlock moved since
      the transaction last validated it ([tx.shard_seq]), and require (a)
@@ -209,20 +219,14 @@ struct
      seqlock restarts the pass; a changed value is a real conflict and
      fails it. *)
   let rec revalidate t tx =
+    let* qs = read_seqs t (touched tx) in
     let pass = Array.make C.shards (-1) in
-    let* () =
-      P.iter
-        (fun s ->
-          let* q = P.read_int t.seq.(s) in
-          pass.(s) <- q;
-          P.return ())
-        (touched tx)
-    in
+    List.iter (fun (s, q) -> pass.(s) <- q) qs;
     let rec check = function
       | [] -> P.return `Ok
       | (y, v_old) :: rest ->
           let s = shard y in
-          if pass.(s) = tx.shard_seq.(s) then check rest
+          if pass.(s) = P.get tx.shard_seq.(s) then check rest
           else
             let* v', q' = stable_read t ~pid:tx.pid y in
             if q' <> pass.(s) then P.return `Restart
@@ -242,7 +246,7 @@ struct
             (touched tx)
         in
         if ok then begin
-          List.iter (fun s -> tx.shard_seq.(s) <- pass.(s)) (touched tx);
+          List.iter (fun s -> P.set tx.shard_seq.(s) pass.(s)) (touched tx);
           P.return true
         end
         else revalidate t tx
@@ -254,15 +258,9 @@ struct
      is re-read once with a bare mini-read (retried while the inner TM
      aborts it, as in [stable_read]) and must be unchanged. *)
   let validate_fenced t tx =
+    let* qs = read_seqs t (touched tx) in
     let moved = Array.make C.shards false in
-    let* () =
-      P.iter
-        (fun s ->
-          let* q = P.read_int t.seq.(s) in
-          moved.(s) <- q <> tx.shard_seq.(s);
-          P.return ())
-        (touched tx)
-    in
+    List.iter (fun (s, q) -> moved.(s) <- q <> P.get tx.shard_seq.(s)) qs;
     let rec reread s sx =
       let* r = mini_read t ~pid:tx.pid s sx in
       match r with Some v -> P.return v | None -> reread s sx
@@ -280,19 +278,19 @@ struct
     match tx.pass with
     | Some sub -> T.read t.inner.(0) sub (slot x)
     | None -> (
-        match Hashtbl.find_opt tx.wbuf x with
+        match List.assoc_opt x (P.get tx.wbuf) with
         | Some v -> P.return (Ok v)
         | None -> (
-            match Hashtbl.find_opt tx.rcache x with
+            match List.assoc_opt x (P.get tx.rcache) with
             | Some v -> P.return (Ok v)
             | None ->
                 let* v, q = stable_read t ~pid:tx.pid x in
                 let s = shard x in
-                let is_new = tx.shard_seq.(s) < 0 in
+                let is_new = P.get tx.shard_seq.(s) < 0 in
                 (* no seqlock reads once the own-shard check already
                    moved *)
                 let* steady =
-                  if (not is_new) && tx.shard_seq.(s) <> q then
+                  if (not is_new) && P.get tx.shard_seq.(s) <> q then
                     P.return false
                   else
                     P.for_all
@@ -300,11 +298,11 @@ struct
                         if s' = s then P.return true
                         else
                           let* q' = P.read_int t.seq.(s') in
-                          P.return (q' = tx.shard_seq.(s')))
+                          P.return (q' = P.get tx.shard_seq.(s')))
                       (touched tx)
                 in
-                Hashtbl.replace tx.rcache x v;
-                if is_new then tx.shard_seq.(s) <- q;
+                P.set tx.rcache ((x, v) :: P.get tx.rcache);
+                if is_new then P.set tx.shard_seq.(s) q;
                 if steady then P.return (Ok v)
                 else
                   let* ok = revalidate t tx in
@@ -315,8 +313,11 @@ struct
     match tx.pass with
     | Some sub -> T.write t.inner.(0) sub (slot x) v
     | None ->
-        if not (Hashtbl.mem tx.wbuf x) then tx.worder <- x :: tx.worder;
-        Hashtbl.replace tx.wbuf x v;
+        let wbuf = P.get tx.wbuf in
+        P.set tx.wbuf
+          (if List.mem_assoc x wbuf then
+             List.map (fun (y, w) -> if y = x then (y, v) else (y, w)) wbuf
+           else (x, v) :: wbuf);
         P.return (Ok ())
 
   let rec acquire t ~pid s =
@@ -358,11 +359,14 @@ struct
     match tx.pass with
     | Some sub -> T.try_commit t.inner.(0) sub
     | None ->
-        if tx.worder = [] then P.return (Ok ())
+        let wbuf = P.get tx.wbuf in
+        if wbuf = [] then P.return (Ok ())
           (* read-only: the cache was validated as of the last t-read, a
              legal serialization point inside the transaction's interval *)
         else
-          let wshards = List.sort_uniq compare (List.map shard tx.worder) in
+          let wshards =
+            List.sort_uniq compare (List.map (fun (x, _) -> shard x) wbuf)
+          in
           (* fence every touched shard, written or read, in ascending
              order: ordered acquisition is deadlock-free, and with all
              touched seqlocks frozen the validation below cannot race *)
@@ -377,11 +381,9 @@ struct
               P.iter
                 (fun s ->
                   let writes =
-                    List.rev tx.worder
-                    |> List.filter_map (fun x ->
-                           if shard x = s then
-                             Some (slot x, Hashtbl.find tx.wbuf x)
-                           else None)
+                    List.rev wbuf
+                    |> List.filter_map (fun (x, v) ->
+                           if shard x = s then Some (slot x, v) else None)
                   in
                   let* () = publish t ~pid:tx.pid s writes in
                   let* (_ : int) = P.faa t.seq.(s) 1 in

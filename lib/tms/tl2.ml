@@ -33,49 +33,51 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rv : int;  (* -1 until the first t-operation samples the clock *)
-    mutable rset : (int * int) list;  (* obj -> value read (for caching) *)
-    mutable wbuf : (int * int) list;
+    rv : int P.var;  (* -1 until the first t-operation samples the clock *)
+    rset : (int * int) list P.var;  (* obj -> value read (for caching) *)
+    wbuf : (int * int) list P.var;
   }
 
-  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id =
+    { id; rv = P.var (-1); rset = P.var []; wbuf = P.var [] }
 
   let ensure_rv t tx =
-    if tx.rv >= 0 then P.return ()
+    if P.get tx.rv >= 0 then P.return ()
     else
       let* c = P.read_int t.clock in
-      tx.rv <- c;
+      P.set tx.rv c;
       P.return ()
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some v -> P.return (Ok v)
         | None ->
             let* () = ensure_rv t tx in
             let* o = P.read t.orecs.(x) in
             let ver, owner = Orec.unpack o in
-            if owner <> Orec.none || ver > tx.rv then P.return (Error `Abort)
+            if owner <> Orec.none || ver > P.get tx.rv then
+              P.return (Error `Abort)
             else
               let* v = P.read_int t.data.(x) in
               let* o2 = P.read t.orecs.(x) in
               let ver2, owner2 = Orec.unpack o2 in
               if ver2 <> ver || owner2 <> Orec.none then P.return (Error `Abort)
               else begin
-                tx.rset <- (x, v) :: tx.rset;
+                P.set tx.rset ((x, v) :: P.get tx.rset);
                 P.return (Ok v)
               end)
 
   let write t tx x v =
     P.suspend @@ fun () ->
     let* () = ensure_rv t tx in
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
-  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let wset tx = List.sort_uniq compare (List.map fst (P.get tx.wbuf))
 
   let release t held =
     P.iter
@@ -87,7 +89,7 @@ module Make (P : Proc.S) = struct
     | x :: rest ->
         let* o = P.read t.orecs.(x) in
         let ver, owner = Orec.unpack o in
-        if owner <> Orec.none || ver > tx.rv then P.return (Error held)
+        if owner <> Orec.none || ver > P.get tx.rv then P.return (Error held)
         else
           let* locked =
             P.cas t.orecs.(x)
@@ -99,7 +101,7 @@ module Make (P : Proc.S) = struct
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then P.return (Ok ())
+    if P.get tx.wbuf = [] then P.return (Ok ())
       (* read-only: the rv snapshot already validated *)
     else
       let* acquired = acquire t tx [] (wset tx) in
@@ -117,8 +119,8 @@ module Make (P : Proc.S) = struct
                 else
                   let* o = P.read t.orecs.(x) in
                   let ver, owner = Orec.unpack o in
-                  P.return (owner = Orec.none && ver <= tx.rv))
-              tx.rset
+                  P.return (owner = Orec.none && ver <= P.get tx.rv))
+              (P.get tx.rset)
           in
           if not rset_ok then
             let* () = release t held in
@@ -127,7 +129,7 @@ module Make (P : Proc.S) = struct
             let* () =
               P.iter
                 (fun (x, _) ->
-                  match List.assoc_opt x tx.wbuf with
+                  match List.assoc_opt x (P.get tx.wbuf) with
                   | Some v -> P.write t.data.(x) (Value.Int v)
                   | None -> P.return ())
                 held

@@ -33,18 +33,19 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rv : int;
-    mutable rset : (int * (int * int)) list;  (* obj -> (ver read at, value) *)
-    mutable wbuf : (int * int) list;
+    rv : int P.var;
+    rset : (int * (int * int)) list P.var;  (* obj -> (ver read at, value) *)
+    wbuf : (int * int) list P.var;
   }
 
-  let fresh _t ~pid:_ ~id = { id; rv = -1; rset = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id =
+    { id; rv = P.var (-1); rset = P.var []; wbuf = P.var [] }
 
   let ensure_rv t tx =
-    if tx.rv >= 0 then P.return ()
+    if P.get tx.rv >= 0 then P.return ()
     else
       let* c = P.read_int t.clock in
-      tx.rv <- c;
+      P.set tx.rv c;
       P.return ()
 
   (* Re-validate the whole read set: every entry still unlocked at its
@@ -55,14 +56,14 @@ module Make (P : Proc.S) = struct
         let* o = P.read t.orecs.(x) in
         let ver', owner' = Orec.unpack o in
         P.return (ver' = ver && owner' = Orec.none))
-      tx.rset
+      (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None -> (
-        match List.assoc_opt x tx.rset with
+        match List.assoc_opt x (P.get tx.rset) with
         | Some (_, v) -> P.return (Ok v)
         | None ->
             let* () = ensure_rv t tx in
@@ -76,8 +77,8 @@ module Make (P : Proc.S) = struct
                 let ver2, owner2 = Orec.unpack o2 in
                 if ver2 <> ver || owner2 <> Orec.none then
                   P.return (Error `Abort)
-                else if ver <= tx.rv then begin
-                  tx.rset <- (x, (ver, v)) :: tx.rset;
+                else if ver <= P.get tx.rv then begin
+                  P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
                   P.return (Ok v)
                 end
                 else
@@ -86,7 +87,7 @@ module Make (P : Proc.S) = struct
                   let* new_rv = P.read_int t.clock in
                   let* ok = revalidate t tx in
                   if ok then begin
-                    tx.rv <- new_rv;
+                    P.set tx.rv new_rv;
                     attempt ()
                   end
                   else P.return (Error `Abort)
@@ -96,10 +97,10 @@ module Make (P : Proc.S) = struct
   let write t tx x v =
     P.suspend @@ fun () ->
     let* () = ensure_rv t tx in
-    tx.wbuf <- (x, v) :: tx.wbuf;
+    P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
     P.return (Ok ())
 
-  let wset tx = List.sort_uniq compare (List.map fst tx.wbuf)
+  let wset tx = List.sort_uniq compare (List.map fst (P.get tx.wbuf))
 
   let release t held =
     P.iter
@@ -123,7 +124,7 @@ module Make (P : Proc.S) = struct
 
   let try_commit t tx =
     P.suspend @@ fun () ->
-    if tx.wbuf = [] then P.return (Ok ())
+    if P.get tx.wbuf = [] then P.return (Ok ())
     else
       let* acquired = acquire t tx [] (wset tx) in
       match acquired with
@@ -141,7 +142,7 @@ module Make (P : Proc.S) = struct
                   let* o = P.read t.orecs.(x) in
                   let ver', owner' = Orec.unpack o in
                   P.return (owner' = Orec.none && ver' = ver))
-              tx.rset
+              (P.get tx.rset)
           in
           if not rset_ok then
             let* () = release t held in
@@ -150,7 +151,7 @@ module Make (P : Proc.S) = struct
             let* () =
               P.iter
                 (fun (x, _) ->
-                  match List.assoc_opt x tx.wbuf with
+                  match List.assoc_opt x (P.get tx.wbuf) with
                   | Some v -> P.write t.data.(x) (Value.Int v)
                   | None -> P.return ())
                 held

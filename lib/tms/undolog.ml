@@ -28,15 +28,15 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rset : (int * (int * int)) list;  (* obj -> (ver, value) *)
-    mutable undo : (int * (int * int)) list;
+    rset : (int * (int * int)) list P.var;  (* obj -> (ver, value) *)
+    undo : (int * (int * int)) list P.var;
         (* obj -> (ver at lock, old value); most recent first, one entry per
            locked object *)
   }
 
-  let fresh _t ~pid:_ ~id = { id; rset = []; undo = [] }
+  let fresh _t ~pid:_ ~id = { id; rset = P.var []; undo = P.var [] }
 
-  let locked_by_me tx x = List.mem_assoc x tx.undo
+  let locked_by_me tx x = List.mem_assoc x (P.get tx.undo)
 
   (* Restore old values, then release the locks with a BUMPED version (the
      incarnation trick of TinySTM): releasing with the original version would
@@ -53,9 +53,9 @@ module Make (P : Proc.S) = struct
         (fun (x, (ver, old)) ->
           let* () = P.write t.data.(x) (Value.Int old) in
           P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
-        tx.undo
+        (P.get tx.undo)
     in
-    tx.undo <- [];
+    P.set tx.undo [];
     P.return ()
 
   let abort t tx =
@@ -69,7 +69,7 @@ module Make (P : Proc.S) = struct
         let* o = P.read t.orecs.(x) in
         let ver', owner' = Orec.unpack o in
         P.return (ver' = ver && (owner' = Orec.none || owner' = tx.id)))
-      tx.rset
+      (P.get tx.rset)
 
   let read t tx x =
     P.suspend @@ fun () ->
@@ -77,7 +77,7 @@ module Make (P : Proc.S) = struct
       let* v = P.read_int t.data.(x) in
       P.return (Ok v)
     else
-      match List.assoc_opt x tx.rset with
+      match List.assoc_opt x (P.get tx.rset) with
       | Some (_, v) -> P.return (Ok v)
       | None ->
           let* o = P.read t.orecs.(x) in
@@ -92,7 +92,7 @@ module Make (P : Proc.S) = struct
               let* ok = valid t tx in
               if not ok then abort t tx
               else begin
-                tx.rset <- (x, (ver, v)) :: tx.rset;
+                P.set tx.rset ((x, (ver, v)) :: P.get tx.rset);
                 P.return (Ok v)
               end
 
@@ -113,7 +113,7 @@ module Make (P : Proc.S) = struct
         in
         if locked then
           let* old = P.read_int t.data.(x) in
-          tx.undo <- (x, (ver, old)) :: tx.undo;
+          P.set tx.undo ((x, (ver, old)) :: P.get tx.undo);
           let* () = P.write t.data.(x) (Value.Int v) in
           P.return (Ok ())
         else abort t tx
@@ -128,9 +128,9 @@ module Make (P : Proc.S) = struct
         P.iter
           (fun (x, (ver, _)) ->
             P.write t.orecs.(x) (Orec.pack ~ver:(ver + 1) ~owner:Orec.none))
-          tx.undo
+          (P.get tx.undo)
       in
-      tx.undo <- [];
+      P.set tx.undo [];
       P.return (Ok ())
 end
 

@@ -37,12 +37,13 @@ module Make (P : Proc.S) = struct
 
   type tx = {
     id : int;
-    mutable rlocks : int list;
-    mutable wlocks : int list;
-    mutable wbuf : (int * int) list;
+    rlocks : int list P.var;
+    wlocks : int list P.var;
+    wbuf : (int * int) list P.var;
   }
 
-  let fresh _t ~pid:_ ~id = { id; rlocks = []; wlocks = []; wbuf = [] }
+  let fresh _t ~pid:_ ~id =
+    { id; rlocks = P.var []; wlocks = P.var []; wbuf = P.var [] }
 
   let rec unregister_reader t x =
     let* o = P.read t.orecs.(x) in
@@ -57,11 +58,11 @@ module Make (P : Proc.S) = struct
     let* () =
       P.iter
         (fun x -> P.write t.orecs.(x) (pack ~writer:Orec.none ~readers:0))
-        tx.wlocks
+        (P.get tx.wlocks)
     in
-    let* () = P.iter (fun x -> unregister_reader t x) tx.rlocks in
-    tx.wlocks <- [];
-    tx.rlocks <- [];
+    let* () = P.iter (fun x -> unregister_reader t x) (P.get tx.rlocks) in
+    P.set tx.wlocks [];
+    P.set tx.rlocks [];
     P.return ()
 
   let abort t tx =
@@ -70,10 +71,10 @@ module Make (P : Proc.S) = struct
 
   let read t tx x =
     P.suspend @@ fun () ->
-    match List.assoc_opt x tx.wbuf with
+    match List.assoc_opt x (P.get tx.wbuf) with
     | Some v -> P.return (Ok v)
     | None ->
-        if List.mem x tx.rlocks then P.map Result.ok (P.read_int t.data.(x))
+        if List.mem x (P.get tx.rlocks) then P.map Result.ok (P.read_int t.data.(x))
         else
           let rec go () =
             let* o = P.read t.orecs.(x) in
@@ -85,7 +86,7 @@ module Make (P : Proc.S) = struct
                   ~desired:(pack ~writer:w ~readers:(r + 1))
               in
               if registered then begin
-                tx.rlocks <- x :: tx.rlocks;
+                P.set tx.rlocks (x :: P.get tx.rlocks);
                 P.map Result.ok (P.read_int t.data.(x))
               end
               else
@@ -96,15 +97,15 @@ module Make (P : Proc.S) = struct
 
   let write t tx x v =
     P.suspend @@ fun () ->
-    if List.mem x tx.wlocks then begin
-      tx.wbuf <- (x, v) :: tx.wbuf;
+    if List.mem x (P.get tx.wlocks) then begin
+      P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
       P.return (Ok ())
     end
     else
       let rec go () =
         let* o = P.read t.orecs.(x) in
         let w, r = unpack o in
-        let own = if List.mem x tx.rlocks then 1 else 0 in
+        let own = if List.mem x (P.get tx.rlocks) then 1 else 0 in
         if w <> Orec.none then abort t tx
         else if r > own then abort t tx (* foreign readers present: conflict *)
         else
@@ -114,9 +115,9 @@ module Make (P : Proc.S) = struct
           in
           if locked then begin
             if own = 1 then
-              tx.rlocks <- List.filter (fun y -> y <> x) tx.rlocks;
-            tx.wlocks <- x :: tx.wlocks;
-            tx.wbuf <- (x, v) :: tx.wbuf;
+              P.set tx.rlocks (List.filter (fun y -> y <> x) (P.get tx.rlocks));
+            P.set tx.wlocks (x :: P.get tx.wlocks);
+            P.set tx.wbuf ((x, v) :: P.get tx.wbuf);
             P.return (Ok ())
           end
           else go ()
@@ -130,10 +131,10 @@ module Make (P : Proc.S) = struct
     let* () =
       P.iter
         (fun x ->
-          match List.assoc_opt x tx.wbuf with
+          match List.assoc_opt x (P.get tx.wbuf) with
           | Some v -> P.write t.data.(x) (Value.Int v)
           | None -> P.return ())
-        tx.wlocks
+        (P.get tx.wlocks)
     in
     let* () = release t tx in
     P.return (Ok ())

@@ -152,6 +152,9 @@ let test_step_vs_direct () =
    sharded and contention-managed TMs to a fraction of a second. *)
 let full_budget = [ "undolog"; "ostm"; "norec"; "sgl"; "ofree" ]
 
+(* The Fibers search replays prefixes and the Steps search restores saved
+   nodes, so [replays], [steps] and [replay_steps_saved] differ by design;
+   the search itself must not. *)
 let test_explore_differential () =
   List.iter
     (fun ((module T : Tm_intf.S_step) as tm) ->
@@ -169,9 +172,197 @@ let test_explore_differential () =
             (Printf.sprintf "%s/%s: explorer stats equal across engines"
                T.name mname)
             true
-            (stats Machine.Fibers = stats Machine.Steps))
+            (Explore.same_search (stats Machine.Fibers) (stats Machine.Steps)))
         [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
     every_step_form
+
+(* ------------------------------------------------------------------ *)
+(* Restore vs replay                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A complete leaf, as a digest: per-pid steps, slots and statuses, the
+   retained trace entries, the trace length and every memory cell. *)
+let leaf_digest m =
+  let mem = Machine.memory m in
+  Digest.string
+    (Marshal.to_string
+       ( fingerprint ~nprocs:(Machine.nprocs m) m,
+         Trace.length (Machine.trace m),
+         List.init (Memory.size mem) (Memory.peek mem) )
+       [ Marshal.No_sharing ])
+
+(* Explore [mk engine] and collect the digest of every complete leaf, in
+   leaf order. *)
+let explore_leaves ?(max_steps = 24) ?(max_paths = 300) ?(crashes = 0)
+    ?(stalls = 0) ~mode mk engine =
+  let leaves = ref [] in
+  let final m =
+    leaves := leaf_digest m :: !leaves;
+    true
+  in
+  let s =
+    Explore.run ~mk:(mk engine) ~final ~max_steps ~max_paths ~mode ~crashes
+      ~stalls ~stall_steps:2 ()
+  in
+  (s, List.rev !leaves)
+
+(* The Fibers engine replays every further branch from a restarted machine;
+   the Steps engine restores the node it saved. Same search, same leaves,
+   leaf for leaf. *)
+let restore_agrees ?max_steps ?max_paths ?crashes ?stalls ~mode mk =
+  let sf, lf =
+    explore_leaves ?max_steps ?max_paths ?crashes ?stalls ~mode mk
+      Machine.Fibers
+  in
+  let ss, ls =
+    explore_leaves ?max_steps ?max_paths ?crashes ?stalls ~mode mk
+      Machine.Steps
+  in
+  Explore.same_search sf ss && lf = ls && ss.Explore.replays = 0
+
+let sinks = [ ("off", Trace.Off); ("full", Trace.Full) ]
+
+let test_restore_vs_replay () =
+  List.iter
+    (fun ((module T : Tm_intf.S_step) as tm) ->
+      List.iter
+        (fun (mname, mode) ->
+          List.iter
+            (fun (crashes, stalls) ->
+              List.iter
+                (fun (sname, trace) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf
+                       "%s/%s crashes %d stalls %d trace %s: restore == replay"
+                       T.name mname crashes stalls sname)
+                    true
+                    (restore_agrees ~crashes ~stalls ~mode (fun engine () ->
+                         mk_step_tm tm ~engine ~trace ())))
+                sinks)
+            [ (0, 0); (1, 0); (0, 1); (1, 1) ])
+        [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
+    every_step_form
+
+(* A restored Ring keeps the node's entries that later branches did not
+   overwrite, so a leaf may retain fewer entries than a replayed one would;
+   what it retains is the tail of the leaf's full trace, and the search
+   does not depend on the sink. *)
+let test_restore_ring_suffix () =
+  let suffix a b =
+    let la = List.length a and lb = List.length b in
+    la <= lb && a = List.filteri (fun i _ -> i >= lb - la) b
+  in
+  List.iter
+    (fun ((module T : Tm_intf.S_step) as tm) ->
+      let run trace =
+        let leaves = ref [] in
+        let final m =
+          leaves := Trace.entries (Machine.trace m) :: !leaves;
+          true
+        in
+        let s =
+          Explore.run
+            ~mk:(mk_step_tm tm ~engine:Machine.Steps ~trace)
+            ~final ~max_steps:24 ~max_paths:300 ~mode:Explore.Dpor ~crashes:1
+            ()
+        in
+        (s, List.rev !leaves)
+      in
+      let sr, lr = run (Trace.Ring 5) and sf, lf = run Trace.Full in
+      Alcotest.(check bool)
+        (T.name ^ ": Ring and Full searches identical") true (sr = sf);
+      Alcotest.(check bool)
+        (T.name ^ ": every Ring leaf is a tail of its Full leaf") true
+        (List.for_all2 suffix lr lf))
+    every_step_form
+
+(* A program that keeps host state in a plain [ref] written after a wait
+   breaks the var contract: a restored node resumes closures whose ref
+   still holds a sibling branch's writes, so the leaves disagree with the
+   replaying search. *)
+let mk_leaky engine () =
+  let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
+  let x = Machine.alloc m ~name:"x" (Value.Int 0) in
+  for pid = 0 to 1 do
+    Machine.spawn_step m pid
+      (Sm.suspend (fun () ->
+           let count = ref 0 in
+           let* _ = Sm.read x in
+           incr count;
+           let* _ = Sm.read x in
+           incr count;
+           Sm.write x (Value.Int !count)))
+  done;
+  m
+
+let test_contract_breach_detected () =
+  Alcotest.(check bool) "a ref written after a wait: restore <> replay" false
+    (restore_agrees ~mode:Explore.Naive mk_leaky);
+  Alcotest.(check bool) "the same program over a var: restore == replay" true
+    (restore_agrees ~mode:Explore.Naive (fun engine () ->
+         let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
+         let x = Machine.alloc m ~name:"x" (Value.Int 0) in
+         for pid = 0 to 1 do
+           Machine.spawn_step m pid
+             (Sm.suspend (fun () ->
+                  let count = Sm.var 0 in
+                  let* _ = Sm.read x in
+                  Sm.set count (Sm.get count + 1);
+                  let* _ = Sm.read x in
+                  Sm.set count (Sm.get count + 1);
+                  Sm.write x (Value.Int (Sm.get count))))
+         done;
+         m))
+
+let trail_idle () =
+  (not (Proc.Trail.active ())) && Proc.Trail.length () = 0
+
+(* The trail is on only while a restoring search runs, and empty after it
+   returns, trips its budget or unwinds. *)
+let test_trail_scoping () =
+  let tm = Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec")) in
+  let mk engine () = mk_step_tm tm ~engine ~trace:Trace.Off () in
+  let on_during = ref [] in
+  let final m =
+    on_during := (Machine.restorable m, Proc.Trail.active ()) :: !on_during;
+    true
+  in
+  List.iter
+    (fun engine ->
+      let s = Explore.run ~mk:(mk engine) ~final ~max_steps:32 () in
+      Alcotest.(check bool) "explored" true (s.Explore.paths > 0);
+      Alcotest.(check bool) "idle after a complete search" true (trail_idle ()))
+    [ Machine.Fibers; Machine.Steps ];
+  Alcotest.(check bool) "on exactly during restoring searches" true
+    (List.for_all (fun (r, a) -> r = a) !on_during
+    && List.mem (true, true) !on_during);
+  let s = Explore.run ~mk:(mk Machine.Steps) ~max_steps:32 ~max_paths:5 () in
+  Alcotest.(check bool) "budget tripped" true s.Explore.exhausted;
+  Alcotest.(check bool) "idle after a budget trip" true (trail_idle ());
+  (match
+     Explore.run ~mk:(mk Machine.Steps)
+       ~final:(fun _ -> failwith "final raised")
+       ~max_steps:32 ()
+   with
+  | _ -> Alcotest.fail "the exception from final was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "idle after final raised" true (trail_idle ());
+  (* a journal runs the frontier search in this domain (spawning a domain
+     here would forbid the kill -9 test's fork) *)
+  let f = Filename.temp_file "ptm-trail" ".ckpt" in
+  Sys.remove f;
+  let s =
+    Explore.run ~mk:(mk Machine.Steps) ~max_steps:32 ~mode:Explore.Dpor
+      ~checkpoint_file:f ()
+  in
+  Sys.remove f;
+  Alcotest.(check bool) "frontier search explored" true (s.Explore.paths > 0);
+  Alcotest.(check bool) "idle after a frontier search" true (trail_idle ());
+  let m = mk Machine.Steps () in
+  Sched.round_robin m;
+  Machine.check_crashes m;
+  Alcotest.(check bool) "a run outside the explorer logs nothing" true
+    (trail_idle ())
 
 (* ------------------------------------------------------------------ *)
 (* Random-program differential (QCheck)                                *)
@@ -255,6 +446,51 @@ let qcheck_engine_differential =
         fingerprint ~nprocs:2 m
       in
       run Machine.Fibers = run Machine.Steps)
+
+(* The same random programs, explored: the Steps search restores saved
+   nodes, the Fibers search replays, and the two must agree leaf for leaf,
+   fault plans and fault budgets included. *)
+let qcheck_restore_differential =
+  let gen =
+    QCheck2.Gen.(
+      let addr = int_bound 2 in
+      let op =
+        frequency
+          [
+            (3, map (fun a -> R a) addr);
+            (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
+            (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
+            (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
+            (1, return P);
+          ]
+      in
+      let prog = list_size (int_bound 6) op in
+      let faults =
+        oneof
+          [
+            return [];
+            map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound 4);
+            map2
+              (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
+              (int_bound 4) (int_range 1 3);
+          ]
+      in
+      pair (pair prog prog) (pair faults (pair bool (pair (int_bound 1) (int_bound 1)))))
+  in
+  let print ((ops0, ops1), (faults, (dpor, (crashes, stalls)))) =
+    Printf.sprintf "p0=[%s] p1=[%s] faults=%d %s crashes=%d stalls=%d"
+      (String.concat ";" (List.map pp_op ops0))
+      (String.concat ";" (List.map pp_op ops1))
+      (List.length faults)
+      (if dpor then "dpor" else "naive")
+      crashes stalls
+  in
+  QCheck2.Test.make ~count:150 ~print
+    ~name:"random programs + faults explored: restore == replay" gen
+    (fun ((ops0, ops1), (faults, (dpor, (crashes, stalls)))) ->
+      restore_agrees ~max_steps:16 ~max_paths:400 ~crashes ~stalls
+        ~mode:(if dpor then Explore.Dpor else Explore.Naive)
+        (fun engine () -> mk_random_case ~engine (ops0, ops1, faults)))
 
 (* ------------------------------------------------------------------ *)
 (* Direct instance vs step instance, whole registry (QCheck)           *)
@@ -551,26 +787,41 @@ let write_lines file lines =
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc
 
+(* Rewrite a finished journal's header tag to [tag]. *)
+let current = "ptm-ckpt 4 "
+
+let retag tag l =
+  let n = String.length current in
+  if String.length l >= n && String.equal (String.sub l 0 n) current then
+    Some (tag ^ String.sub l n (String.length l - n))
+  else None
+
+(* A version-3 journal has the current layout, but its done lines count
+   replays and steps of searches that replayed where this one restores. *)
+let downgrade_to_v3 file =
+  write_lines file
+    (List.map
+       (fun l -> Option.value (retag "ptm-ckpt 3 " l) ~default:l)
+       (read_lines file))
+
 (* Rewrite a finished journal into the version-2 layout: the old header
    tag and two extra stats columns after the fault count on every done
    line. Resuming it must be refused, not parsed into shifted stats. *)
 let downgrade_to_v2 file =
-  let v3 = "ptm-ckpt 3 " in
-  let n = String.length v3 in
   write_lines file
     (List.map
        (fun l ->
-         if String.length l >= n && String.equal (String.sub l 0 n) v3 then
-           "ptm-ckpt 2 " ^ String.sub l n (String.length l - n)
-         else
-           match String.split_on_char ' ' l with
-           | "d" :: i :: paths :: cut :: pruned :: viol :: replays :: steps
-             :: saved :: faults :: rest ->
-               String.concat " "
-                 ([ "d"; i; paths; cut; pruned; viol; replays; steps; saved;
-                    faults; "0"; "0" ]
-                 @ rest)
-           | _ -> l)
+         match retag "ptm-ckpt 2 " l with
+         | Some l -> l
+         | None -> (
+             match String.split_on_char ' ' l with
+             | "d" :: i :: paths :: cut :: pruned :: viol :: replays :: steps
+               :: saved :: faults :: rest ->
+                 String.concat " "
+                   ([ "d"; i; paths; cut; pruned; viol; replays; steps; saved;
+                      faults; "0"; "0" ]
+                   @ rest)
+             | _ -> l))
        (read_lines file))
 
 let test_resume_mismatch_rejected () =
@@ -589,6 +840,9 @@ let test_resume_mismatch_rejected () =
   in
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:28 ());
   refused "a journal of a different exploration";
+  ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
+  downgrade_to_v3 f;
+  refused "a ptm-ckpt 3 journal";
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
   downgrade_to_v2 f;
   Alcotest.(check bool) "the downgraded journal is ptm-ckpt 2" true
@@ -700,6 +954,18 @@ let () =
             test_explore_differential;
           of_q qcheck_engine_differential;
           of_q qcheck_instances_differential;
+        ] );
+      ( "restore",
+        [
+          Alcotest.test_case "every step form: restore == replay" `Quick
+            test_restore_vs_replay;
+          Alcotest.test_case "a restored Ring keeps a tail" `Quick
+            test_restore_ring_suffix;
+          of_q qcheck_restore_differential;
+          Alcotest.test_case "a ref written after a wait is caught" `Quick
+            test_contract_breach_detected;
+          Alcotest.test_case "trail scoped to the search" `Quick
+            test_trail_scoping;
         ] );
       ( "ostm",
         [ Alcotest.test_case "deep helping chain" `Quick test_ostm_deep_helping ]

@@ -7,30 +7,9 @@ open Ptm_machine
 open Ptm_mutex
 open Ptm_core
 
-(* Two processes, one critical section each, occupancy assertions inside. *)
-let mk_mutex (module L : Mutex_intf.S) ?(nprocs = 2) ?(trace = Trace.Full) () =
-  let m = Machine.create ~trace ~nprocs () in
-  let lock = L.create m ~nprocs in
-  let c = Machine.alloc m ~name:"c" (Value.Int 0) in
-  (* The occupancy counter lives in a machine cell updated via peek/poke —
-     no events, so the schedule tree is unchanged, but unlike a captured
-     [ref] it is restored when the explorer resets a pooled machine. *)
-  let occ = Machine.alloc m ~name:"occ" (Value.Int 0) in
-  let mem = Machine.memory m in
-  let occ_read () = Value.to_int (Memory.peek mem occ) in
-  let occ_write o = Memory.poke mem occ (Value.Int o) in
-  for pid = 0 to nprocs - 1 do
-    Machine.spawn m pid (fun () ->
-        L.enter lock ~pid;
-        occ_write (occ_read () + 1);
-        assert (occ_read () = 1);
-        let v = Proc.read_int c in
-        Proc.write c (Value.Int (v + 1));
-        assert (occ_read () = 1);
-        occ_write (occ_read () - 1);
-        L.exit_cs lock ~pid)
-  done;
-  m
+(* Two processes, one critical section each, occupancy checks inside. *)
+let mk_mutex (module L : Mutex_intf.S) ?(nprocs = 2) ?trace () =
+  Harness.explored (module L) ?trace ~nprocs ()
 
 (* On maximal (uncut) paths both processes finished: the counter must be
    exactly 2 (no lost update). *)
@@ -200,6 +179,21 @@ let test_detects_broken () =
           [ 0; 1 ]
       in
       Alcotest.(check bool) "witness replays to the violation" true crashed
+
+(* The breach is a typed exception, which [-noassert] cannot remove. *)
+let test_violation_typed () =
+  let s = Explore.run ~mk:(mk_mutex (module Broken_lock)) ~max_steps:16 () in
+  let m = mk_mutex (module Broken_lock) () in
+  List.iter
+    (fun pid -> ignore (Machine.step m pid))
+    (Option.get s.Explore.first_violation);
+  let typed pid =
+    match Machine.status m pid with
+    | Machine.Crashed (Harness.Mutual_exclusion_violation _) -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "the crash is Mutual_exclusion_violation" true
+    (typed 0 || typed 1)
 
 let test_detects_racy () =
   let s = Explore.run ~mk:(mk_mutex (module Racy_lock)) ~max_steps:20 () in
@@ -883,6 +877,8 @@ let () =
       ( "detection",
         [
           Alcotest.test_case "broken lock found" `Quick test_detects_broken;
+          Alcotest.test_case "breach is a typed exception" `Quick
+            test_violation_typed;
           Alcotest.test_case "racy lock found" `Quick test_detects_racy;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
         ] );

@@ -8,7 +8,10 @@
      bool, unit or small int (the preallocated [Value] constructors);
    - [Machine.step] on the Steps engine with the trace sink off allocates
      exactly the re-boxed [S _] process state per step, so a tuple-returning
-     apply (or any other per-event allocation) on that path fails here. *)
+     apply (or any other per-event allocation) on that path fails here;
+   - a step-instance var's [set] allocates nothing while the undo trail is
+     off, and saving and restoring a node into a grown buffer allocate
+     nothing. *)
 
 open Ptm_machine
 
@@ -93,6 +96,34 @@ let test_step_fixed_alloc () =
     "minor words per Machine.step (Steps, trace off)" step_words
     (words_per_call run)
 
+(* Outside a search the trail is off, and a step-instance var's [set] is a
+   plain store. *)
+let test_var_set_zero_alloc () =
+  let v = Proc.Step.var 0 in
+  let run n =
+    for i = 1 to n do
+      Proc.Step.set v i
+    done
+  in
+  Alcotest.(check (float 0.))
+    "minor words per Proc.Step.set (trail off)" 0. (words_per_call run)
+
+(* A node is saved into a preallocated buffer and restored from it: once
+   the buffer's memory snapshot has grown, neither allocates. *)
+let test_save_restore_zero_alloc () =
+  let m = Machine.create ~trace:Trace.Off ~engine:Machine.Steps ~nprocs:1 () in
+  let addr = Machine.alloc m ~name:"x" (Value.Int 0) in
+  spawn_spinner m addr;
+  let sv = Machine.saved_make m in
+  let run n =
+    for _ = 1 to n do
+      Machine.save m sv;
+      Machine.restore m sv
+    done
+  in
+  Alcotest.(check (float 0.))
+    "minor words per Machine.save + Machine.restore" 0. (words_per_call run)
+
 let () =
   Alcotest.run "perf-alloc"
     [
@@ -102,5 +133,9 @@ let () =
             test_apply_zero_alloc;
           Alcotest.test_case "Machine.step allocates one box" `Quick
             test_step_fixed_alloc;
+          Alcotest.test_case "Proc.Step.set allocates nothing" `Quick
+            test_var_set_zero_alloc;
+          Alcotest.test_case "save and restore allocate nothing" `Quick
+            test_save_restore_zero_alloc;
         ] );
     ]

@@ -216,24 +216,34 @@ let test_bank_touches_two_accounts () =
     w.Workload.procs
 
 (* A bad size is rejected up front, with a message naming the field. *)
+let rejects field f =
+  match f () with
+  | (_ : Workload.t) -> Alcotest.failf "%s: expected Invalid_argument" field
+  | exception Invalid_argument msg ->
+      let n = String.length field in
+      let rec has i =
+        i + n <= String.length msg
+        && (String.equal (String.sub msg i n) field || has (i + 1))
+      in
+      Alcotest.(check bool) (field ^ " named in: " ^ msg) true (has 0)
+
 let test_random_bad_sizes () =
-  let rejects field f =
-    match f () with
-    | (_ : Workload.t) -> Alcotest.failf "%s: expected Invalid_argument" field
-    | exception Invalid_argument msg ->
-        let n = String.length field in
-        let rec has i =
-          i + n <= String.length msg
-          && (String.equal (String.sub msg i n) field || has (i + 1))
-        in
-        Alcotest.(check bool) (field ^ " named in: " ^ msg) true (has 0)
-  in
   rejects "txs_per_proc" (fun () ->
       Workload.random ~seed:1 ~nprocs:2 ~nobjs:4 ~txs_per_proc:(-1)
         ~ops_per_tx:3 ());
   rejects "nobjs" (fun () ->
       Workload.random ~seed:1 ~nprocs:2 ~nobjs:0 ~txs_per_proc:1 ~ops_per_tx:3
         ())
+
+let test_bank_bad_sizes () =
+  rejects "naccounts" (fun () ->
+      Workload.bank ~nprocs:2 ~naccounts:1 ~transfers_per_proc:1 ~seed:1);
+  rejects "nprocs" (fun () ->
+      Workload.bank ~nprocs:(-1) ~naccounts:2 ~transfers_per_proc:1 ~seed:1);
+  rejects "transfers_per_proc" (fun () ->
+      Workload.bank ~nprocs:2 ~naccounts:2 ~transfers_per_proc:(-3) ~seed:1);
+  rejects "readers" (fun () ->
+      Workload.read_only_scaling ~readers:(-1) ~nobjs:2)
 
 let () =
   Alcotest.run "workload"
@@ -251,5 +261,7 @@ let () =
           Alcotest.test_case "zipf bias" `Quick test_zipf_bias;
           Alcotest.test_case "bank" `Quick test_bank_touches_two_accounts;
           Alcotest.test_case "bad sizes rejected" `Quick test_random_bad_sizes;
+          Alcotest.test_case "bank bad sizes rejected" `Quick
+            test_bank_bad_sizes;
         ] );
     ]
