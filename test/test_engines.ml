@@ -349,15 +349,21 @@ let test_trail_scoping () =
   Alcotest.(check bool) "idle after final raised" true (trail_idle ());
   (* a journal runs the frontier search in this domain (spawning a domain
      here would forbid the kill -9 test's fork) *)
-  let f = Filename.temp_file "ptm-trail" ".ckpt" in
-  Sys.remove f;
-  let s =
-    Explore.run ~mk:(mk Machine.Steps) ~max_steps:32 ~mode:Explore.Dpor
-      ~checkpoint_file:f ()
+  let journaled engine =
+    let f = Filename.temp_file "ptm-trail" ".ckpt" in
+    Sys.remove f;
+    let s =
+      Explore.run ~mk:(mk engine) ~max_steps:32 ~mode:Explore.Dpor
+        ~checkpoint_file:f ()
+    in
+    Sys.remove f;
+    s
   in
-  Sys.remove f;
+  let s = journaled Machine.Steps in
   Alcotest.(check bool) "frontier search explored" true (s.Explore.paths > 0);
   Alcotest.(check bool) "idle after a frontier search" true (trail_idle ());
+  Alcotest.(check bool) "frontier tasks: restore and replay search alike" true
+    (Explore.same_search s (journaled Machine.Fibers));
   let m = mk Machine.Steps () in
   Sched.round_robin m;
   Machine.check_crashes m;
