@@ -384,6 +384,14 @@ let e9 () =
      counts low but concentrates RMRs on hot cells; the DAP TMs spread@.\
      traffic across per-object orecs.@."
 
+(* A check between two cells that holds in every build, [-noassert]
+   included: unless [ok], print both cells and exit 1. *)
+let cells_agree ~pass ~what ok ca cb =
+  if not ok then begin
+    Fmt.pr "%s: %s:@.%s@.%s@." pass what ca cb;
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* E10: schedule-space reduction of the DPOR explorer                  *)
 (* ------------------------------------------------------------------ *)
@@ -446,9 +454,13 @@ let e10 () =
         Ptm_machine.Explore.run ~mk ~max_steps ~mode:Ptm_machine.Explore.Dpor
           ()
       in
-      assert (
-        naive.Ptm_machine.Explore.violations > 0
-        = (reduced.Ptm_machine.Explore.violations > 0));
+      let cell mode s =
+        Fmt.str "%s %s: %a" name mode Ptm_machine.Explore.pp_stats s
+      in
+      cells_agree ~pass:"e10" ~what:"the verdicts differ"
+        (naive.Ptm_machine.Explore.violations > 0
+        = (reduced.Ptm_machine.Explore.violations > 0))
+        (cell "naive" naive) (cell "dpor" reduced);
       Fmt.pr "%-14s %10d %10d %10d %9.0fx@." name
         naive.Ptm_machine.Explore.paths reduced.Ptm_machine.Explore.paths
         reduced.Ptm_machine.Explore.pruned
@@ -458,13 +470,13 @@ let e10 () =
     "@.each DPOR path stands for a Mazurkiewicz trace: interleavings that@.\
      only reorder independent (distinct-address or read-read) steps are@.\
      explored once. The verdicts agree with the naive search on every@.\
-     config (asserted above; the differential test suite checks more).@."
+     config (checked above; the differential test suite checks more).@."
 
 (* ------------------------------------------------------------------ *)
 (* E11: explorer throughput — naive vs DPOR vs parallel, trace on/off  *)
 (* ------------------------------------------------------------------ *)
 
-(* Fixture builders shared by E11, E12 and the perf gate. *)
+(* Fixture builders shared by E11 and the perf gate. *)
 let bench_mk_tm (module T : Tm_intf.S) trace () =
   let module R = Runner.Make (T) in
   let m = Ptm_machine.Machine.create ~trace ~nprocs:2 () in
@@ -553,17 +565,16 @@ let explore_cell ~config ~mode ~trace ~engine (s : Ptm_machine.Explore.stats)
   Printf.sprintf
     "    {\"config\":%S,\"mode\":%S,\"trace\":%S,\"engine\":%S,\
      \"paths\":%d,\"cut\":%d,\"pruned\":%d,\"violations\":%d,\
-     \"replays\":%d,\"steps\":%d,\"replay_steps_saved\":%d,\
-     \"fault_branches\":%d}"
+     \"replays\":%d,\"steps\":%d,\"fault_branches\":%d}"
     config mode trace engine s.paths s.cut s.pruned s.violations s.replays
-    s.steps s.replay_steps_saved s.fault_branches
+    s.steps s.fault_branches
 
 (* Wall-clock throughput of the schedule explorer itself: complete paths,
    leaves (complete + cut) and machine steps per second, for the naive and
    DPOR searches, single-domain and frontier-parallel, with the trace sink
-   on ([Full]) and off. The verdict and path counts are asserted identical
-   across every cell — the sink and the domain count must never change what
-   the search finds. Results are printed as a table; each cell is returned
+   on ([Full]) and off. The verdict and path counts must be identical
+   across every cell ([cells_agree]) — the sink and the domain count must
+   never change what the search finds. Results are printed as a table; each cell is returned
    as its BENCH_explore.json line. *)
 let e11 ?(quick = false) () =
   hr
@@ -584,8 +595,9 @@ let e11 ?(quick = false) () =
     "paths" "cut" "paths/s" "leaves/s" "steps/s";
   List.iter
     (fun (cname, mk, max_steps, max_paths) ->
+      (* the first cell, and the first cell of each mode *)
       let verdict_ref = ref None in
-      let paths_ref : (string, int) Hashtbl.t = Hashtbl.create 4 in
+      let paths_ref = Hashtbl.create 4 in
       List.iter
         (fun (mname, mode, domains) ->
           List.iter
@@ -596,26 +608,32 @@ let e11 ?(quick = false) () =
               in
               let s, rps = timed_runs min_time run1 in
               let open Ptm_machine.Explore in
+              let cell =
+                explore_cell ~config:cname ~mode:mname ~trace:sname
+                  ~engine:"fibers" s
+              in
               (* the sink must never change the search: identical verdict
                  in every cell and identical path counts between the Full
                  and Off rows of each (mode, domains) pair (DPOR may count
                  fewer paths than naive, and the frontier split may explore
                  a superset of the single-domain persistent sets) *)
               (match !verdict_ref with
-              | None -> verdict_ref := Some (s.violations > 0)
-              | Some v -> assert (v = (s.violations > 0)));
+              | None -> verdict_ref := Some (s, cell)
+              | Some (r, rcell) ->
+                  cells_agree ~pass:"e11" ~what:"the verdicts differ"
+                    ((r.violations > 0) = (s.violations > 0))
+                    rcell cell);
               (match Hashtbl.find_opt paths_ref mname with
-              | None -> Hashtbl.add paths_ref mname s.paths
-              | Some rpaths -> assert (rpaths = s.paths));
+              | None -> Hashtbl.add paths_ref mname (s, cell)
+              | Some (r, rcell) ->
+                  cells_agree ~pass:"e11" ~what:"the path counts differ"
+                    (r.paths = s.paths) rcell cell);
               let leaves = s.paths + s.cut in
               let per x = float_of_int x *. rps in
               Fmt.pr "%-14s %-10s %-5s %10d %6d %12.0f %12.0f %12.0f@." cname
                 mname sname s.paths s.cut (per s.paths) (per leaves)
                 (per s.steps);
-              cells :=
-                explore_cell ~config:cname ~mode:mname ~trace:sname
-                  ~engine:"fibers" s
-                :: !cells)
+              cells := cell :: !cells)
             sinks)
         modes)
     configs;
@@ -625,68 +643,6 @@ let e11 ?(quick = false) () =
      per-step cost is the effect-handler fiber switch and the per-replay@.\
      machine construction.@.";
   List.rev !cells
-
-(* ------------------------------------------------------------------ *)
-(* E12: the replay tax — pooling and checkpointed replay               *)
-(* ------------------------------------------------------------------ *)
-
-(* Leaves/s with every replay device off (a fresh machine per sibling
-   branch, full prefix re-execution — the original explorer) against the
-   defaults (pooled machines restarted in place, stride-4 checkpoints
-   feeding replayed prefixes from the response log). The stats are
-   asserted bit-identical modulo the steps/saved split. *)
-let e12 ?(quick = false) () =
-  hr
-    "E12. The replay tax: machine pooling + checkpointed suffix replay \
-     (trace=off)";
-  let configs = bench_configs ~quick in
-  let modes =
-    [ ("naive", Ptm_machine.Explore.Naive); ("dpor", Ptm_machine.Explore.Dpor) ]
-  in
-  let min_time = if quick then 0.02 else 0.2 in
-  let speedups = ref [] in
-  Fmt.pr "%-14s %-6s %12s %12s %8s %7s@." "config" "mode" "off leaves/s"
-    "on leaves/s" "speedup" "saved";
-  List.iter
-    (fun (cname, mk, max_steps, max_paths) ->
-      List.iter
-        (fun (mname, mode) ->
-          let run1 ~pool ~stride () =
-            Ptm_machine.Explore.run
-              ~mk:(mk Ptm_machine.Trace.Off)
-              ~max_steps ~max_paths ~mode ~pool ~checkpoint_stride:stride ()
-          in
-          let off, rps_off = timed_runs min_time (run1 ~pool:false ~stride:0) in
-          let on_, rps_on = timed_runs min_time (run1 ~pool:true ~stride:4) in
-          let open Ptm_machine.Explore in
-          (* the devices must not change the search (the steps/saved split
-             is the only thing they may move) *)
-          assert (
-            { on_ with steps = on_.steps + on_.replay_steps_saved;
-              replay_steps_saved = 0 }
-            = { off with steps = off.steps + off.replay_steps_saved;
-                replay_steps_saved = 0 });
-          let leaves s = s.paths + s.cut in
-          let l_off = float_of_int (leaves off) *. rps_off in
-          let l_on = float_of_int (leaves on_) *. rps_on in
-          let saved_frac =
-            float_of_int on_.replay_steps_saved
-            /. float_of_int (on_.steps + on_.replay_steps_saved)
-          in
-          speedups := ((cname, mname), l_on /. l_off) :: !speedups;
-          Fmt.pr "%-14s %-6s %12.0f %12.0f %7.2fx %6.0f%%@." cname mname l_off
-            l_on (l_on /. l_off) (100. *. saved_frac))
-        modes)
-    configs;
-  let sp k = try List.assoc k !speedups with Not_found -> 0. in
-  Fmt.pr
-    "@.'off' re-creates a machine per sibling branch and re-executes every@.\
-     prefix step; 'on' restarts pooled machines in place, feeds checkpointed@.\
-     prefixes from the response log (saved = fed fraction of all positions).@.\
-     target: >= 2x leaves/s on the undolog-aba and ostm DPOR cells — \
-     measured %.2fx and %.2fx.@."
-    (sp ("undolog-aba", "dpor"))
-    (sp ("ostm", "dpor"))
 
 (* ------------------------------------------------------------------ *)
 (* E13: fault sweep — every TM x fault kind, commits under adversity   *)
@@ -826,18 +782,13 @@ let e14_configs ~quick =
   ]
 
 (* The engines must search the same tree: the Fibers search replays
-   prefixes and the Steps search restores saved nodes, so only [replays],
-   [steps] and [replay_steps_saved] may differ. On any other difference
-   print both cells and exit 1. *)
+   prefixes and the Steps search restores saved nodes, so only [replays]
+   and [steps] may differ. *)
 let engines_agree ~pass ~config ~mode sf ss =
-  if not (Ptm_machine.Explore.same_search sf ss) then begin
-    let cell engine s =
-      explore_cell ~config ~mode ~trace:"off" ~engine s
-    in
-    Fmt.pr "%s: the engines searched different trees:@.%s@.%s@." pass
-      (cell "fibers" sf) (cell "steps" ss);
-    exit 1
-  end
+  let cell engine s = explore_cell ~config ~mode ~trace:"off" ~engine s in
+  cells_agree ~pass ~what:"the engines searched different trees"
+    (Ptm_machine.Explore.same_search sf ss)
+    (cell "fibers" sf) (cell "steps" ss)
 
 (* Leaves/s of the same step-form search on both engines (trace=off). The
    engines must find exactly the same schedule tree (checked by
@@ -1560,7 +1511,7 @@ let bechamel_pass () =
 (* Every word the dispatcher knows; any other exits 2 before a pass runs,
    so a typo cannot fall through to the full suite. *)
 let accepted =
-  [ "fast"; "quick"; "e11"; "e12"; "e13"; "e14"; "e15"; "e17"; "e18"; "gate" ]
+  [ "fast"; "quick"; "e11"; "e13"; "e14"; "e15"; "e17"; "e18"; "gate" ]
 
 let () =
   let words = List.tl (Array.to_list Sys.argv) in
@@ -1577,7 +1528,6 @@ let () =
   Fmt.pr
     "Progressive Transactional Memory in Time and Space — experiment suite@.";
   if arg "e11" then write_baseline ~quick explore_json (explore_cells ~quick)
-  else if arg "e12" then e12 ~quick ()
   else if arg "e13" then e13 ()
   else if arg "e14" then ignore (e14 ~quick ())
   else if arg "e15" then ignore (e15 ~quick ())
@@ -1597,7 +1547,6 @@ let () =
     e9 ();
     e10 ();
     let c11 = e11 ~quick () in
-    e12 ~quick ();
     e13 ();
     let c14 = e14 ~quick () in
     let c15 = e15 ~quick () in

@@ -67,24 +67,6 @@ let explore_cmd =
              hot path, the default — verdicts here are crash-based and need \
              no trace), $(b,ring:N) (keep the last N entries) or $(b,full).")
   in
-  let pool_arg =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "pool" ] ~docv:"on|off"
-          ~doc:
-            "Machine pooling: recycle finished machines through a free list \
-             instead of rebuilding one per sibling replay (default on).")
-  in
-  let stride_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "checkpoint-stride" ] ~docv:"K"
-          ~doc:
-            "Lay a memory checkpoint every $(docv) schedule depths; sibling \
-             replays feed the checkpointed prefix from the response log and \
-             re-execute only the suffix (0: off, default 4).")
-  in
   let crashes_arg =
     Arg.(
       value & opt int 0
@@ -168,9 +150,8 @@ let explore_cmd =
              agreement; any disagreement is a violation).")
   in
   let run (module L : Ptm_mutex.Mutex_intf.S) max_steps nprocs max_paths
-      reduce domains compare progress_every trace pool checkpoint_stride
-      crashes stalls stall_steps checkpoint_file
-      resume tm cm engine check =
+      reduce domains compare progress_every trace crashes stalls stall_steps
+      checkpoint_file resume tm cm engine check =
     if nprocs > 62 then begin
       Fmt.epr "ptm explore: at most 62 processes (the DPOR sets are int \
                bitmasks), not %d@." nprocs;
@@ -292,8 +273,7 @@ let explore_cmd =
     in
     let search ~mk mode =
       Ptm_machine.Explore.run ~mk ?final ~max_steps ~max_paths ~mode ~domains
-        ~pool ~checkpoint_stride ~crashes ~stalls
-        ~stall_steps ?checkpoint_file ~resume ?progress
+        ~crashes ~stalls ~stall_steps ?checkpoint_file ~resume ?progress
         ~progress_every:(max 1 progress_every)
         ()
     in
@@ -372,7 +352,7 @@ let explore_cmd =
           reduction and parallel domains.")
     Term.(
       const run $ lock_arg $ steps_arg $ procs_arg $ paths_arg $ reduce_arg
-      $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ pool_arg
-      $ stride_arg $ crashes_arg $ stalls_arg $ stall_steps_arg
+      $ domains_arg $ compare_arg $ progress_arg $ trace_arg $ crashes_arg
+      $ stalls_arg $ stall_steps_arg
       $ checkpoint_arg $ resume_arg $ tm_arg $ Cli_common.cm_arg
       $ engine_arg $ check_arg)

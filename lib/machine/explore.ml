@@ -15,8 +15,8 @@ type mode = Naive | Dpor
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "paths=%d cut=%d pruned=%d violations=%d replays=%d steps=%d saved=%d%s%s%s"
-    s.paths s.cut s.pruned s.violations s.replays s.steps s.replay_steps_saved
+    "paths=%d cut=%d pruned=%d violations=%d replays=%d steps=%d%s%s%s"
+    s.paths s.cut s.pruned s.violations s.replays s.steps
     (if s.fault_branches > 0 then
        Printf.sprintf " faults=%d" s.fault_branches
      else "")
@@ -110,43 +110,17 @@ let lowest_bit mask =
   let rec go i v = if v <= 1 then i else go (i + 1) (v lsr 1) in
   go 0 b
 
-(* ------------------------------------------------------------------ *)
-(* Schedules: grow-only arrays used as a stack along the current path.  *)
-(* Besides the pid per position, the response (and changed flag) each   *)
-(* position produced is logged, so checkpointed replays can [feed] a    *)
-(* prefix back into parked continuations instead of re-applying it.     *)
-(* Pause positions log a stale response; [Machine.feed] ignores it.     *)
-(* ------------------------------------------------------------------ *)
+(* Schedules: grow-only arrays used as a stack along the current path. *)
 
-type sched = {
-  mutable s_a : int array;
-  mutable s_resp : Value.t array;
-  mutable s_changed : Bytes.t;
-  mutable s_n : int;
-  s_log : bool;  (* responses only matter when checkpointing is on *)
-}
+type sched = { mutable s_a : int array; mutable s_n : int }
 
-let sched_make ~log () =
-  {
-    s_a = Array.make 64 0;
-    s_resp = Array.make 64 Value.Unit;
-    s_changed = Bytes.make 64 '\000';
-    s_n = 0;
-    s_log = log;
-  }
+let sched_make () = { s_a = Array.make 64 0; s_n = 0 }
 
 let sched_grow sc cap =
   if cap > Array.length sc.s_a then begin
-    let n = max cap (2 * Array.length sc.s_a) in
-    let a = Array.make n 0 in
-    let r = Array.make n Value.Unit in
-    let c = Bytes.make n '\000' in
+    let a = Array.make (max cap (2 * Array.length sc.s_a)) 0 in
     Array.blit sc.s_a 0 a 0 sc.s_n;
-    Array.blit sc.s_resp 0 r 0 sc.s_n;
-    Bytes.blit sc.s_changed 0 c 0 sc.s_n;
-    sc.s_a <- a;
-    sc.s_resp <- r;
-    sc.s_changed <- c
+    sc.s_a <- a
   end
 
 let sched_reset sc prefix =
@@ -155,15 +129,9 @@ let sched_reset sc prefix =
   Array.blit prefix 0 sc.s_a 0 (Array.length prefix);
   sc.s_n <- Array.length prefix
 
-(* Push the position just executed on [m], logging its response. *)
-let sched_push sc m pid =
+let sched_push sc pid =
   sched_grow sc (sc.s_n + 1);
   sc.s_a.(sc.s_n) <- pid;
-  if sc.s_log then begin
-    sc.s_resp.(sc.s_n) <- Machine.last_resp m;
-    Bytes.unsafe_set sc.s_changed sc.s_n
-      (if Machine.last_changed m then '\001' else '\000')
-  end;
   sc.s_n <- sc.s_n + 1
 
 let sched_pop sc = sc.s_n <- sc.s_n - 1
@@ -178,7 +146,6 @@ type acc = {
   mutable a_first : int list option;
   mutable a_replays : int;
   mutable a_steps : int;
-  mutable a_saved : int;
   mutable a_faults : int;  (* fault branches taken (injections performed) *)
   mutable a_ticks : int;  (* leaves since the last progress callback *)
 }
@@ -188,13 +155,11 @@ type ctx = {
   final : Machine.t -> bool;
   max_steps : int;
   max_paths : int;
-  pool : bool;  (* effective: forced off when [mk] pre-steps the machine *)
+  pool : bool;  (* [mk] does not pre-step the machine, so replays may restart
+                   pooled ones *)
   restore : bool;
       (* the machines are restorable: a search saves and restores nodes
          instead of replaying prefixes *)
-  stride : int;
-      (* checkpoint depth stride; 0 = checkpointing off (always, in a
-         restoring search) *)
   crashes : int;  (* crash-injection budget per path *)
   stalls : int;  (* stall-injection budget per path *)
   stall_steps : int;  (* slots a stall branch parks its pid for *)
@@ -213,7 +178,6 @@ let fresh_acc () =
     a_first = None;
     a_replays = 0;
     a_steps = 0;
-    a_saved = 0;
     a_faults = 0;
     a_ticks = 0;
   }
@@ -228,27 +192,14 @@ let stats_of ctx acc =
     exhausted = Atomic.get ctx.tripped;
     replays = acc.a_replays;
     steps = acc.a_steps;
-    replay_steps_saved = acc.a_saved;
+    replay_steps_saved = 0;
     fault_branches = acc.a_faults;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker replay state: the machine free list, the checkpoint       *)
-(* stack, and the per-address access index for the DPOR conflict scan.  *)
-(*                                                                     *)
-(* A checkpoint is a memory snapshot taken when the machine sat exactly *)
-(* after schedule position [c_depth - 1]. A replaying search's machines *)
-(* cannot be checkpoints themselves — fiber continuations are one-shot, *)
-(* so a parked machine is spent the moment it is stepped — but memory   *)
-(* snapshots plus the schedule's response log reconstruct the same     *)
-(* state: restart a pooled machine, [feed] the logged responses (which  *)
-(* replays control flow and the trace without touching memory), then    *)
-(* restore the snapshot. (A restoring search saves whole nodes instead  *)
-(* and lays no checkpoints.)                                            *)
-(* Checkpoint depths on the stack are strictly increasing and only ever *)
-(* refer to the current schedule's unchanged prefix: every sibling      *)
-(* replay happens at its node's depth, and drops deeper checkpoints     *)
-(* before any shallower position can change.                            *)
+(* Per-worker search state: the machine free list, the saved nodes of a *)
+(* restoring search, and the per-address access index for the DPOR      *)
+(* conflict scan.                                                       *)
 (*                                                                      *)
 (* The access index keeps, per base object, a stack of the executed     *)
 (* memory transitions on the current path, packed as                    *)
@@ -258,26 +209,15 @@ let stats_of ctx acc =
 (* one short per-address stack instead of the whole path.               *)
 (* ------------------------------------------------------------------ *)
 
-type ckpt = { mutable c_depth : int; c_snap : Memory.snapshot }
-
 type pstate = {
   mutable free : Machine.t list;
-  mutable cks : ckpt array;
-  mutable n_cks : int;
   mutable ai_stk : int array array;
   mutable ai_len : int array;
   mutable saves : Machine.saved array;  (* restoring: the node per depth *)
 }
 
 let pstate_make () =
-  {
-    free = [];
-    cks = [||];
-    n_cks = 0;
-    ai_stk = [||];
-    ai_len = [||];
-    saves = [||];
-  }
+  { free = []; ai_stk = [||]; ai_len = [||]; saves = [||] }
 
 let pool_put ctx st m = if ctx.pool then st.free <- m :: st.free
 
@@ -299,33 +239,6 @@ let save_node st m depth =
   Machine.save m (Array.unsafe_get st.saves depth)
 
 let done_node st depth = Machine.forget (Array.unsafe_get st.saves depth)
-
-let ckpt_lay st mem depth =
-  let i = st.n_cks in
-  if i >= Array.length st.cks then begin
-    let fresh =
-      Array.init
-        (max 8 (2 * Array.length st.cks))
-        (fun j ->
-          if j < i then st.cks.(j)
-          else { c_depth = 0; c_snap = Memory.snapshot_make () })
-    in
-    st.cks <- fresh
-  end;
-  let c = st.cks.(i) in
-  c.c_depth <- depth;
-  Memory.snapshot_into mem c.c_snap;
-  st.n_cks <- i + 1
-
-(* Lay a checkpoint at [depth] if the stride wants one there and the stack
-   does not already reach it. The machine must sit exactly after schedule
-   position [depth - 1]. *)
-let maybe_ckpt ctx st m depth =
-  if
-    ctx.stride > 0 && depth > 0
-    && depth mod ctx.stride = 0
-    && (st.n_cks = 0 || st.cks.(st.n_cks - 1).c_depth < depth)
-  then ckpt_lay st (Machine.memory m) depth
 
 let ai_pack depth pid trivial = (depth lsl 7) lor (pid lsl 1) lor trivial
 
@@ -397,79 +310,28 @@ let step1 acc m pid =
   acc.a_steps <- acc.a_steps + 1;
   ignore (Machine.unsafe_step m pid : Machine.step_result)
 
-(* Produce a machine positioned after the current schedule prefix. Draws a
-   pooled machine (restarted in place) when one is free, feeds the longest
-   checkpointed prefix from the response log — counted in [a_saved], not
-   [a_steps] — restores the checkpoint's memory snapshot, and re-executes
-   only the remaining suffix for real, laying new checkpoints along it. *)
+(* Produce a machine positioned after the current schedule prefix: restart
+   a pooled machine in place when one is free (else build one with [mk])
+   and re-execute the prefix. Fault actions in the prefix are re-injected:
+   they execute no memory event but re-emit their trace note, keeping seq
+   numbers aligned. *)
 let replay ctx acc st sched =
   acc.a_replays <- acc.a_replays + 1;
   let m =
-    if ctx.pool then begin
-      match st.free with
-      | m :: rest ->
-          st.free <- rest;
-          Machine.restart m;
-          m
-      | [] -> ctx.mk ()
-    end
-    else ctx.mk ()
+    match st.free with
+    | m :: rest ->
+        st.free <- rest;
+        Machine.restart m;
+        m
+    | [] -> ctx.mk ()
   in
-  (* Checkpoints beyond the prefix belong to abandoned branches. *)
-  while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > sched.s_n do
-    st.n_cks <- st.n_cks - 1
-  done;
-  (* Fault actions in the prefix are re-injected rather than fed or
-     stepped: they touch no memory (so they commute with the snapshot
-     restore) and re-emit their trace note, keeping seq numbers aligned. *)
-  let inject m a =
+  for i = 0 to sched.s_n - 1 do
+    let a = sched.s_a.(i) in
     match act_tag a with
+    | 0 -> step1 acc m a
     | 1 -> Machine.inject_crash m (act_pid a)
     | _ -> Machine.inject_stall m (act_pid a) ~steps:ctx.stall_steps
-  in
-  let fed =
-    if st.n_cks > 0 then begin
-      let c = st.cks.(st.n_cks - 1) in
-      for i = 0 to c.c_depth - 1 do
-        let a = sched.s_a.(i) in
-        if act_tag a = 0 then begin
-          Machine.feed m a sched.s_resp.(i)
-            ~changed:(Bytes.get sched.s_changed i <> '\000');
-          (* only fed machine steps count as saved: fault positions cost
-             nothing either way, keeping [steps + saved] stride-invariant *)
-          acc.a_saved <- acc.a_saved + 1
-        end
-        else inject m a
-      done;
-      Memory.restore_from (Machine.memory m) c.c_snap;
-      c.c_depth
-    end
-    else 0
-  in
-  if ctx.stride > 0 then
-    for i = fed to sched.s_n - 1 do
-      let a = sched.s_a.(i) in
-      if act_tag a = 0 then begin
-        acc.a_steps <- acc.a_steps + 1;
-        ignore (Machine.unsafe_step m a : Machine.step_result);
-        (* (Re)log the position: frontier-task prefixes arrive without
-           logs. Fault positions need no log — they are re-injected. *)
-        sched.s_resp.(i) <- Machine.last_resp m;
-        Bytes.set sched.s_changed i
-          (if Machine.last_changed m then '\001' else '\000')
-      end
-      else inject m a;
-      maybe_ckpt ctx st m (i + 1)
-    done
-  else
-    for i = fed to sched.s_n - 1 do
-      let a = sched.s_a.(i) in
-      if act_tag a = 0 then begin
-        acc.a_steps <- acc.a_steps + 1;
-        ignore (Machine.unsafe_step m a : Machine.step_result)
-      end
-      else inject m a
-    done;
+  done;
   m
 
 (* The machine for one branch of the node at [depth], whose own machine is
@@ -514,7 +376,7 @@ let fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
         let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
         Machine.inject_crash m' q;
         acc.a_faults <- acc.a_faults + 1;
-        sched_push sched m' (act_crash q);
+        sched_push sched (act_crash q);
         go m' ~cr:(cr - 1) ~sl;
         sched_pop sched
       end
@@ -525,7 +387,7 @@ let fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
         let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
         Machine.inject_stall m' q ~steps:ctx.stall_steps;
         acc.a_faults <- acc.a_faults + 1;
-        sched_push sched m' (act_stall q);
+        sched_push sched (act_stall q);
         go m' ~cr ~sl:(sl - 1);
         sched_pop sched
       end
@@ -563,7 +425,6 @@ let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
       release ctx st m
     end
     else begin
-      maybe_ckpt ctx st m depth;
       let saved =
         ctx.restore && (cr > 0 || sl > 0 || live land (live - 1) <> 0)
       in
@@ -578,22 +439,15 @@ let rec naive_dfs ctx acc st m sched depth ~cr ~sl =
         if live land (1 lsl pid) <> 0 then begin
           let m' = branch_machine ctx acc st sched m depth fresh ~in_place:false in
           step1 acc m' pid;
-          sched_push sched m' pid;
+          sched_push sched pid;
           naive_dfs ctx acc st m' sched (depth + 1) ~cr ~sl;
           sched_pop sched
         end
       done;
-      (* The sibling subtrees above laid checkpoints along their own
-         branches; the in-place head branch changes position [depth]
-         without going through [replay], so drop them explicitly. (Dpor
-         needs no such drop: its in-place branch runs first.) *)
-      while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
-        st.n_cks <- st.n_cks - 1
-      done;
       let m = branch_machine ctx acc st sched m depth fresh ~in_place:true in
       if saved then done_node st depth;
       step1 acc m head;
-      sched_push sched m head;
+      sched_push sched head;
       naive_dfs ctx acc st m sched (depth + 1) ~cr ~sl;
       sched_pop sched
     end
@@ -697,7 +551,6 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
       release ctx st m
     end
     else begin
-      maybe_ckpt ctx st m depth;
       (* The node's record is filled from [m] before any branch runs on
          it. The fault subtrees below neither read nor write it: their
          nodes sit deeper, and the access index holds no entry at this
@@ -728,17 +581,10 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
          (the coverage argument behind sleep sets does not extend across
          an injection). The step branches below are reduced exactly as in
          the fault-free search. *)
-      if cr > 0 || sl > 0 then begin
+      if cr > 0 || sl > 0 then
         fault_branches ctx acc st m sched depth fresh ~live ~cr ~sl
           ~go:(fun m' ~cr ~sl ->
             dpor_dfs ctx acc st stack m' sched (depth + 1) 0 ~cr ~sl);
-        (* The fault subtrees laid checkpoints along their own branches;
-           the in-place step branch below runs without a [replay] (which
-           is what otherwise trims them), so drop them explicitly. *)
-        while st.n_cks > 0 && st.cks.(st.n_cks - 1).c_depth > depth do
-          st.n_cks <- st.n_cks - 1
-        done
-      end;
       if awake = 0 then begin
         (* sleep-blocked: every enabled transition is covered by an
            already-explored sibling subtree *)
@@ -766,7 +612,7 @@ let rec dpor_dfs ctx acc st stack m sched depth sleep ~cr ~sl =
                 branch_machine ctx acc st sched m depth fresh ~in_place:true
               in
               step1 acc m' q;
-              sched_push sched m' q;
+              sched_push sched q;
               if eq >= 0 then
                 ai_push st (eq lsr 1) (ai_pack depth q (eq land 1));
               dpor_dfs ctx acc st stack m' sched (depth + 1) child_sleep
@@ -815,7 +661,7 @@ let merge_stats s r =
     exhausted = s.exhausted || r.exhausted;
     replays = s.replays + r.replays;
     steps = s.steps + r.steps;
-    replay_steps_saved = s.replay_steps_saved + r.replay_steps_saved;
+    replay_steps_saved = 0;
     fault_branches = s.fault_branches + r.fault_branches;
   }
 
@@ -851,7 +697,7 @@ let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 let journal_header ~mode ~max_steps ~max_paths ~crashes ~stalls ~stall_steps
     ~nprocs ~ntasks =
-  Printf.sprintf "ptm-ckpt 4 %s %d %d %d %d %d %d %d" (mode_name mode)
+  Printf.sprintf "ptm-ckpt 5 %s %d %d %d %d %d %d %d" (mode_name mode)
     max_steps max_paths crashes stalls stall_steps nprocs ntasks
 
 let task_line t =
@@ -868,9 +714,8 @@ let done_line i (s : stats) =
     | Some [] -> "e"
     | Some sched -> String.concat "," (List.map string_of_int sched)
   in
-  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %d %s ." i s.paths s.cut
-    s.pruned s.violations s.replays s.steps s.replay_steps_saved
-    s.fault_branches
+  Printf.sprintf "d %d %d %d %d %d %d %d %d %d %s ." i s.paths s.cut
+    s.pruned s.violations s.replays s.steps s.fault_branches
     (if s.exhausted then 1 else 0)
     w
 
@@ -878,8 +723,8 @@ let done_line i (s : stats) =
    by a crash mid-write). *)
 let parse_done line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "d"; i; paths; cut; pruned; violations; replays; steps; saved; faults;
-      ex; w; "." ] -> (
+  | [ "d"; i; paths; cut; pruned; violations; replays; steps; faults; ex; w;
+      "." ] -> (
       try
         let witness =
           match w with
@@ -898,7 +743,7 @@ let parse_done line =
               exhausted = String.equal ex "1";
               replays = int_of_string replays;
               steps = int_of_string steps;
-              replay_steps_saved = int_of_string saved;
+              replay_steps_saved = 0;
               fault_branches = int_of_string faults;
             } )
       with _ -> None)
@@ -956,10 +801,8 @@ let journal_load path ~header ~tasks =
    with the still-independent earlier branches asleep, exactly the PR 1
    root-split rule applied at every frontier node. *)
 let expand_node ctx acc st mode task' =
-  let sched = sched_make ~log:(ctx.stride > 0) () in
+  let sched = sched_make () in
   sched_reset sched task'.t_prefix;
-  (* the previous frontier node's checkpoints describe another prefix *)
-  st.n_cks <- 0;
   let m = replay ctx acc st sched in
   if Machine.any_crashed m then begin
     leaf ctx acc;
@@ -1049,12 +892,9 @@ let expand_node ctx acc st mode task' =
   end
 
 let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
-    ?(max_paths = 1_000_000) ?(mode = Naive) ?(domains = 1) ?(pool = true)
-    ?(checkpoint_stride = 4) ?(crashes = 0) ?(stalls = 0) ?(stall_steps = 3)
-    ?checkpoint_file ?(resume = false) ?progress
-    ?(progress_every = 10_000) () =
-  if checkpoint_stride < 0 then
-    invalid_arg "Explore.run: checkpoint_stride must be >= 0";
+    ?(max_paths = 1_000_000) ?(mode = Naive) ?(domains = 1) ?(crashes = 0)
+    ?(stalls = 0) ?(stall_steps = 3) ?checkpoint_file ?(resume = false)
+    ?progress ?(progress_every = 10_000) () =
   if crashes < 0 || stalls < 0 then
     invalid_arg "Explore.run: fault budgets must be >= 0";
   if stall_steps < 1 then
@@ -1071,9 +911,7 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
          nprocs max_procs);
   (* Pooling replays via [Machine.restart], which returns to the true
      initial state; if [mk] pre-steps the machine, a restarted machine
-     would diverge from a fresh one, so fall back to building machines.
-     (Checkpointed replay is unaffected: it feeds schedules recorded from
-     [mk]-built machines back into [mk]-built machines.) *)
+     would diverge from a fresh one, so fall back to building machines. *)
   let pre_stepped =
     let r = ref false in
     for pid = 0 to nprocs - 1 do
@@ -1081,16 +919,14 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
     done;
     !r
   in
-  let restore = Machine.restorable root in
   let ctx =
     {
       mk;
       final;
       max_steps;
       max_paths;
-      pool = pool && not pre_stepped;
-      restore;
-      stride = (if restore then 0 else checkpoint_stride);
+      pool = not pre_stepped;
+      restore = Machine.restorable root;
       crashes;
       stalls;
       stall_steps;
@@ -1125,9 +961,8 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
       match mode with Naive -> [||] | Dpor -> stack_make ctx nprocs
     in
     (try
-       explore_sub acc st stack root
-         (sched_make ~log:(ctx.stride > 0) ())
-         0 0 ~cr:crashes ~sl:stalls
+       explore_sub acc st stack root (sched_make ()) 0 0 ~cr:crashes
+         ~sl:stalls
      with Budget -> ());
     stats_of ctx acc
   end
@@ -1168,9 +1003,8 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
     if !budget_in_seed || nt = 0 then stats_of ctx base
     else begin
       let results = Array.make nt empty_stats in
-      (* once claimed, a task is run (or was restored from the journal) by
-         exactly one worker *)
-      let claimed = Array.init nt (fun _ -> Atomic.make false) in
+      (* the tasks whose tallies were restored from the journal *)
+      let finished = Array.make nt false in
       let journal =
         match checkpoint_file with
         | None -> None
@@ -1186,10 +1020,8 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
             | Some dones ->
                 List.iter
                   (fun (i, (s : stats)) ->
-                    if
-                      i >= 0 && i < nt
-                      && Atomic.compare_and_set claimed.(i) false true
-                    then begin
+                    if i >= 0 && i < nt && not finished.(i) then begin
+                      finished.(i) <- true;
                       results.(i) <- s;
                       (* restore the finished tasks' leaves into the budget
                          so a resumed run admits exactly the leaves an
@@ -1215,23 +1047,10 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
             in
             Some { j_oc = oc; j_lock = Mutex.create () }
       in
-      (* Work-stealing task deques, one per worker, seeded up front with a
-         contiguous block of task indices each: consecutive tasks share
-         long schedule prefixes, so an owner draining its block in
-         ascending order gets cheap checkpointed replays. A worker whose
-         block runs dry steals from the opposite (descending) end of a
-         victim's block, keeping thieves out of the owner's locality until
-         the end. Both ends hand out indices with fetch-and-add; the claim
-         flags above make the last-element race (and any overshoot)
-         harmless, and monotone ends make emptiness stable, so the
-         termination sweep is race-free. *)
+      let next = Atomic.make 0 in
       let nw = min domains nt in
-      let block_lo = Array.init nw (fun w -> w * nt / nw) in
-      let block_hi = Array.init nw (fun w -> (w + 1) * nt / nw) in
-      let q_lo = Array.init nw (fun w -> Atomic.make block_lo.(w)) in
-      let q_hi = Array.init nw (fun w -> Atomic.make block_hi.(w)) in
-      let worker w =
-        let sched = sched_make ~log:(ctx.stride > 0) () in
+      let worker () =
+        let sched = sched_make () in
         let st = pstate_make () in
         let stack =
           match mode with Naive -> [||] | Dpor -> stack_make ctx nprocs
@@ -1240,9 +1059,8 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
           let t = tasks.(i) in
           let acc = fresh_acc () in
           (try
-             (* the previous task's replay state describes another
-                prefix; a Budget unwind also leaves it unpopped *)
-             st.n_cks <- 0;
+             (* a Budget unwind leaves the previous task's access index
+                unpopped *)
              ai_clear st;
              sched_reset sched t.t_prefix;
              let used_cr, used_sl = prefix_faults t.t_prefix in
@@ -1262,41 +1080,17 @@ let run ~mk ?(final = fun _ -> true) ?(max_steps = 60)
               flush j.j_oc;
               Mutex.unlock j.j_lock
         in
-        let claim i = Atomic.compare_and_set claimed.(i) false true in
-        let own_done = ref false in
         let rec loop () =
-          if not !own_done then begin
-            let i = Atomic.fetch_and_add q_lo.(w) 1 in
-            if i < block_hi.(w) then begin
-              if claim i then exec i;
-              loop ()
-            end
-            else begin
-              own_done := true;
-              loop ()
-            end
+          let i = Atomic.fetch_and_add next 1 in
+          if i < nt then begin
+            if not finished.(i) then exec i;
+            loop ()
           end
-          else if steal_sweep () then loop ()
-        and steal_sweep () =
-          (* one pass over the victims; false only when every deque was
-             observed empty, which is stable *)
-          let saw_work = ref false in
-          for dv = 1 to nw - 1 do
-            let v = (w + dv) mod nw in
-            if Atomic.get q_hi.(v) > Atomic.get q_lo.(v) then begin
-              saw_work := true;
-              let i = Atomic.fetch_and_add q_hi.(v) (-1) - 1 in
-              if i >= block_lo.(v) && i < block_hi.(v) && claim i then exec i
-            end
-          done;
-          !saw_work
         in
         loop ()
       in
-      let spawned =
-        Array.init (nw - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-      in
-      worker 0;
+      let spawned = Array.init (nw - 1) (fun _ -> Domain.spawn worker) in
+      worker ();
       Array.iter Domain.join spawned;
       (match journal with None -> () | Some j -> close_out j.j_oc);
       Array.fold_left merge_stats (stats_of ctx base) results

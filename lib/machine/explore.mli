@@ -20,13 +20,18 @@
       duration of each search and emptied when it returns or unwinds.
     - {e Replaying} (any program in a fiber, e.g. the [Fibers] engine):
       fiber continuations are one-shot, so each further branch restarts a
-      machine and replays the schedule prefix, with the [pool] and
-      [checkpoint_stride] devices below cutting the cost.
+      pooled machine in place ({!Machine.restart}) and re-executes the
+      schedule prefix on it. Finished machines go back to a per-worker
+      free list. This requires [mk] to confine all mutable state to the
+      machine (programs must not capture external [ref]s — put such state
+      in machine cells). If [mk] steps the machine before returning it,
+      a restarted machine would diverge from a fresh one, so every replay
+      calls [mk] instead.
 
     Both explore the same tree in the same leaf order, with the same
     witness and the same [paths], [cut], [pruned], [violations] and
-    [fault_branches]; only [replays], [steps] and [replay_steps_saved]
-    differ (see {!stats} and {!same_search}).
+    [fault_branches]; only [replays] and [steps] differ (see {!stats} and
+    {!same_search}).
 
     Two search modes:
 
@@ -83,15 +88,12 @@ type stats = {
           A restoring search counts only the frontier ones (0 on a single
           domain without a journal): it restores its nodes instead *)
   steps : int;
-      (** machine steps actually executed. A replaying search includes its
-          re-executed replay suffixes, and [steps + replay_steps_saved] is
-          invariant across checkpointing settings (and equals [steps] with
-          checkpointing off). A restoring search executes each tree edge
-          once, plus the frontier replays *)
+      (** machine steps executed. A replaying search includes every
+          re-executed replay prefix; a restoring search executes each tree
+          edge once, plus the frontier replays *)
   replay_steps_saved : int;
-      (** replayed prefix steps that were fed from a checkpoint's response
-          log instead of re-executed (0 when [checkpoint_stride = 0], and
-          always 0 in a restoring search, which lays no checkpoints) *)
+      (** always 0: a replay re-executes every prefix step. The field
+          stays only because the end-to-end benchmark reads it *)
   fault_branches : int;
       (** fault injections performed as branch points (0 when the crash and
           stall budgets are 0) *)
@@ -108,8 +110,6 @@ val run :
   ?max_paths:int ->
   ?mode:mode ->
   ?domains:int ->
-  ?pool:bool ->
-  ?checkpoint_stride:int ->
   ?crashes:int ->
   ?stalls:int ->
   ?stall_steps:int ->
@@ -129,11 +129,8 @@ val run :
     [mode] (default {!Naive}) selects the search. [domains] (default 1)
     runs the search over a frontier of subtree tasks across that many OCaml
     domains: the schedule tree is expanded level by level (to a small depth
-    cap) until it holds at least [4 * domains] subtree tasks, seeded as
-    contiguous blocks into per-worker work-stealing deques — an owner
-    drains its block in frontier order (consecutive tasks share schedule
-    prefixes, so checkpointed replays stay cheap) and a worker whose block
-    runs dry steals from the far end of a victim's. [mk] and [final] must
+    cap) until it holds at least [4 * domains] subtree tasks, which the
+    workers take from one shared counter. [mk] and [final] must
     then be safe to call concurrently from several domains (building
     disjoint machines, as the test harnesses do). The merged stats are
     deterministic — subtree tallies are combined in frontier order
@@ -157,27 +154,6 @@ val run :
     configuration and task list, which [mk] determinism guarantees —
     otherwise [Invalid_argument] is raised; an absent or truncated journal
     starts a fresh run (and rewrites the file).
-
-    Replay machinery of a replaying search — none of it changes which
-    schedules are explored; [paths]/[cut]/[pruned]/[violations]/[replays]
-    and the sum [steps + replay_steps_saved] are bit-identical across
-    every combination of the two switches below (a restoring search
-    replays only its frontier tasks' prefixes, so there [pool] recycles
-    task machines and [checkpoint_stride] has no effect):
-
-    - [pool] (default [true]) recycles finished machines through a
-      per-worker free list: a sibling replay restarts a pooled machine in
-      place ({!Machine.restart}) instead of calling [mk]. This requires
-      [mk] to confine all mutable state to the machine (programs must not
-      capture external [ref]s — put such state in machine cells) and not
-      to step the machine; if [mk] pre-steps, pooling is disabled
-      automatically.
-    - [checkpoint_stride] (default 4; 0 disables) keeps a stack of memory
-      snapshots at ancestor depths that are multiples of the stride. A
-      sibling replay feeds the logged responses of the checkpointed prefix
-      back into the restarted machine's continuations ({!Machine.feed}) —
-      counted in [replay_steps_saved], not [steps] — and re-executes only
-      the suffix.
 
     [crashes]/[stalls] (defaults 0) are per-path fault budgets: at every
     branching node with budget remaining, the search adds one crash branch
@@ -204,7 +180,7 @@ val run :
 val same_search : stats -> stats -> bool
 (** The two stats describe the same search: equal [paths], [cut],
     [pruned], [violations], [first_violation], [fault_branches] and
-    [exhausted]. The other three fields count how the search reached its
+    [exhausted]. [replays] and [steps] count how the search reached its
     nodes, which depends on the engine, and are not compared. *)
 
 val reduction_ratio : naive:stats -> reduced:stats -> float

@@ -61,13 +61,8 @@ type t = {
      to it, so cells allocated by program code (rather than by set-up) are
      re-allocated at the same addresses when the programs re-run. *)
   mutable base_cells : int;
-  (* Response of the last executed memory step, for schedulers that log
-     responses to later [feed] them back (checkpointed replay).
-     [last_changed] is only meaningful when the trace sink is recording;
-     with [Trace.Off] it is left [false], which is fine because feeding
-     under [Off] only ticks the seq counter. *)
+  (* Response of the last executed memory step ({!last_resp}). *)
   mutable last_resp : Value.t;
-  mutable last_changed : bool;
   (* Some program runs in a fiber, whose continuations are one-shot: such
      a machine cannot be restored to a saved node. *)
   mutable fibers : bool;
@@ -95,7 +90,6 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     nspawned = 0;
     base_cells = -1;
     last_resp = Value.Unit;
-    last_changed = false;
     fibers = false;
   }
 
@@ -203,7 +197,6 @@ type saved = {
   sv_halted : bool array;
   sv_fnext : int array;
   mutable sv_resp : Value.t;
-  mutable sv_changed : bool;
   sv_mem : Memory.snapshot;
   mutable sv_cells : int;
   mutable sv_trace : int;
@@ -220,7 +213,6 @@ let saved_make t =
     sv_halted = Array.make n false;
     sv_fnext = Array.make n 0;
     sv_resp = Value.Unit;
-    sv_changed = false;
     sv_mem = Memory.snapshot_make ();
     sv_cells = 0;
     sv_trace = 0;
@@ -244,7 +236,6 @@ let save t sv =
     Array.unsafe_set sv.sv_fnext i s.f_next
   done;
   sv.sv_resp <- t.last_resp;
-  sv.sv_changed <- t.last_changed;
   Memory.snapshot_into t.memory sv.sv_mem;
   sv.sv_cells <- Memory.size t.memory;
   sv.sv_trace <- Trace.length t.trace;
@@ -263,7 +254,6 @@ let restore t sv =
     s.f_next <- Array.unsafe_get sv.sv_fnext i
   done;
   t.last_resp <- sv.sv_resp;
-  t.last_changed <- sv.sv_changed;
   Memory.truncate t.memory sv.sv_cells;
   Memory.restore_from t.memory sv.sv_mem;
   Trace.rewind t.trace sv.sv_trace;
@@ -454,13 +444,11 @@ let exec_mem t (s : slot) ~pid ~addr ~prim =
       let resp = Memory.apply t.memory ~pid addr prim in
       let changed = not (Value.equal before (Memory.peek t.memory addr)) in
       Trace.add_mem t.trace ~pid ~addr prim resp changed;
-      t.last_changed <- changed;
       resp
     end
     else begin
       (* trace off: no entry is built, the event is only counted *)
       Trace.tick t.trace;
-      t.last_changed <- false;
       Memory.apply t.memory ~pid addr prim
     end
   in
@@ -511,7 +499,6 @@ let unsafe_step t pid : step_result =
   step_slot t pid (Array.unsafe_get t.procs pid)
 
 let last_resp t = t.last_resp
-let last_changed t = t.last_changed
 
 let feed t pid resp ~changed =
   let s = t.procs.(pid) in

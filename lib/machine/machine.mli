@@ -105,8 +105,7 @@ val restart : t -> unit
 
 type saved
 (** A reusable buffer holding one node: each process's parked outcome,
-    step and slot counters and fault state, {!last_resp} and
-    {!last_changed}, the memory (values, load-links and size), the trace
+    step and slot counters and fault state, {!last_resp}, the memory (values, load-links and size), the trace
     position and the mark of the domain's {!Proc.Trail}. *)
 
 val saved_make : t -> saved
@@ -221,16 +220,14 @@ val packed_pend : t -> pid -> int
 
 val last_resp : t -> Value.t
 (** Response of the most recent memory step ({!step} or {!unsafe_step})
-    on this machine. Schedulers log it to later
-    {!feed} it back during checkpointed replay. *)
-
-val last_changed : t -> bool
-(** Whether the most recent memory step changed its cell. Only meaningful
-    while the trace sink is recording; [false] under {!Trace.Off} (where
-    {!feed} ignores it anyway). *)
+    on this machine. No library code reads it; it stays, with {!feed}, for
+    the end-to-end benchmark's calibration, which logs a schedule's
+    responses and feeds them back. *)
 
 val feed : t -> pid -> Value.t -> changed:bool -> unit
-(** Replay one logged step without touching memory: resume [pid]'s parked
+(** No library code calls this; see {!last_resp}.
+
+    Replay one logged step without touching memory: resume [pid]'s parked
     continuation with the recorded response (for a pause, with [()]),
     recording the trace entry / seq tick and step count exactly as {!step}
     would have. Fault slots are gated identically to {!step} — a fed

@@ -5,7 +5,7 @@
    Fibers, step on either engine) must be event-identical. Also: the OSTM deep-helping regression (chains far beyond the old
    recursion guard), the typed Bounds_error raised when a lower-bound
    construction diverges, checkpoint/resume crash-safety (including a real
-   [kill -9] mid-exploration), and work-stealing determinism across domain
+   [kill -9] mid-exploration), and frontier determinism across domain
    counts. *)
 
 open Ptm_machine
@@ -153,8 +153,8 @@ let test_step_vs_direct () =
 let full_budget = [ "undolog"; "ostm"; "norec"; "sgl"; "ofree" ]
 
 (* The Fibers search replays prefixes and the Steps search restores saved
-   nodes, so [replays], [steps] and [replay_steps_saved] differ by design;
-   the search itself must not. *)
+   nodes, so [replays] and [steps] differ by design; the search itself
+   must not. *)
 let test_explore_differential () =
   List.iter
     (fun ((module T : Tm_intf.S_step) as tm) ->
@@ -793,8 +793,7 @@ let write_lines file lines =
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc
 
-(* Rewrite a finished journal's header tag to [tag]. *)
-let current = "ptm-ckpt 4 "
+let current = "ptm-ckpt 5 "
 
 let retag tag l =
   let n = String.length current in
@@ -802,33 +801,33 @@ let retag tag l =
     Some (tag ^ String.sub l n (String.length l - n))
   else None
 
-(* A version-3 journal has the current layout, but its done lines count
-   replays and steps of searches that replayed where this one restores. *)
-let downgrade_to_v3 file =
-  write_lines file
-    (List.map
-       (fun l -> Option.value (retag "ptm-ckpt 3 " l) ~default:l)
-       (read_lines file))
-
-(* Rewrite a finished journal into the version-2 layout: the old header
-   tag and two extra stats columns after the fault count on every done
-   line. Resuming it must be refused, not parsed into shifted stats. *)
-let downgrade_to_v2 file =
+(* Rewrite a finished journal into an older version: the header gets
+   [tag], and [layout] rebuilds every done line from its leading columns
+   (up to [steps]), its fault count and the rest. Resuming it must be
+   refused, not parsed into shifted stats. *)
+let downgrade file tag layout =
   write_lines file
     (List.map
        (fun l ->
-         match retag "ptm-ckpt 2 " l with
+         match retag tag l with
          | Some l -> l
          | None -> (
              match String.split_on_char ' ' l with
              | "d" :: i :: paths :: cut :: pruned :: viol :: replays :: steps
-               :: saved :: faults :: rest ->
+               :: faults :: rest ->
                  String.concat " "
-                   ([ "d"; i; paths; cut; pruned; viol; replays; steps; saved;
-                      faults; "0"; "0" ]
-                   @ rest)
+                   (layout
+                      [ "d"; i; paths; cut; pruned; viol; replays; steps ]
+                      faults rest)
              | _ -> l))
        (read_lines file))
+
+(* Versions 3 and 4 had a [saved] column after [steps], and counted steps
+   without the fed replay positions; version 3 also counted replays and
+   steps of searches that replayed where this one restores. Version 2 had
+   two more stats columns after the fault count. *)
+let with_saved head faults rest = head @ ("0" :: faults :: rest)
+let v2_layout head faults rest = head @ ("0" :: faults :: "0" :: "0" :: rest)
 
 let test_resume_mismatch_rejected () =
   let f = temp_ckpt "mismatch" in
@@ -847,10 +846,13 @@ let test_resume_mismatch_rejected () =
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:28 ());
   refused "a journal of a different exploration";
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
-  downgrade_to_v3 f;
+  downgrade f "ptm-ckpt 4 " with_saved;
+  refused "a ptm-ckpt 4 journal";
+  ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
+  downgrade f "ptm-ckpt 3 " with_saved;
   refused "a ptm-ckpt 3 journal";
   ignore (explore_ttas ~checkpoint_file:f ~max_steps:26 ());
-  downgrade_to_v2 f;
+  downgrade f "ptm-ckpt 2 " v2_layout;
   Alcotest.(check bool) "the downgraded journal is ptm-ckpt 2" true
     (String.equal
        (String.sub (List.hd (read_lines f)) 0 11)
@@ -925,7 +927,7 @@ let test_resume_after_kill () =
     true (reference = resumed)
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing determinism                                           *)
+(* Frontier determinism across domain counts                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_domains_same_verdict () =

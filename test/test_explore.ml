@@ -569,147 +569,135 @@ let test_replays_counted () =
     (s.Explore.steps > 4096)
 
 (* ------------------------------------------------------------------ *)
-(* Replay machinery: machine pooling and checkpointed suffix replay    *)
-(* are pure performance devices — every stat except the steps/saved    *)
-(* split must be bit-identical to the naive baseline.                  *)
+(* Replay on pooled machines: a replaying search restarts a finished   *)
+(* machine in place and re-executes the prefix. The reference below    *)
+(* has no pool: it builds a fresh machine with [mk] at every node and   *)
+(* re-steps the whole prefix on it.                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold the fed prefix positions back into [steps]: how the work splits
-   between re-executed and fed positions is the only thing a replay
-   configuration may change. *)
-let scrub_replay s =
-  {
-    s with
-    Explore.steps = s.Explore.steps + s.Explore.replay_steps_saved;
-    replay_steps_saved = 0;
-  }
+(* The machine [mk] builds, stepped along the schedule [w]. *)
+let fresh_at ~mk w =
+  let m = mk () in
+  List.iter (fun pid -> ignore (Machine.step m pid : Machine.step_result)) w;
+  m
 
-let replay_configs =
-  [
-    ("pool", true, 0);
-    ("ckpt1", false, 1);
-    ("ckpt4", false, 4);
-    ("pool+ckpt4", true, 4);
-    ("pool+ckpt16", true, 16);
-  ]
+let runnable m =
+  List.filter (Machine.is_runnable m) (List.init (Machine.nprocs m) Fun.id)
 
-let test_replay_differential () =
+(* The schedule [w] ends in a violation on a fresh machine: a crash, or
+   no runnable process and a failed [final]. *)
+let violates ~mk ~final w =
+  let m = fresh_at ~mk w in
+  Machine.any_crashed m || (runnable m = [] && not (final m))
+
+(* (paths, cut, violations) *)
+let fresh_search ~mk ~final ~max_steps =
+  let paths = ref 0 and cut = ref 0 and violations = ref 0 in
+  let rec go rev_w depth =
+    let m = fresh_at ~mk (List.rev rev_w) in
+    if Machine.any_crashed m then begin
+      incr paths;
+      incr violations
+    end
+    else
+      match runnable m with
+      | [] ->
+          incr paths;
+          if not (final m) then incr violations
+      | live ->
+          if depth >= max_steps then incr cut
+          else List.iter (fun pid -> go (pid :: rev_w) (depth + 1)) live
+  in
+  go [] 0;
+  (!paths, !cut, !violations)
+
+(* The naive search on pooled machines finds what the fresh-machine
+   reference finds, and its witness is a violating schedule. *)
+let matches_fresh ~mk ?(final = fun _ -> true) ~max_steps () =
+  let s = Explore.run ~mk ~final ~max_steps ~max_paths:max_int () in
+  let paths, cut, violations = fresh_search ~mk ~final ~max_steps in
+  (not s.Explore.exhausted)
+  && (s.Explore.paths, s.Explore.cut, s.Explore.violations)
+     = (paths, cut, violations)
+  &&
+  match s.Explore.first_violation with
+  | None -> violations = 0
+  | Some w -> violates ~mk ~final w
+
+let test_pooled_mutexes () =
   List.iter
-    (fun ((module L : Mutex_intf.S), mode, max_steps) ->
+    (fun ((module L : Mutex_intf.S), max_steps) ->
       List.iter
         (fun trace ->
-          let run ~pool ~stride =
-            Explore.run
-              ~mk:(mk_mutex (module L) ~trace)
-              ~max_steps ~mode ~pool ~checkpoint_stride:stride ()
-          in
-          let base = run ~pool:false ~stride:0 in
-          Alcotest.(check int) "baseline feeds nothing" 0
-            base.Explore.replay_steps_saved;
-          List.iter
-            (fun (label, pool, stride) ->
-              let s = run ~pool ~stride in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s" L.name label)
-                true
-                (scrub_replay s = scrub_replay base))
-            replay_configs)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s sink" L.name
+               (match trace with Trace.Off -> "off" | _ -> "full"))
+            true
+            (matches_fresh
+               ~mk:(mk_mutex (module L) ~trace)
+               ~final:(counter_is 2) ~max_steps ()))
         [ Trace.Full; Trace.Off ])
     [
-      ((module Tas : Mutex_intf.S), Explore.Naive, 16);
-      ((module Tas : Mutex_intf.S), Explore.Dpor, 24);
-      ((module Ticket : Mutex_intf.S), Explore.Dpor, 24);
+      ((module Tas : Mutex_intf.S), 20);
+      ((module Ticket : Mutex_intf.S), 20);
+      ((module Racy_lock : Mutex_intf.S), 16);
     ]
 
-let test_replay_defaults_pinned () =
-  (* The default settings (pool on, stride 4) reproduce the no-pool
-     no-checkpoint exploration on every stat except the steps/saved
-     split. *)
-  List.iter
-    (fun mode ->
-      let dflt = Explore.run ~mk:(mk_mutex (module Tas)) ~max_steps:24 ~mode () in
-      let base =
-        Explore.run
-          ~mk:(mk_mutex (module Tas))
-          ~max_steps:24 ~mode ~pool:false ~checkpoint_stride:0 ()
-      in
-      Alcotest.(check bool) "defaults match baseline" true
-        (scrub_replay dflt = scrub_replay base);
-      Alcotest.(check int) "steps + saved is invariant" base.Explore.steps
-        (dflt.Explore.steps + dflt.Explore.replay_steps_saved))
-    [ Explore.Naive; Explore.Dpor ]
-
-let test_checkpoint_savings () =
-  (* At stride <= 4 the fed prefixes must cover more than half of the
-     replay tax: saved > 50% of the steps the baseline spends on replayed
-     prefixes (= all steps beyond one depth-bounded first descent). *)
-  (* With stride 1 a checkpoint sits at every depth, so every replayed
-     prefix is fed in full: its [replay_steps_saved] IS the baseline's
-     total replay tax. *)
-  let s1 =
-    Explore.run ~mk:(mk_mutex (module Tas)) ~max_steps:16 ~checkpoint_stride:1 ()
+(* Each process runs read/increment rounds on one of two cells; [final]
+   flags a lost update, so both violating and clean trees are generated. *)
+let mk_rounds progs () =
+  let nprocs = List.length progs in
+  let m = Machine.create ~nprocs () in
+  let cells =
+    [| Machine.alloc m ~name:"a" (Value.Int 0);
+       Machine.alloc m ~name:"b" (Value.Int 0) |]
   in
-  let replay_tax = s1.Explore.replay_steps_saved in
-  Alcotest.(check bool) "the tax is real" true (replay_tax > 0);
-  let s4 =
-    Explore.run ~mk:(mk_mutex (module Tas)) ~max_steps:16 ~checkpoint_stride:4 ()
-  in
-  Alcotest.(check bool) "stride 4 saves > 50% of the replay tax" true
-    (2 * s4.Explore.replay_steps_saved > replay_tax)
+  List.iteri
+    (fun pid prog ->
+      Machine.spawn m pid (fun () ->
+          List.iter
+            (fun obj ->
+              let c = cells.(obj) in
+              let v = Proc.read_int c in
+              Proc.write c (Value.Int (v + 1)))
+            prog))
+    progs;
+  m
 
-let prop_replay_configs_agree =
+let no_lost_update progs m =
+  let mem = Machine.memory m in
+  let total obj = List.length (List.filter (( = ) obj) (List.concat progs)) in
+  Value.to_int (Memory.peek mem 0) = total 0
+  && Value.to_int (Memory.peek mem 1) = total 1
+
+let prop_pooled_random =
   let open QCheck2 in
-  let gen =
-    Gen.(
-      pair
-        (list_size (2 -- 3) (list_size (1 -- 2) (int_bound 1)))
-        (int_bound (List.length replay_configs - 1)))
+  let gen = Gen.(list_size (2 -- 3) (list_size (1 -- 2) (int_bound 1))) in
+  let print progs =
+    String.concat " | "
+      (List.map
+         (fun p -> String.concat ";" (List.map string_of_int p))
+         progs)
   in
-  let print (progs, ci) =
-    let label, _, _ = List.nth replay_configs ci in
-    label ^ ": "
-    ^ String.concat " | "
-        (List.map
-           (fun p -> String.concat ";" (List.map string_of_int p))
-           progs)
+  Test.make ~count:25 ~name:"random programs match fresh machines" ~print gen
+    (fun progs ->
+      matches_fresh ~mk:(mk_rounds progs) ~final:(no_lost_update progs)
+        ~max_steps:14 ())
+
+(* An [mk] that steps the machine cannot be served by a restarted one, so
+   every replay builds its machine with [mk]. *)
+let test_pre_stepped_mk () =
+  let progs = [ [ 0; 0 ]; [ 0 ] ] in
+  let mk () =
+    let m = mk_rounds progs () in
+    ignore (Machine.step m 0 : Machine.step_result);
+    m
   in
-  Test.make ~count:25
-    ~name:"pooling/checkpointing do not change exploration" ~print gen
-    (fun (progs, ci) ->
-      let _, pool, stride = List.nth replay_configs ci in
-      let nprocs = List.length progs in
-      let mk () =
-        let m = Machine.create ~nprocs () in
-        let cells =
-          [|
-            Machine.alloc m ~name:"a" (Value.Int 0);
-            Machine.alloc m ~name:"b" (Value.Int 0);
-          |]
-        in
-        List.iteri
-          (fun pid prog ->
-            Machine.spawn m pid (fun () ->
-                List.iter
-                  (fun obj ->
-                    let c = cells.(obj) in
-                    let v = Proc.read_int c in
-                    Proc.write c (Value.Int (v + 1)))
-                  prog))
-          progs;
-        m
-      in
-      List.for_all
-        (fun mode ->
-          let base =
-            Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool:false
-              ~checkpoint_stride:0 ()
-          in
-          let s =
-            Explore.run ~mk ~max_steps:14 ~max_paths:30_000 ~mode ~pool
-              ~checkpoint_stride:stride ()
-          in
-          scrub_replay s = scrub_replay base)
-        [ Explore.Naive; Explore.Dpor ])
+  let s = Explore.run ~mk ~final:(no_lost_update progs) ~max_steps:14 () in
+  Alcotest.(check bool) "the lost update is found" true
+    (s.Explore.violations > 0);
+  Alcotest.(check bool) "matches fresh machines" true
+    (matches_fresh ~mk ~final:(no_lost_update progs) ~max_steps:14 ())
 
 let test_progress_callback () =
   let calls = ref 0 in
@@ -741,9 +729,7 @@ let test_domains_naive_partition () =
   in
   (* replays/steps are bookkeeping of the traversal itself, and the
      frontier split legitimately replays more prefixes than one DFS *)
-  let scrub s =
-    { s with Explore.replays = 0; steps = 0; replay_steps_saved = 0 }
-  in
+  let scrub s = { s with Explore.replays = 0; steps = 0 } in
   Alcotest.(check bool) "two domains visit the same stats" true
     (scrub s1 = scrub s2)
 
@@ -925,13 +911,11 @@ let () =
         ] );
       ( "replay",
         [
-          Alcotest.test_case "pool/ckpt/feed differential" `Quick
-            test_replay_differential;
-          Alcotest.test_case "defaults match baseline" `Quick
-            test_replay_defaults_pinned;
-          Alcotest.test_case "checkpoints cover >50% of the tax" `Quick
-            test_checkpoint_savings;
-          QCheck_alcotest.to_alcotest prop_replay_configs_agree;
+          Alcotest.test_case "mutexes match fresh machines" `Quick
+            test_pooled_mutexes;
+          QCheck_alcotest.to_alcotest prop_pooled_random;
+          Alcotest.test_case "pre-stepped mk builds every machine" `Quick
+            test_pre_stepped_mk;
         ] );
       ( "parallel",
         [

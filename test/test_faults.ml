@@ -196,10 +196,19 @@ let prop_fault_determinism =
 
 (* Two processes contending for a TAS lock with occupancy assertions —
    the same shape test_explore pins down, rebuilt here so this binary is
-   self-contained. *)
-let mk_lock () =
+   self-contained. [pre_stepped] adds a third process that reads the
+   counter once and runs it to completion before returning: the tree is
+   unchanged (a finished process is never scheduled), but an [mk] that
+   steps the machine cannot be served by a restarted one, so every replay
+   of that search builds its machine with [mk] where the plain fixture's
+   replays restart pooled machines. *)
+let mk_lock ?(pre_stepped = false) () =
   let nprocs = 2 in
-  let m = Machine.create ~trace:Trace.Off ~nprocs () in
+  let m =
+    Machine.create ~trace:Trace.Off
+      ~nprocs:(if pre_stepped then nprocs + 1 else nprocs)
+      ()
+  in
   let module L = Ptm_mutex.Tas in
   let lock = L.create m ~nprocs in
   let c = Machine.alloc m ~name:"c" (Value.Int 0) in
@@ -218,65 +227,54 @@ let mk_lock () =
         occ_write (occ_read () - 1);
         L.exit_cs lock ~pid)
   done;
+  if pre_stepped then begin
+    Machine.spawn m nprocs (fun () -> ignore (Proc.read_int c));
+    ignore (Machine.step m nprocs : Machine.step_result)
+  end;
   m
 
 let key (s : Explore.stats) =
   (s.paths, s.cut, s.pruned, s.violations, s.first_violation, s.fault_branches)
 
-let replay_combos = [ (false, 0); (false, 4); (true, 0); (true, 4) ]
+let search ?(crashes = 0) ?(stalls = 0) ?pre_stepped mode =
+  Explore.run ~mk:(mk_lock ?pre_stepped) ~max_steps:12 ~mode ~crashes ~stalls
+    ()
 
-let search ?(crashes = 0) ?(stalls = 0) mode (pool, stride) =
-  Explore.run ~mk:mk_lock ~max_steps:12 ~mode ~pool ~checkpoint_stride:stride
-    ~crashes ~stalls ()
-
-(* Budget 0 must be bit-identical across every replay setting (and is the
-   fault-free search: fault_branches = 0). *)
+(* Budget 0 is the fault-free search (fault_branches = 0), the same on
+   pooled and on freshly built machines. *)
 let test_budget0_differential () =
   List.iter
     (fun mode ->
-      let ref_stats = search mode (List.hd replay_combos) in
-      Alcotest.(check int) "no fault branches" 0 ref_stats.Explore.fault_branches;
-      List.iter
-        (fun combo ->
-          let s = search mode combo in
-          Alcotest.(check bool) "identical stats" true (key s = key ref_stats);
-          Alcotest.(check int) "steps+saved invariant"
-            (ref_stats.Explore.steps + ref_stats.Explore.replay_steps_saved)
-            (s.Explore.steps + s.Explore.replay_steps_saved))
-        (List.tl replay_combos))
+      let s = search mode in
+      Alcotest.(check int) "no fault branches" 0 s.Explore.fault_branches;
+      let u = search ~pre_stepped:true mode in
+      Alcotest.(check bool) "identical stats" true (key u = key s);
+      Alcotest.(check int) "identical steps" s.Explore.steps u.Explore.steps)
     [ Explore.Naive; Explore.Dpor ]
 
-(* With budgets on, the tallies must still be invariant across the replay
-   machinery, fault branches must exist, and safety must hold (a crashed
-   lock holder blocks its peer — paths get cut, never violated). *)
+(* With budgets on, fault branches must exist, safety must hold (a crashed
+   lock holder blocks its peer — paths get cut, never violated), and the
+   tallies must not depend on whether replays restart pooled machines. *)
 let test_fault_budget_invariance () =
   List.iter
     (fun mode ->
-      let ref_stats =
-        search ~crashes:1 ~stalls:1 mode (List.hd replay_combos)
-      in
+      let s = search ~crashes:1 ~stalls:1 mode in
       Alcotest.(check bool)
         "fault branches explored" true
-        (ref_stats.Explore.fault_branches > 0);
+        (s.Explore.fault_branches > 0);
       Alcotest.(check int) "mutual exclusion holds under faults" 0
-        ref_stats.Explore.violations;
-      Alcotest.(check bool)
-        "crashed holder cuts paths" true (ref_stats.Explore.cut > 0);
-      List.iter
-        (fun combo ->
-          let s = search ~crashes:1 ~stalls:1 mode combo in
-          Alcotest.(check bool) "identical stats" true (key s = key ref_stats);
-          Alcotest.(check int) "steps+saved invariant"
-            (ref_stats.Explore.steps + ref_stats.Explore.replay_steps_saved)
-            (s.Explore.steps + s.Explore.replay_steps_saved))
-        (List.tl replay_combos))
+        s.Explore.violations;
+      Alcotest.(check bool) "crashed holder cuts paths" true (s.Explore.cut > 0);
+      let u = search ~crashes:1 ~stalls:1 ~pre_stepped:true mode in
+      Alcotest.(check bool) "identical stats" true (key u = key s);
+      Alcotest.(check int) "identical steps" s.Explore.steps u.Explore.steps)
     [ Explore.Naive; Explore.Dpor ]
 
 (* The witness encoding: force a violation by crashing the peer of a
    buggy... rather, check that schedules containing fault actions decode:
    crash branches appear as pid lor 64, stall branches as pid lor 128. *)
 let test_fault_budget_parallel () =
-  let seq = search ~crashes:1 Explore.Naive (true, 4) in
+  let seq = search ~crashes:1 Explore.Naive in
   let par =
     Explore.run ~mk:mk_lock ~max_steps:12 ~mode:Explore.Naive ~domains:3
       ~crashes:1 ()

@@ -535,11 +535,18 @@ let test_machine_feed () =
      continuations advance, without touching memory. *)
   let m1, c = mk_counter 2 () in
   let scheds = [ 0; 1; 0; 1; 0; 1 ] in
+  let tr = Machine.trace m1 in
   let log =
     List.map
       (fun pid ->
+        let seq = Trace.length tr in
         ignore (Machine.step m1 pid);
-        (pid, Machine.last_resp m1, Machine.last_changed m1))
+        (* the changed flag comes from the step's trace entry *)
+        let changed = ref false in
+        Trace.iter_from tr seq (function
+          | Trace.Mem e -> changed := e.Trace.changed
+          | Trace.Note _ -> ());
+        (pid, Machine.last_resp m1, !changed))
       scheds
   in
   let m2, c2 = mk_counter 2 () in
