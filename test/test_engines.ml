@@ -990,7 +990,7 @@ let () =
           Alcotest.test_case "resume survives kill -9" `Slow
             test_resume_after_kill;
         ] );
-      ( "work-stealing",
+      ( "frontier",
         [
           Alcotest.test_case "verdict independent of domains" `Slow
             test_domains_same_verdict;

@@ -432,16 +432,17 @@ let test_algorithm1_deadlocks_under_crash () =
     true (!deadlocks > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Crash inside the sharded commit fence: the 2PC coordinator's death  *)
-(* starves the peer's shards (the lock-based liveness trade); the      *)
-(* obstruction-free TM steals through the same corpse and finishes.    *)
+(* Crash inside the sharded commit: the 2PC coordinator's death while  *)
+(* it holds lock words starves the peer's shards (the lock-based       *)
+(* liveness trade); the obstruction-free TM steals through the same    *)
+(* corpse and finishes.                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Both processes write objects in two different shards of an .x4 TM, so
-   try_commit runs the multi-fence acquisition; a crash while p0 holds a
-   fence leaves p1 spinning in the stable-window loop until the step
-   budget runs out. The identical workload and fault plans drive ofree
-   in the contrast test below. *)
+   try_commit holds two lock words; a crash while p0 holds one leaves p1
+   spinning, in the stable-window loop or waiting to hold that shard,
+   until the step budget runs out. The identical workload and fault
+   plans drive ofree in the contrast test below. *)
 let cross_shard_workload =
   {
     Workload.nobjs = 8;
@@ -472,16 +473,16 @@ let test_fence_crash_starves_sharded () =
   let starved = ref 0 in
   for at = 0 to 39 do
     let o = crash_sweep tm ~at in
-    (* safety always survives the fence crash... *)
+    (* safety always survives the holder crash... *)
     not_falsified (Checker.strictly_serializable o.Runner.history);
     if o.Runner.out_of_steps || o.Runner.starved <> [] || p1_commits o < 2
     then incr starved
   done;
   (* ...liveness must not: some crash placement catches p0 holding a
-     fence, and p1 never gets its transactions through. *)
+     lock word, and p1 never gets its transactions through. *)
   Alcotest.(check bool)
     (Printf.sprintf
-       "a fence-holding crash starves the peer's shards (%d/40 slots)"
+       "a word-holding crash starves the peer's shards (%d/40 slots)"
        !starved)
     true (!starved > 0)
 

@@ -2,13 +2,16 @@
    degenerate case is operation-for-operation identical to the inner TM
    (registry-wide, full-trace equality); single-shard transactions take
    the fast path (a read-only commit emits zero coordination events, a
-   one-shard writer touches exactly one fence); genuinely cross-shard
+   one-shard writer touches exactly one lock word); the exact uncontended
+   step cost of a read and of a two-shard commit; genuinely cross-shard
    commits are opacity-clean under the streaming monitor (every sharded
    registry TM, and — via QCheck — random mixes and fault plans on both
-   machine engines); the one sharded body's step instance is
-   bit-identical across engines and event-identical to its direct
-   instance, also under the load engine's contended traffic; and a
-   revalidation re-samples only the shards whose seqlock moved. *)
+   machine engines); every schedule of a fixture where a stable window
+   meets a hold to validate is opaque, with both checkers agreeing; the
+   one sharded body's step instance is bit-identical across engines and
+   event-identical to its direct instance, also under the load engine's
+   contended traffic; and a revalidation re-samples only the shards whose
+   version moved, and restarts when a commit overtakes its pass. *)
 
 open Ptm_machine
 open Ptm_core
@@ -80,10 +83,10 @@ let touched_addrs o =
        (Trace.mem_events (Machine.trace o.Runner.machine)))
 
 let test_read_only_zero_coordination () =
-  (* read-only transactions: t-reads may sample fences and seqlocks (that
-     is how stable windows are checked), but nothing is ever acquired,
-     published or bumped — zero nontrivial events on coordination cells,
-     and the commits themselves are event-free *)
+  (* read-only transactions: t-reads may sample lock words (that is how
+     stable windows are checked), but nothing is ever held, published or
+     bumped — zero nontrivial events on coordination cells, and the
+     commits themselves are event-free *)
   let w =
     Workload.random ~seed:3 ~nprocs:3 ~nobjs:8 ~txs_per_proc:3 ~ops_per_tx:4
       ~write_ratio:0.0 ()
@@ -95,7 +98,7 @@ let test_read_only_zero_coordination () =
   Alcotest.(check bool) "commits" true (o.Runner.commits > 0);
   let coord =
     addrs_matching o.Runner.machine (fun n ->
-        contains_sub ~sub:".fence[" n || contains_sub ~sub:".seq[" n)
+        contains_sub ~sub:".lock[" n)
   in
   let nontrivial_coord =
     List.filter
@@ -109,7 +112,7 @@ let test_read_only_zero_coordination () =
 
 let test_single_shard_one_fence () =
   (* writes confined to shard 0 (objects 0 and 4 of 8, under 4 shards):
-     fence[0]/seq[0] may appear, the other shards' fences must not *)
+     lock[0] may appear, the other shards' words must not *)
   let w =
     Workload.random ~seed:4 ~nprocs:3 ~nobjs:2 ~txs_per_proc:3 ~ops_per_tx:3
       ~write_ratio:1.0 ()
@@ -130,18 +133,75 @@ let test_single_shard_one_fence () =
   let o = Runner.run (module T) ~retries:2 ~schedule:Runner.Round_robin w in
   Alcotest.(check bool) "commits" true (o.Runner.commits > 0);
   let touched = touched_addrs o in
-  let fence s = contains_sub ~sub:(Printf.sprintf ".fence[%d]" s) in
-  let fenced s =
+  let word s = contains_sub ~sub:(Printf.sprintf ".lock[%d]" s) in
+  let used s =
     List.exists
       (fun a -> List.mem a touched)
-      (addrs_matching o.Runner.machine (fence s))
+      (addrs_matching o.Runner.machine (word s))
   in
-  Alcotest.(check bool) "shard 0's fence is used" true (fenced 0);
+  Alcotest.(check bool) "shard 0's word is used" true (used 0);
   for s = 1 to 3 do
     Alcotest.(check bool)
-      (Printf.sprintf "shard %d's fence is never touched" s)
-      false (fenced s)
+      (Printf.sprintf "shard %d's word is never touched" s)
+      false (used s)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Step costs: the coordination an uncontended operation pays           *)
+(* ------------------------------------------------------------------ *)
+
+(* Machine steps of [op t x], run solo by the one process of a fresh
+   machine after [x = setup t]; [build] makes the TM instance [t]. *)
+let solo_steps build setup op =
+  let m = Machine.create ~nprocs:1 () in
+  let t = build m in
+  let steps = ref (-1) in
+  Machine.spawn m 0 (fun () ->
+      let x = setup t in
+      let before = Machine.steps_of m 0 in
+      op t x;
+      steps := Machine.steps_of m 0 - before);
+  ignore (Sched.solo m 0 : [ `Done | `Paused ]);
+  Machine.check_crashes m;
+  !steps
+
+let test_step_costs () =
+  let module N = Ptm_tms.Norec in
+  let module S = Ptm_tms.Sharded.Make (X4) (N) in
+  (* norec's one-shot read (fresh / read / try_commit) and one-write
+     transaction, the inner operations the sharded ones wrap *)
+  let norec op =
+    solo_steps (N.create ~nobjs:2)
+      (fun t -> N.fresh t ~pid:0 ~id:1)
+      (fun t tx ->
+        op t tx;
+        ignore (N.try_commit t tx : (unit, Tm_intf.abort) result))
+  in
+  Alcotest.(check int) "norec's one-shot read" 3
+    (norec (fun t tx -> ignore (N.read t tx 0 : (int, Tm_intf.abort) result)));
+  Alcotest.(check int) "norec's one-write transaction" 4
+    (norec (fun t tx ->
+         ignore (N.write t tx 0 7 : (unit, Tm_intf.abort) result)));
+  let read t tx x = ignore (S.read t tx x : (int, Tm_intf.abort) result) in
+  let after_reading_0 t =
+    let tx = S.fresh t ~pid:0 ~id:1 in
+    read t tx 0;
+    tx
+  in
+  (* the read of object 1 (shard 1) by a transaction that has read only
+     object 0 (shard 0): a stable window (word, one-shot read, word) and
+     one read of shard 0's word to find it steady — 2 + 3 + 1 *)
+  Alcotest.(check int) "read of an uncached object in a newly touched shard" 6
+    (solo_steps (S.create ~nobjs:8) after_reading_0 (fun t tx -> read t tx 1));
+  (* holding shard 0 is one CAS from its validated version; shard 1,
+     never read, is read then CASed; then shard 1 is published, and both
+     are released, shard 1 at the next version — 1 + 2 + 4 + 1 + 1 *)
+  Alcotest.(check int) "commit that read shard 0 and wrote shard 1" 9
+    (solo_steps (S.create ~nobjs:8) after_reading_0 (fun t tx ->
+         ignore (S.write t tx 1 7 : (unit, Tm_intf.abort) result);
+         match S.try_commit t tx with
+         | Ok () -> ()
+         | Error `Abort -> Alcotest.fail "the lone writer aborted"))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard commits: opacity-clean on every sharded registry TM      *)
@@ -151,7 +211,7 @@ let test_cross_shard_opacity () =
   List.iter
     (fun (module T : Tm_intf.S) ->
       (* bank transfers across 8 accounts under 4 shards: most touch two
-         shards, so multi-fence commits dominate *)
+         shards, so multi-shard commits dominate *)
       let w =
         Workload.bank ~nprocs:3 ~naccounts:8 ~transfers_per_proc:4 ~seed:9
       in
@@ -167,18 +227,18 @@ let test_cross_shard_opacity () =
             Opacity_stream.pp_violation v
       | Runner.Not_monitored | Runner.Monitor_inconclusive _ ->
           Alcotest.failf "%s: monitor gave no verdict" T.name);
-      (* the run really was cross-shard: at least two distinct fences saw
-         traffic *)
+      (* the run really was cross-shard: at least two distinct lock words
+         saw traffic *)
       let touched = touched_addrs o in
-      let fences_used =
+      let words_used =
         List.filter
           (fun a -> List.mem a touched)
-          (addrs_matching o.Runner.machine (contains_sub ~sub:".fence["))
+          (addrs_matching o.Runner.machine (contains_sub ~sub:".lock["))
       in
       Alcotest.(check bool)
-        (T.name ^ ": multiple fences engaged")
+        (T.name ^ ": multiple lock words engaged")
         true
-        (List.length fences_used >= 2))
+        (List.length words_used >= 2))
     Ptm_tms.Registry.sharded
 
 (* ------------------------------------------------------------------ *)
@@ -406,7 +466,7 @@ end
 (* Eight objects under four shards (object [x] in shard [x mod 4]). The
    reader caches object 0 (shard 0) and object 1 (shard 1), the writer
    then commits [writes] (all in shard 1), and the reader's next uncached
-   read, of object 2, finds shard 1's seqlock moved and revalidates.
+   read, of object 2, finds shard 1's version moved and revalidates.
    Returns that read's result and the memory events it issued. *)
 let selective_scenario (module T : Tm_intf.S) writes =
   inner_ranges := [];
@@ -452,14 +512,23 @@ let test_selective_resample () =
             let lo, hi = List.nth !inner_ranges s in
             e.addr >= lo && e.addr < hi
           in
-          let on_fence0 (e : Trace.mem_event) =
-            List.mem e.addr (named ".fence[0]")
+          let on_word0 (e : Trace.mem_event) =
+            List.mem e.addr (named ".lock[0]")
           in
+          (* the pass reads shard 0's word to find it unmoved, and must
+             leave it at that *)
           Alcotest.(check int)
-            (label "events on shard 0's fence or inner cells")
+            (label "events on shard 0's word other than reads")
             0
             (List.length
-               (List.filter (fun e -> on_fence0 e || inner 0 e) events));
+               (List.filter
+                  (fun (e : Trace.mem_event) ->
+                    on_word0 e && not (Primitive.is_trivial e.prim))
+                  events));
+          Alcotest.(check int)
+            (label "events on shard 0's inner cells")
+            0
+            (List.length (List.filter (inner 0) events));
           Alcotest.(check bool)
             (label "shard 1 re-sampled") true
             (List.exists (inner 1) events);
@@ -477,6 +546,138 @@ let test_selective_resample () =
       ( "step",
         (module Performed (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))) );
     ]
+
+(* Objects 0, 1, 2 sit in shards 0, 1, 2. The reader caches x = obj 0 and
+   y = obj 1; one commit writes y and z = obj 2, and the reader reads z
+   (post-commit), finds shard 1 moved and revalidates. Just after its
+   pass has read shard 0's word, a second writer commits x := 5 and then
+   y back to 0, so the pass skips x, re-samples y equal to its cached
+   value, and only the closing word check sees shard 0 move. The read
+   set {x = 0, y = 0, z = 7} was never simultaneously committed, so the
+   read of z must abort. *)
+let overtaken_pass (module T : Tm_intf.S) =
+  let m = Machine.create ~nprocs:3 () in
+  let t = T.create m ~nobjs:8 in
+  let word0 = List.hd (addrs_matching m (contains_sub ~sub:".lock[0]")) in
+  let cached = ref false and third = ref None in
+  Machine.spawn m 0 (fun () ->
+      let tx = T.fresh t ~pid:0 ~id:1 in
+      ignore (T.read t tx 0 : (int, Tm_intf.abort) result);
+      ignore (T.read t tx 1 : (int, Tm_intf.abort) result);
+      cached := true;
+      third := Some (T.read t tx 2));
+  let commit pid id writes () =
+    let tx = T.fresh t ~pid ~id in
+    List.iter
+      (fun (x, v) -> ignore (T.write t tx x v : (unit, Tm_intf.abort) result))
+      writes;
+    match T.try_commit t tx with
+    | Ok () -> ()
+    | Error `Abort -> failwith "a lone writer aborted"
+  in
+  Machine.spawn m 1 (commit 1 2 [ (1, 7); (2, 7) ]);
+  Machine.spawn m 2 (fun () ->
+      commit 2 3 [ (0, 5) ] ();
+      commit 2 4 [ (1, 0) ] ());
+  while not !cached do
+    ignore (Machine.step m 0 : Machine.step_result)
+  done;
+  ignore (Sched.solo m 1 : [ `Done | `Paused ]);
+  (* the steadiness check reads shard 0's word first, the pass second *)
+  let reads_of_word0 = ref 0 in
+  while !reads_of_word0 < 2 do
+    let from = Trace.length (Machine.trace m) in
+    ignore (Machine.step m 0 : Machine.step_result);
+    Trace.iter_from (Machine.trace m) from (function
+      | Trace.Mem { pid = 0; addr; prim = Primitive.Read; _ }
+        when addr = word0 ->
+          incr reads_of_word0
+      | _ -> ())
+  done;
+  ignore (Sched.solo m 2 : [ `Done | `Paused ]);
+  ignore (Sched.solo m 0 : [ `Done | `Paused ]);
+  Machine.check_crashes m;
+  Option.get !third
+
+let test_overtaken_pass () =
+  List.iter
+    (fun (form, tm) ->
+      Alcotest.(check bool)
+        (form ^ ": the read of z aborts")
+        true
+        (Result.is_error (overtaken_pass tm)))
+    [
+      ( "direct",
+        (module Ptm_tms.Sharded.Make (X4) (Ptm_tms.Norec) : Tm_intf.S) );
+      ( "step",
+        (module Performed
+                  (Ptm_tms.Sharded.Make_step (X4) (Ptm_tms.Norec.Stepwise))) );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Exhaustive: stable windows passing a hold to validate                *)
+(* ------------------------------------------------------------------ *)
+
+(* Three processes on norec.x4's step form over objects 0 (shard 0) and 1
+   (shard 1): P0 reads shard 0 and writes shard 1, so its commit holds
+   shard 0 to validate; P1 reads shard 1, then shard 0; P2 writes both,
+   so a P1 that sees P2's shard-0 value must find shard 1 held to publish
+   or moved. DPOR over every schedule up to
+   50 steps: each complete leaf must be opaque to both checkers, and in
+   some leaf P1 reads shard 0's word while P0 holds it to validate — the
+   only hold to validate this fixture makes. *)
+let test_dpor_validate_hold () =
+  let (module T : Tm_intf.S_step) =
+    Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec.x4"))
+  in
+  let module R = Runner.Make_step (T) in
+  let progs =
+    Workload.[| [ R 0; W (1, 10) ]; [ R 1; R 0 ]; [ W (0, 20); W (1, 21) ] |]
+  in
+  let mk () =
+    let m = Machine.create ~engine:Machine.Steps ~nprocs:3 () in
+    let ctx = R.init m ~nobjs:2 in
+    Array.iteri
+      (fun pid ops ->
+        Machine.spawn_step m pid
+          (let* (_ : (unit, Tm_intf.abort) result) =
+             R.atomically ctx ~pid ~retries:1 (fun tx ->
+                 prog_of_ops (R.read ctx tx) (R.write ctx tx) ops)
+           in
+           Sm.return ()))
+      progs;
+    m
+  in
+  let leaves = ref 0 and overlaps = ref 0 in
+  let final m =
+    incr leaves;
+    let word0 = List.hd (addrs_matching m (contains_sub ~sub:".lock[0]")) in
+    let entries = Trace.entries (Machine.trace m) in
+    if
+      List.exists
+        (function
+          | Trace.Mem { pid = 1; addr; prim = Primitive.Read; resp; _ } ->
+              addr = word0 && Value.to_int resp land 3 = 1
+          | _ -> false)
+        entries
+    then incr overlaps;
+    match
+      ( Checker.opaque (History.of_entries entries),
+        fst (Opacity_stream.check_entries entries) )
+    with
+    | Checker.Serializable _, Opacity_stream.Opaque -> true
+    | ov, sv ->
+        Alcotest.failf "leaf not opaque to both checkers: offline=%a stream=%a"
+          Checker.pp_verdict ov Opacity_stream.pp_verdict sv
+  in
+  let s = Explore.run ~mk ~final ~max_steps:50 ~mode:Explore.Dpor () in
+  Alcotest.(check int) "violations" 0 s.Explore.violations;
+  Alcotest.(check bool) "not exhausted" false s.Explore.exhausted;
+  Alcotest.(check int) "every complete leaf checked" s.Explore.paths !leaves;
+  Alcotest.(check bool)
+    (Printf.sprintf "a stable window passes the hold (%d of %d leaves)"
+       !overlaps !leaves)
+    true (!overlaps > 0)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: random mixes + fault plans, opacity-clean on both engines    *)
@@ -537,7 +738,7 @@ let qcheck_cross_shard_opacity =
                 ~observer:(Opacity_stream.on_entry chk)
                 w
             in
-            (* crashes can leave survivors spinning on a dead fence-holder:
+            (* crashes can leave survivors spinning on a dead word-holder:
                a budget trip is expected there, never a violation *)
             (try Sched.random ~seed ~max_steps:30_000 m
              with Sched.Out_of_steps -> ());
@@ -569,6 +770,11 @@ let () =
           Alcotest.test_case "single shard: one fence" `Quick
             test_single_shard_one_fence;
         ] );
+      ( "step-cost",
+        [
+          Alcotest.test_case "uncontended read and commit" `Quick
+            test_step_costs;
+        ] );
       ( "cross-shard",
         [
           Alcotest.test_case "bank mixes opacity-clean (all sharded TMs)"
@@ -588,5 +794,12 @@ let () =
         [
           Alcotest.test_case "only moved shards are re-sampled" `Quick
             test_selective_resample;
+          Alcotest.test_case "a commit during the pass restarts it" `Quick
+            test_overtaken_pass;
+        ] );
+      ( "explore",
+        [
+          Alcotest.test_case "stable window meets a hold to validate" `Quick
+            test_dpor_validate_hold;
         ] );
     ]
