@@ -172,9 +172,13 @@ let load_cmd =
   in
   let retries_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Load.default_config.Load.retries
       & info [ "retries" ] ~docv:"R"
-          ~doc:"Retries per aborted transaction before it counts as failed.")
+          ~doc:
+            "Retries per aborted transaction before it counts as failed; \
+             before retry k, process p of n backs off for min(1024, 2^k + \
+             p*2^k/n) idle ticks.")
   in
   let sample_arg =
     Arg.(

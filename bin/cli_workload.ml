@@ -87,8 +87,9 @@ let run_cmd =
       & opt (some (t3 ~sep:',' int int int)) None
       & info [ "backoff" ] ~docv:"BASE,FACTOR,CAP"
           ~doc:
-            "Exponential back-off between retries, realized as machine \
-             steps: before retry k wait min(CAP, BASE*FACTOR^k) slots \
+            "Exponential back-off between the $(b,--retries) retries, \
+             realized as machine steps: before retry k, process p of n \
+             waits min(CAP, d + p*d/n) slots, d = min(CAP, BASE*FACTOR^k) \
              (default: retry immediately).")
   in
   let livelock_arg =
@@ -137,7 +138,7 @@ let run_cmd =
       match backoff with
       | None -> Ptm_core.Runner.Immediate
       | Some (base, factor, cap) ->
-          Ptm_core.Runner.Backoff { base; factor; cap; max_retries = retries }
+          Ptm_core.Runner.Backoff { base; factor; cap }
     in
     or_exit2 "run" (fun () -> Ptm_core.Runner.validate_policy policy);
     let o =

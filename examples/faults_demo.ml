@@ -97,8 +97,7 @@ let () =
      can use — visible as extra steps for the delayed process. *)
   let backoff =
     go (module Ptm_tms.Tl2)
-      ~policy:
-        (Runner.Backoff { base = 2; factor = 2; cap = 16; max_retries = 200 })
+      ~policy:(Runner.Backoff { base = 2; factor = 2; cap = 16 })
       ~faults:[ Fault.abort ~pid:0 ~op:0; Fault.abort ~pid:0 ~op:1 ]
       ()
   in

@@ -16,7 +16,9 @@ open Ptm_machine
    when service is slower than arrival), closed-loop clients re-arm
    [think] steps after each completion. When no client is due the process
    spends the slot on a scratch-cell read — an {e idle tick}, so time
-   advances and the machine stays faithful to "one step, one event".
+   advances and the machine stays faithful to "one step, one event". An
+   aborted attempt is retried after a back-off spent in the same idle
+   ticks, counted as idle and never as wasted.
 
    The run executes under the [Off] trace sink. Everything normally
    recovered from the trace is accounted online instead: RMRs are fed to
@@ -96,7 +98,7 @@ let default_config =
         ops_max = 6;
       };
     seed = 1;
-    retries = 8;
+    retries = 16;
     sample = 0.0;
     faults = [];
     rmr_models = [];
@@ -327,6 +329,11 @@ let validate cfg =
   | Open_loop { period } -> if period < 0 then invalid_arg "Load: negative period"
   | Closed_loop { think } -> if think < 0 then invalid_arg "Load: negative think")
 
+(* Before retry [k] a process waits [min 1024 (2^k + pid * 2^k / nprocs)]
+   idle ticks (Runner's back-off rule): re-issuing at once lets the
+   processes that just collided collide again, round after round. *)
+let retry_wait = Runner.Backoff { base = 1; factor = 2; cap = 1024 }
+
 let run (module T : Tm_intf.S) cfg =
   validate cfg;
   let sampler =
@@ -466,7 +473,13 @@ let run (module T : Tm_intf.S) cfg =
                     (match det with
                     | Some d -> Runner.Livelock.record_abort d pid
                     | None -> ());
-                    if k < cfg.retries && not (gave_up ()) then attempt (k + 1)
+                    if k < cfg.retries && not (gave_up ()) then begin
+                      idle.(pid) <-
+                        idle.(pid)
+                        + Runner.back_off retry_wait ~nprocs:cfg.nprocs ~pid
+                            scratch.(pid) k;
+                      attempt (k + 1)
+                    end
                     else failed.(pid) <- failed.(pid) + 1
               in
               attempt 0;

@@ -7,7 +7,11 @@
     run one whole transaction (with retries) on its behalf through the
     instrumented {!Runner} layer, move on. Per-process time is the
     process's own step count; when no client is due, the slot is spent on a
-    scratch-cell read (an idle tick) so time keeps flowing.
+    scratch-cell read (an idle tick) so time keeps flowing. Before retry [k]
+    of an aborted transaction (counting from 0) the process backs off for
+    [min 1024 (2^k + pid * 2^k / nprocs)] idle ticks: {!Runner.back_off}
+    with [Backoff { base = 1; factor = 2; cap = 1024 }], the rule
+    [ptm run --backoff 1,2,1024] applies.
 
     The run executes under the [Off] trace sink — nothing is retained per
     step. All metrics are accounted online: RMRs via {!Ptm_machine.Rmr.Stream}
@@ -48,6 +52,8 @@ type config = {
   mix : mix;
   seed : int;
   retries : int;
+      (** retries of an aborted transaction, each after its back-off,
+          before it counts as failed *)
   sample : float;  (** fraction of clients under the opacity monitor *)
   faults : Fault.spec list;
   rmr_models : Rmr.model list;
@@ -70,7 +76,8 @@ type config = {
 
 val default_config : config
 (** 64 clients on 4 processes, 64 objects, uniform half-write mix,
-    saturated closed loop, no faults, no monitor, no RMR accounting. *)
+    saturated closed loop, 16 retries, no faults, no monitor, no RMR
+    accounting. *)
 
 type result = {
   tm : string;
@@ -80,7 +87,9 @@ type result = {
   unstarted : int;  (** transactions never begun (budget trip / crash) *)
   steps : int;  (** memory events over the whole run *)
   wasted : int;  (** steps spent inside aborted attempts *)
-  idle : int;  (** idle ticks across all processes *)
+  idle : int;
+      (** idle ticks across all processes: no client due, or backing off
+          before a retry; [steps - idle] are the busy steps *)
   rmr : (string * int) list;  (** totals, per requested model *)
   starved : int list;
       (** processes looping on aborts when the livelock detector tripped

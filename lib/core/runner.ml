@@ -151,7 +151,26 @@ module Make_step (T : Tm_intf.S_step) = Body (Proc.Step) (T)
 
 type retry_policy =
   | Immediate
-  | Backoff of { base : int; factor : int; cap : int; max_retries : int }
+  | Backoff of { base : int; factor : int; cap : int }
+
+(* The back-off rule, written once for [run] and [Load]: before retry [k],
+   [d = min cap (base * factor^k)] ticks plus a pid-spread share of [d],
+   so processes that aborted in the same round wake at different slots. *)
+let back_off policy ~nprocs ~pid cell k =
+  let ticks =
+    match policy with
+    | Immediate -> 0
+    | Backoff { base; factor; cap } ->
+        let rec go d i =
+          if i <= 0 || d >= cap then min d cap else go (d * factor) (i - 1)
+        in
+        let d = go base k in
+        min cap (d + (pid * d / nprocs))
+  in
+  for _ = 1 to ticks do
+    ignore (Proc.read cell : Value.t)
+  done;
+  ticks
 
 module Livelock = struct
   type t = {
@@ -214,9 +233,7 @@ type schedule = Round_robin | Random_sched of int
 
 let validate_policy = function
   | Immediate -> ()
-  | Backoff { base; factor; cap; max_retries } ->
-      if max_retries < 0 then
-        invalid_arg "Runner.run: max_retries must be >= 0";
+  | Backoff { base; factor; cap } ->
       if base < 0 || factor < 1 || cap < base then
         invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base"
 
@@ -250,20 +267,6 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
   let det =
     Option.map (fun window -> Livelock.create ~window ~nprocs ()) livelock_window
   in
-  let max_retries =
-    match policy with
-    | Immediate -> retries
-    | Backoff { max_retries; _ } -> max_retries
-  in
-  let delay k =
-    match policy with
-    | Immediate -> 0
-    | Backoff { base; factor; cap; _ } ->
-        let rec go d i =
-          if i <= 0 || d >= cap then min d cap else go (d * factor) (i - 1)
-        in
-        go base k
-  in
   let commits = ref 0 and aborts = ref 0 in
   let gave_up () =
     match det with Some d -> Livelock.tripped d | None -> false
@@ -295,13 +298,8 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
       | Error `Abort ->
           incr aborts;
           (match det with Some d -> Livelock.record_abort d pid | None -> ());
-          if k < max_retries && not (gave_up ()) then begin
-            (* Realize the back-off as machine steps: each waited slot is one
-               (trivial) read of this pid's scratch cell, so delays occupy
-               schedule positions and rival transactions can run meanwhile. *)
-            for _ = 1 to delay k do
-              ignore (Proc.read backoff.(pid) : Value.t)
-            done;
+          if k < retries && not (gave_up ()) then begin
+            ignore (back_off policy ~nprocs ~pid backoff.(pid) k : int);
             attempt (k + 1)
           end
     in

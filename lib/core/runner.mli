@@ -57,10 +57,22 @@ module Make_step (T : Tm_intf.S_step) :
 
 type retry_policy =
   | Immediate  (** re-issue an aborted attempt on the next scheduled slot *)
-  | Backoff of { base : int; factor : int; cap : int; max_retries : int }
-      (** before retry [k], wait [min cap (base * factor^k)] machine steps
-          (each a trivial read of a per-process scratch cell, so delays
-          occupy schedule positions and rivals run meanwhile) *)
+  | Backoff of { base : int; factor : int; cap : int }
+      (** before retry [k] (counting from 0), wait
+          [min cap (d + pid * d / nprocs)] machine steps, where
+          [d = min cap (base * factor^k)]: each step is a trivial read of a
+          per-process scratch cell, so delays occupy schedule positions
+          and rivals run meanwhile, and the [pid] term keeps processes
+          that aborted in the same round from retrying in lockstep *)
+
+val back_off :
+  retry_policy -> nprocs:int -> pid:int -> Memory.addr -> int -> int
+(** [back_off policy ~nprocs ~pid cell k] performs the wait before retry
+    [k] of process [pid], one read of [cell] per tick, and returns the
+    number of ticks ([0] under {!Immediate}). Direct form: call it from
+    inside a spawned process. {!run} waits with it under its [policy];
+    {!Load} always waits with [Backoff { base = 1; factor = 2; cap = 1024 }].
+    {!Instrumented.atomically}, which the explorer runs, never waits. *)
 
 (** Livelock detector: flags abort–retry cycles making no commit progress.
     Feed it every attempt outcome; it trips once [window] consecutive abort
@@ -129,9 +141,9 @@ type outcome = {
 type schedule = Round_robin | Random_sched of int  (** seeded *)
 
 val validate_policy : retry_policy -> unit
-(** Raises [Invalid_argument] unless a [Backoff] has [max_retries >= 0],
-    [base >= 0], [factor >= 1] and [cap >= base]. {!run} calls it before
-    anything else. *)
+(** Raises [Invalid_argument] unless a [Backoff] has [base >= 0],
+    [factor >= 1] and [cap >= base]. {!run} calls it before anything
+    else. *)
 
 val run :
   (module Tm_intf.S) ->
@@ -146,8 +158,8 @@ val run :
   outcome
 (** Run the workload to quiescence. [retries] (default 0) is how many times an
     aborted transaction attempt is re-issued (each retry is a fresh
-    transaction); it is superseded by [Backoff]'s own [max_retries] when
-    [policy] (default {!Immediate}) is a back-off. Crashes inside TM code are
+    transaction); [policy] (default {!Immediate}) is how long a process
+    waits before each retry ({!back_off}). Crashes inside TM code are
     re-raised.
 
     [faults] (default []) is installed via {!Machine.set_faults}:

@@ -515,7 +515,7 @@ let test_backoff_consumes_steps () =
   in
   let imm = run Runner.Immediate in
   let bo =
-    run (Runner.Backoff { base = 4; factor = 2; cap = 16; max_retries = 2 })
+    run (Runner.Backoff { base = 4; factor = 2; cap = 16 })
   in
   Alcotest.(check int) "immediate: third attempt commits" 1 imm.Runner.commits;
   Alcotest.(check int) "backoff: third attempt commits" 1 bo.Runner.commits;
@@ -535,7 +535,7 @@ let test_backoff_cap () =
   in
   let imm = run Runner.Immediate in
   let o =
-    run (Runner.Backoff { base = 1; factor = 10; cap = 5; max_retries = 5 })
+    run (Runner.Backoff { base = 1; factor = 10; cap = 5 })
   in
   Alcotest.(check int) "commits" 1 o.Runner.commits;
   Alcotest.(check int) "aborts" 5 o.Runner.aborts;
@@ -544,26 +544,56 @@ let test_backoff_cap () =
     (Machine.steps_of imm.Runner.machine 0 + 21)
     (Machine.steps_of o.Runner.machine 0)
 
+(* The pid term spreads processes that abort in the same round: with two
+   processes, before retry 1 pid 0 waits 2 and pid 1 waits 2 + 1*2/2 = 3
+   (before retry 0 both wait 1). *)
+let test_backoff_spreads_pids () =
+  let w =
+    {
+      Workload.nobjs = 2;
+      procs = [| [ [ Workload.W (0, 1) ] ]; [ [ Workload.W (1, 1) ] ] |];
+    }
+  in
+  let faults =
+    List.concat_map
+      (fun pid -> [ Fault.abort ~pid ~op:0; Fault.abort ~pid ~op:1 ])
+      [ 0; 1 ]
+  in
+  let run policy =
+    Runner.run
+      (module Ptm_tms.Dstm)
+      ~retries:2 ~policy ~faults ~schedule:Runner.Round_robin w
+  in
+  let imm = run Runner.Immediate in
+  let bo = run (Runner.Backoff { base = 1; factor = 2; cap = 16 }) in
+  Alcotest.(check int) "both commit" 2 bo.Runner.commits;
+  List.iter
+    (fun (pid, waited) ->
+      Alcotest.(check int)
+        (Printf.sprintf "p%d waited %d slots" pid waited)
+        (Machine.steps_of imm.Runner.machine pid + waited)
+        (Machine.steps_of bo.Runner.machine pid))
+    [ (0, 1 + 2); (1, 1 + 3) ]
+
 (* A malformed back-off is rejected when the run starts, not when a retry
    is first delayed: this workload never aborts, so no retry happens. *)
 let test_backoff_rejected_at_entry () =
   let w = { Workload.nobjs = 1; procs = [| [ [ Workload.W (0, 1) ] ] |] } in
   List.iter
-    (fun (name, (base, factor, cap, max_retries)) ->
+    (fun (name, (base, factor, cap)) ->
       match
         Runner.run
           (module Ptm_tms.Dstm)
-          ~policy:(Runner.Backoff { base; factor; cap; max_retries })
+          ~policy:(Runner.Backoff { base; factor; cap })
           ~schedule:Runner.Round_robin w
       with
       | (_ : Runner.outcome) ->
           Alcotest.failf "%s: expected Invalid_argument" name
       | exception Invalid_argument _ -> ())
     [
-      ("negative base", (-1, 2, 8, 2));
-      ("factor 0", (1, 0, 8, 2));
-      ("cap below base", (4, 2, 2, 2));
-      ("negative max_retries", (1, 2, 8, -1));
+      ("negative base", (-1, 2, 8));
+      ("factor 0", (1, 0, 8));
+      ("cap below base", (4, 2, 2));
     ]
 
 let test_livelock_unit () =
@@ -655,6 +685,8 @@ let () =
         Alcotest.test_case "backoff consumes machine steps" `Quick
           test_backoff_consumes_steps;
         Alcotest.test_case "backoff cap" `Quick test_backoff_cap;
+        Alcotest.test_case "backoff spreads same-round retries" `Quick
+          test_backoff_spreads_pids;
         Alcotest.test_case "bad backoff rejected at entry" `Quick
           test_backoff_rejected_at_entry;
         Alcotest.test_case "livelock unit" `Quick test_livelock_unit;

@@ -2,7 +2,7 @@
    generated transaction ends up committed, failed or unstarted),
    run-to-run determinism, both client models, full-sample opacity
    monitoring (plain and sharded TMs), partial-sample filtering, online
-   RMR accounting, and crash-under-load. *)
+   RMR accounting, crash-under-load, and the back-off before a retry. *)
 
 open Ptm_core
 
@@ -190,6 +190,100 @@ let test_zipf_hot_mix () =
   | Some (Opacity_stream.Opaque | Opacity_stream.Inconclusive _) -> ()
   | None -> Alcotest.fail "zipf+hot mix: monitor not armed"
 
+(* [sgl] under a forwarding wrapper that logs, per pid, the serving
+   process's own step count whenever an attempt begins (a host read: the
+   wrapper adds no step). sgl never aborts, so every abort below is an
+   injected one. *)
+let logged_sgl () =
+  let machine = ref None and starts = ref [] in
+  let module W = struct
+    include Ptm_tms.Sgl
+
+    let create m ~nobjs =
+      machine := Some m;
+      create m ~nobjs
+
+    let fresh t ~pid ~id =
+      let m = Option.get !machine in
+      starts := (pid, Ptm_machine.Machine.steps_of m pid) :: !starts;
+      fresh t ~pid ~id
+  end in
+  let starts_of pid =
+    List.rev
+      (List.filter_map
+         (fun (p, s) -> if p = pid then Some s else None)
+         !starts)
+  in
+  ((module W : Tm_intf.S), starts_of)
+
+(* one single-write transaction per client, one client per process *)
+let one_write nprocs =
+  {
+    base with
+    Load.clients = nprocs;
+    nprocs;
+    txs_per_client = 1;
+    mix =
+      { base.Load.mix with Load.write_ratio = 1.0; ops_min = 1; ops_max = 1 };
+  }
+
+(* aborts injected at the first operation of a process's first two
+   attempts *)
+let first_ops pid =
+  Ptm_machine.Fault.[ abort ~pid ~op:0; abort ~pid ~op:1 ]
+
+(* An abort injected at a transaction's first operation costs the attempt
+   no step, so the gaps between attempt starts are exactly the waits:
+   before retry k, p2 of 3 waits min 1024 (2^k + 2 * 2^k / 3), i.e. 1 then
+   3 idle ticks, counted in [idle] and not in [wasted]. *)
+let test_retry_wait_pinned () =
+  let tm, starts_of = logged_sgl () in
+  let cfg = { (one_write 3) with Load.faults = first_ops 2 } in
+  let r = Load.run tm cfg in
+  Alcotest.(check (list int)) "p2's attempts start at own steps" [ 0; 1; 4 ]
+    (starts_of 2);
+  Alcotest.(check int) "two injected aborts" 2 r.Load.aborted;
+  Alcotest.(check int) "all commit" 3 r.Load.committed;
+  Alcotest.(check int) "the waits are idle ticks" 4 r.Load.idle;
+  Alcotest.(check int) "and not wasted steps" 0 r.Load.wasted
+
+(* Two processes abort their first attempt in one round and wait 1 tick
+   each, abort again in one round, and then wait 2 and 2 + 1 * 2 / 2 = 3:
+   under the round-robin drive their third attempts start in different
+   rounds. *)
+let test_same_round_retries_spread () =
+  let tm, starts_of = logged_sgl () in
+  let cfg = { (one_write 2) with Load.faults = first_ops 0 @ first_ops 1 } in
+  let r = Load.run tm cfg in
+  Alcotest.(check int) "both commit" 2 r.Load.committed;
+  Alcotest.(check (list int)) "p0's attempts" [ 0; 1; 3 ] (starts_of 0);
+  Alcotest.(check (list int)) "p1's attempts" [ 0; 1; 4 ] (starts_of 1)
+
+(* A small skewed write-heavy cell: retrying at once, lock-based TMs
+   abandon transactions at the retry budget; backing off, none does. *)
+let test_contended_cell_completes () =
+  List.iter
+    (fun tm_name ->
+      let (module T) = Option.get (Ptm_tms.Registry.by_name tm_name) in
+      let cfg =
+        {
+          base with
+          Load.retries = Load.default_config.Load.retries;
+          mix =
+            {
+              Load.dist = Workload.Zipf 0.9;
+              hotspot = None;
+              write_ratio = 0.8;
+              ops_min = 2;
+              ops_max = 6;
+            };
+        }
+      in
+      let r = Load.run (module T) cfg in
+      check_accounting cfg r;
+      Alcotest.(check int) (tm_name ^ ": nothing abandoned") 0 r.Load.failed)
+    [ "lazy-orec"; "dstm"; "tl2" ]
+
 let test_bad_configs () =
   let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
   let expect name cfg =
@@ -245,6 +339,11 @@ let () =
           Alcotest.test_case "online RMR accounting" `Quick test_rmr_accounting;
           Alcotest.test_case "crash under load" `Quick test_crash_under_load;
           Alcotest.test_case "zipf + hotspot mix" `Quick test_zipf_hot_mix;
+          Alcotest.test_case "retry wait pinned" `Quick test_retry_wait_pinned;
+          Alcotest.test_case "same-round retries spread" `Quick
+            test_same_round_retries_spread;
+          Alcotest.test_case "contended cell completes" `Quick
+            test_contended_cell_completes;
           Alcotest.test_case "config validation" `Quick test_bad_configs;
         ] );
     ]
