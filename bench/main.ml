@@ -396,45 +396,29 @@ let cells_agree ~pass ~what ok ca cb =
 (* E10: schedule-space reduction of the DPOR explorer                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The explorer fixtures of E10, E11, E14, E18b and the perf gate. The TM
+   one: T0 = read X0; write X1 — T1 = write X0; read X1, one attempt each,
+   in the engine's program form (the TM's direct instance on Fibers, its
+   step instance on Steps). *)
+let conflict_w =
+  Workload.
+    { nobjs = 2; procs = [| [ [ R 0; W (1, 10) ] ]; [ [ W (0, 20); R 1 ] ] |] }
+
+let bench_mk_tm ?engine tm trace () =
+  let m = Ptm_machine.Machine.create ~trace ?engine ~nprocs:2 () in
+  Runner.spawn m tm ~retries:0 conflict_w;
+  m
+
+(* Two processes, one critical section each. *)
+let bench_mk_mutex lock trace () =
+  Ptm_mutex.Harness.explored lock ~trace ~nprocs:2 ()
+
 let e10 () =
   hr
     "E10. Partial-order reduction: naive vs DPOR explored paths (identical \
      verdicts)";
-  let mk_tm (module T : Tm_intf.S) () =
-    let module R = Runner.Make (T) in
-    let m = Ptm_machine.Machine.create ~nprocs:2 () in
-    let ctx = R.init m ~nobjs:2 in
-    Ptm_machine.Machine.spawn m 0 (fun () ->
-        let tx = R.begin_tx ctx ~pid:0 in
-        match R.read ctx tx 0 with
-        | Error `Abort -> ()
-        | Ok _ -> (
-            match R.write ctx tx 1 10 with
-            | Error `Abort -> ()
-            | Ok () -> ignore (R.commit ctx tx)));
-    Ptm_machine.Machine.spawn m 1 (fun () ->
-        let tx = R.begin_tx ctx ~pid:1 in
-        match R.write ctx tx 0 20 with
-        | Error `Abort -> ()
-        | Ok () -> (
-            match R.read ctx tx 1 with
-            | Error `Abort -> ()
-            | Ok _ -> ignore (R.commit ctx tx)));
-    m
-  in
-  let mk_mutex (module L : Ptm_mutex.Mutex_intf.S) () =
-    let m = Ptm_machine.Machine.create ~nprocs:2 () in
-    let lock = L.create m ~nprocs:2 in
-    let c = Ptm_machine.Machine.alloc m ~name:"c" (Ptm_machine.Value.Int 0) in
-    for pid = 0 to 1 do
-      Ptm_machine.Machine.spawn m pid (fun () ->
-          L.enter lock ~pid;
-          let v = Ptm_machine.Proc.read_int c in
-          Ptm_machine.Proc.write c (Ptm_machine.Value.Int (v + 1));
-          L.exit_cs lock ~pid)
-    done;
-    m
-  in
+  let mk_tm tm = bench_mk_tm tm Ptm_machine.Trace.Full in
+  let mk_mutex lock = bench_mk_mutex lock Ptm_machine.Trace.Full in
   let configs =
     [
       ("undolog 2tx", mk_tm (module Ptm_tms.Undolog), 40);
@@ -475,42 +459,6 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 (* E11: explorer throughput — naive vs DPOR vs parallel, trace on/off  *)
 (* ------------------------------------------------------------------ *)
-
-(* Fixture builders shared by E11 and the perf gate. *)
-let bench_mk_tm (module T : Tm_intf.S) trace () =
-  let module R = Runner.Make (T) in
-  let m = Ptm_machine.Machine.create ~trace ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:2 in
-  Ptm_machine.Machine.spawn m 0 (fun () ->
-      let tx = R.begin_tx ctx ~pid:0 in
-      match R.read ctx tx 0 with
-      | Error `Abort -> ()
-      | Ok _ -> (
-          match R.write ctx tx 1 10 with
-          | Error `Abort -> ()
-          | Ok () -> ignore (R.commit ctx tx)));
-  Ptm_machine.Machine.spawn m 1 (fun () ->
-      let tx = R.begin_tx ctx ~pid:1 in
-      match R.write ctx tx 0 20 with
-      | Error `Abort -> ()
-      | Ok () -> (
-          match R.read ctx tx 1 with
-          | Error `Abort -> ()
-          | Ok _ -> ignore (R.commit ctx tx)));
-  m
-
-let bench_mk_mutex (module L : Ptm_mutex.Mutex_intf.S) trace () =
-  let m = Ptm_machine.Machine.create ~trace ~nprocs:2 () in
-  let lock = L.create m ~nprocs:2 in
-  let c = Ptm_machine.Machine.alloc m ~name:"c" (Ptm_machine.Value.Int 0) in
-  for pid = 0 to 1 do
-    Ptm_machine.Machine.spawn m pid (fun () ->
-        L.enter lock ~pid;
-        let v = Ptm_machine.Proc.read_int c in
-        Ptm_machine.Proc.write c (Ptm_machine.Value.Int (v + 1));
-        L.exit_cs lock ~pid)
-  done;
-  m
 
 (* OSTM's naive schedule space at depth 40 is far beyond the default
    budget, so it gets an explicit (deterministic) leaf cap: the naive
@@ -740,41 +688,15 @@ let e13 () =
 (* E14: engine ablation — fiber switch vs direct step application      *)
 (* ------------------------------------------------------------------ *)
 
-(* The E11 TM workload in step form, runnable on either backend: [Fibers]
-   interprets the step programs through [Proc.Step.perform] inside
-   effect-handler coroutines (one stack switch per machine step), [Steps]
-   drives them by direct closure application with no fiber at all. *)
-let bench_mk_tm_step (module T : Tm_intf.S_step) engine trace () =
-  let module R = Runner.Make_step (T) in
-  let module Sm = Ptm_machine.Proc.Step in
-  let m = Ptm_machine.Machine.create ~trace ~engine ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:2 in
-  Ptm_machine.Machine.spawn_step m 0
-    (Sm.bind (R.begin_tx ctx ~pid:0) (fun tx ->
-         Sm.bind (R.read ctx tx 0) (function
-           | Error `Abort -> Sm.return ()
-           | Ok _ ->
-               Sm.bind (R.write ctx tx 1 10) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok () -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
-  Ptm_machine.Machine.spawn_step m 1
-    (Sm.bind (R.begin_tx ctx ~pid:1) (fun tx ->
-         Sm.bind (R.write ctx tx 0 20) (function
-           | Error `Abort -> Sm.return ()
-           | Ok () ->
-               Sm.bind (R.read ctx tx 1) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok _ -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
-  m
-
+(* The E11 TM workload on both engines: [Fibers] runs the direct instance
+   in effect-handler coroutines (one stack switch per machine step),
+   [Steps] drives the step instance by direct closure application with no
+   fiber at all. The config names keep their baseline keys. *)
 let e14_configs ~quick =
   [
-    ( "undolog-step",
-      (module Ptm_tms.Undolog.Stepwise : Tm_intf.S_step),
-      40,
-      4_000_000 );
+    ("undolog-step", (module Ptm_tms.Undolog : Tm_intf.Both), 40, 4_000_000);
     ( "ostm-step",
-      (module Ptm_tms.Ostm.Stepwise : Tm_intf.S_step),
+      (module Ptm_tms.Ostm : Tm_intf.Both),
       40,
       if quick then 20_000 else 100_000 );
   ]
@@ -788,15 +710,16 @@ let engines_agree ~pass ~config ~mode sf ss =
     (Ptm_machine.Explore.same_search sf ss)
     (cell "fibers" sf) (cell "steps" ss)
 
-(* Leaves/s of the same step-form search on both engines (trace=off). The
-   engines must find exactly the same schedule tree (checked by
-   [engines_agree]); the per-step driving cost differs, and the Steps
-   engine restores saved nodes where the Fibers engine replays. Returns
-   BENCH_explore.json lines, [engine] distinguishing the rows. *)
+(* Leaves/s of the same search on both engines (trace=off): the direct
+   instance on Fibers, the step instance on Steps. The engines must find
+   exactly the same schedule tree (checked by [engines_agree]); the
+   per-step driving cost differs, and the Steps engine restores saved
+   nodes where the Fibers engine replays. Returns BENCH_explore.json
+   lines, [engine] distinguishing the rows. *)
 let e14 ?(quick = false) () =
   hr
-    "E14. Engine ablation: step programs on Fibers (effect handlers) vs \
-     Steps (direct application), trace=off";
+    "E14. Engine ablation: the direct instance on Fibers (effect handlers) \
+     vs the step instance on Steps (direct application), trace=off";
   let configs = e14_configs ~quick in
   let modes =
     [ ("naive", Ptm_machine.Explore.Naive); ("dpor", Ptm_machine.Explore.Dpor) ]
@@ -813,7 +736,7 @@ let e14 ?(quick = false) () =
           let measure engine =
             timed_runs min_time (fun () ->
                 Ptm_machine.Explore.run
-                  ~mk:(bench_mk_tm_step tm engine Ptm_machine.Trace.Off)
+                  ~mk:(bench_mk_tm ~engine tm Ptm_machine.Trace.Off)
                   ~max_steps ~max_paths ~mode ())
           in
           let sf, rps_f = measure Ptm_machine.Machine.Fibers in
@@ -1323,8 +1246,9 @@ let e18_load ?(quick = false) () =
   List.rev !cells
 
 (* DPOR of the ofree conflict fixture under a crash budget, per contention
-   manager, on both engines — the crash-resilience study's state-space
-   side: every reachable leaf (including crash-truncated ones) must be
+   manager, on both engines (the direct instance on Fibers, the step
+   instance on Steps) — the crash-resilience study's state-space side:
+   every reachable leaf (including crash-truncated ones) must be
    opacity-clean, and the engines must search the same tree. Cells join
    BENCH_explore.json in the E11 format. *)
 let e18_explore ?(quick = false) () =
@@ -1336,11 +1260,11 @@ let e18_explore ?(quick = false) () =
   Fmt.pr "%-16s %10s %6s %6s %14s %14s %8s@." "config" "paths" "cut" "faults"
     "fibers leaves/s" "steps leaves/s" "speedup";
   List.iter
-    (fun (module T : Tm_intf.S_step) ->
+    (fun ((module T : Tm_intf.Both) as tm) ->
       let measure engine =
         timed_runs min_time (fun () ->
             Ptm_machine.Explore.run
-              ~mk:(bench_mk_tm_step (module T) engine Ptm_machine.Trace.Off)
+              ~mk:(bench_mk_tm ~engine tm Ptm_machine.Trace.Off)
               ~max_steps:60 ~max_paths:4_000_000 ~mode:Ptm_machine.Explore.Dpor
               ~crashes:1 ())
       in
@@ -1363,7 +1287,7 @@ let e18_explore ?(quick = false) () =
         explore_cell ~config:cname ~mode:"dpor-crash1" ~trace:"off" ~engine s
       in
       cells := cell "steps" ss :: cell "fibers" sf :: !cells)
-    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.cms);
+    Ptm_tms.Registry.cms;
   Fmt.pr
     "@.Every leaf of every CM's crash-budget search is reachable and \
      violation-free,@.and the engines search the same tree.@.";

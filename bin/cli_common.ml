@@ -4,9 +4,9 @@
 
 open Cmdliner
 
-(* The one TM converter: any registry name, resolved to its entry; each
-   subcommand takes the form it runs ([Registry.direct] or
-   [Registry.step]). *)
+(* The one TM converter: any registry name, resolved to its entry, which
+   carries both forms ([Registry.direct] for the direct one, or
+   [Runner.spawn] for the machine's). *)
 let tm_conv =
   let parse s =
     match Ptm_tms.Registry.find s with

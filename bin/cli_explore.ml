@@ -1,5 +1,6 @@
 (* The model-checking subcommand: explore. Owns its argument parsing; a
-   --tm fixture runs the registry TM's step form. *)
+   --tm fixture runs the registry TM's direct instance on the Fibers engine
+   and its step instance on the Steps engine. *)
 
 open Cmdliner
 open Cli_common
@@ -113,9 +114,8 @@ let explore_cmd =
       & opt (some Cli_common.tm_conv) None
       & info [ "tm" ] ~docv:"TM"
           ~doc:
-            "Model-check a registry TM's step form (one read-write \
-             transaction per process) instead of a lock; see \
-             $(b,--engine).")
+            "Model-check a registry TM (one read-write transaction per \
+             process) instead of a lock; see $(b,--engine).")
   in
   let engine_arg =
     Arg.(
@@ -125,13 +125,15 @@ let explore_cmd =
           `Steps
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Machine backend for the $(b,--tm) fixture: $(b,steps) (the \
-             default: the search saves each branching node and restores it \
-             for every further branch), $(b,fibers) (effect-handler \
-             processes, one-shot: every further branch replays its prefix \
-             on a restarted machine), or $(b,both) (run both and require \
-             the same search: equal paths, cut, pruned, violations, \
-             witness, fault branches and budget outcome).")
+            "Engine, and with it program form, for the $(b,--tm) fixture: \
+             $(b,steps) (the default: the TM's step instance; the search \
+             saves each branching node and restores it for every further \
+             branch), $(b,fibers) (the direct instance, the text every \
+             load run executes, in effect-handler processes; continuations \
+             are one-shot, so every further branch replays its prefix on a \
+             restarted machine), or $(b,both) (run both and require the \
+             same search: equal paths, cut, pruned, violations, witness, \
+             fault branches and budget outcome).")
   in
   let check_arg =
     Arg.(
@@ -157,12 +159,8 @@ let explore_cmd =
                bitmasks), not %d@." nprocs;
       exit 2
     end;
-    let tm_step =
-      Option.map
-        (fun e -> Ptm_tms.Registry.step (List.hd (Cli_common.apply_cm cm [ e ])))
-        tm
-    in
-    (if check <> None && tm_step = None then begin
+    let tm = Option.map (fun e -> List.hd (Cli_common.apply_cm cm [ e ])) tm in
+    (if check <> None && tm = None then begin
        Fmt.epr "--check requires a --tm fixture (lock leaves have no TM \
                 history)@.";
        exit 2
@@ -238,30 +236,22 @@ let explore_cmd =
           (Atomic.get undecided)
     in
     let mk = Ptm_mutex.Harness.explored (module L) ~trace ~nprocs in
-    (* Step-form TM fixture: each process runs one instrumented read-write
+    (* TM fixture: each process runs one instrumented read-write
        transaction (write own object, read the neighbour's; a single-object
-       TM writes and reads object 0), expressible on either machine
-       backend. *)
-    let mk_tm (module T : Ptm_core.Tm_intf.S_step) eng () =
-      let module Sm = Ptm_machine.Proc.Step in
-      let module R = Ptm_core.Runner.Make_step (T) in
+       TM writes and reads object 0), retried once, in the engine's form. *)
+    let mk_tm ((module T : Ptm_core.Tm_intf.Both) as tm) eng () =
       let single =
         List.exists
           (fun (module S : Ptm_core.Tm_intf.Both) -> S.name = T.name)
           Ptm_tms.Registry.single
       in
-      let m = Ptm_machine.Machine.create ~trace ~engine:eng ~nprocs () in
-      let ctx = R.init m ~nobjs:2 in
-      for pid = 0 to nprocs - 1 do
+      let tx pid =
         let w, r = if single then (0, 0) else (pid mod 2, (pid + 1) mod 2) in
-        Ptm_machine.Machine.spawn_step m pid
-          (Sm.bind
-             (R.atomically ctx ~pid ~retries:1 (fun tx ->
-                  Sm.bind (R.write ctx tx w (pid + 1)) (function
-                    | Error `Abort -> Sm.return (Error `Abort)
-                    | Ok () -> R.read ctx tx r)))
-             (fun _ -> Sm.return ()))
-      done;
+        [ [ Ptm_core.Workload.W (w, pid + 1); Ptm_core.Workload.R r ] ]
+      in
+      let m = Ptm_machine.Machine.create ~trace ~engine:eng ~nprocs () in
+      Ptm_core.Runner.spawn m tm ~retries:1
+        { Ptm_core.Workload.nobjs = 2; procs = Array.init nprocs tx };
       m
     in
     let progress =
@@ -281,8 +271,8 @@ let explore_cmd =
       if reduce then Ptm_machine.Explore.Dpor else Ptm_machine.Explore.Naive
     in
     try
-      match tm_step with
-      | Some ((module T : Ptm_core.Tm_intf.S_step) as tmod) -> begin
+      match tm with
+      | Some ((module T : Ptm_core.Tm_intf.Both) as tmod) -> begin
           let name eng =
             Printf.sprintf "%s/%s" T.name
               (match eng with
@@ -314,8 +304,8 @@ let explore_cmd =
                 Ptm_machine.Explore.pp_stats b;
               report_check ();
               if not (Ptm_machine.Explore.same_search a b) then begin
-                Fmt.epr "engines disagree: the backends must search the same \
-                         tree@.";
+                Fmt.epr "engines disagree: the direct and step instances must \
+                         search the same tree@.";
                 exit 1
               end;
               if a.Ptm_machine.Explore.violations > 0 then exit 1

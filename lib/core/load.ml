@@ -428,18 +428,6 @@ let run (module T : Tm_intf.S) cfg =
     let exhausted () =
       Array.for_all (fun cl -> cl.txs_left = 0) mine
     in
-    let run_ops tx ops =
-      List.fold_left
-        (fun acc op ->
-          match acc with
-          | Error `Abort -> acc
-          | Ok () -> (
-              match op with
-              | Workload.R x ->
-                  Result.map (fun (_ : int) -> ()) (R.read ctx tx x)
-              | Workload.W (x, v) -> R.write ctx tx x v))
-        (Ok ()) ops
-    in
     Machine.spawn m pid (fun () ->
         while not (exhausted ()) && not (gave_up ()) do
           let now = Machine.steps_of m pid in
@@ -456,7 +444,7 @@ let run (module T : Tm_intf.S) cfg =
                 let s0 = Machine.steps_of m pid in
                 let tx = R.begin_tx ctx ~pid in
                 let outcome =
-                  match run_ops tx ops with
+                  match R.run_ops ctx tx ops with
                   | Ok () -> R.commit ctx tx
                   | Error `Abort -> Error `Abort
                 in

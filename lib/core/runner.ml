@@ -19,6 +19,8 @@ module type Instrumented = sig
   val atomically :
     ctx -> pid:int -> retries:int -> (tx -> ('a, Tm_intf.abort) result m) ->
     ('a, Tm_intf.abort) result m
+
+  val run_ops : ctx -> tx -> Workload.tx_spec -> (unit, Tm_intf.abort) result m
 end
 
 (* The instrumented TM, written once over the program signature: [Make]
@@ -144,10 +146,44 @@ struct
           if k < retries then attempt (k + 1) else P.return (Error `Abort)
     in
     attempt 0
+
+  (* [for_all] stops at the first abort; in the direct instance it is
+     [List.for_all], so the loop allocates nothing per operation. *)
+  let run_ops ctx tx ops =
+    let issue = function
+      | Workload.R x -> P.map Result.is_ok (read ctx tx x)
+      | Workload.W (x, v) -> P.map Result.is_ok (write ctx tx x v)
+    in
+    P.map (fun ok -> if ok then Ok () else Error `Abort) (P.for_all issue ops)
+
+  (* A process's transactions in order, each through [atomically]. *)
+  let program ctx ~pid ~retries txs =
+    P.iter
+      (fun spec ->
+        P.map ignore
+          (atomically ctx ~pid ~retries (fun tx -> run_ops ctx tx spec)))
+      txs
 end
 
 module Make (T : Tm_intf.S) = Body (Proc.Direct) (T)
 module Make_step (T : Tm_intf.S_step) = Body (Proc.Step) (T)
+
+let spawn m (module T : Tm_intf.Both) ~retries (w : Workload.t) =
+  match Machine.engine m with
+  | Machine.Fibers ->
+      let module R = Make (T) in
+      let ctx = R.init m ~nobjs:w.nobjs in
+      Array.iteri
+        (fun pid txs ->
+          Machine.spawn m pid (fun () -> R.program ctx ~pid ~retries txs))
+        w.procs
+  | Machine.Steps ->
+      let module R = Make_step (T.Stepwise) in
+      let ctx = R.init m ~nobjs:w.nobjs in
+      Array.iteri
+        (fun pid txs ->
+          Machine.spawn_step m pid (R.program ctx ~pid ~retries txs))
+        w.procs
 
 type retry_policy =
   | Immediate
@@ -272,24 +308,12 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     match det with Some d -> Livelock.tripped d | None -> false
   in
   let exec_tx pid (spec : Workload.tx_spec) =
-    let body tx =
-      let rec go = function
-        | [] -> Ok ()
-        | Workload.R x :: rest -> (
-            match R.read ctx tx x with
-            | Ok _ -> go rest
-            | Error `Abort -> Error `Abort)
-        | Workload.W (x, v) :: rest -> (
-            match R.write ctx tx x v with
-            | Ok () -> go rest
-            | Error `Abort -> Error `Abort)
-      in
-      go spec
-    in
     let rec attempt k =
       let tx = R.begin_tx ctx ~pid in
       let result =
-        match body tx with Ok () -> R.commit ctx tx | Error `Abort -> Error `Abort
+        match R.run_ops ctx tx spec with
+        | Ok () -> R.commit ctx tx
+        | Error `Abort -> Error `Abort
       in
       match result with
       | Ok () ->

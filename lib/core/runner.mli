@@ -6,7 +6,8 @@
     t-operation is bracketed by {!History.Tx_inv}/{!History.Tx_res} notes
     (zero-cost in the step model), aborted transactions stop issuing
     operations (well-formedness), and transaction ids are globally unique.
-    {!run} executes a whole {!Workload.t} under a schedule and returns the
+    {!spawn} installs a {!Workload.t} on a machine in the machine's program
+    form; {!run} executes a whole workload under a schedule and returns the
     recorded history. *)
 
 open Ptm_machine
@@ -40,6 +41,10 @@ module type Instrumented = sig
   (** Run the body as a transaction, committing on success. On abort, retries
       up to [retries] times as fresh transactions. The body must access
       t-objects only through {!read} and {!write} on the given handle. *)
+
+  val run_ops : ctx -> tx -> Workload.tx_spec -> (unit, Tm_intf.abort) result m
+  (** Issue a workload transaction's operations on [tx] in order, stopping
+      at the first abort. Does not commit. *)
 end
 
 (** The one instrumentation body, applied to the direct instance: every
@@ -49,11 +54,21 @@ module Make (T : Tm_intf.S) :
 
 (** The same body applied to the step instance: identical note sequences,
     fault-injected aborts and id allocation, with every t-operation a
-    step-machine program — so an instrumented step-form TM runs on either
-    {!Machine} backend via {!Machine.spawn_step}, or inside a fiber via
-    {!Ptm_machine.Proc.Step.perform}. *)
+    step-machine program, run on a [Steps] machine via
+    {!Machine.spawn_step}. *)
 module Make_step (T : Tm_intf.S_step) :
   Instrumented with type 'a m := 'a Proc.Step.t and type state = T.t
+
+val spawn :
+  Machine.t -> (module Tm_intf.Both) -> retries:int -> Workload.t -> unit
+(** [spawn m (module T) ~retries w] creates [T] over [w]'s objects on [m]
+    and spawns one process per entry of [w.procs]: each runs its
+    transactions in order, each through {!Instrumented.atomically} with
+    [retries], and moves on after a commit or the last abort. The form
+    follows the machine: [T] (via {!Make}) on a [Fibers] machine,
+    [T.Stepwise] (via {!Make_step}) on a [Steps] machine, with identical
+    events. Faults and trace observers installed on [m] before the call
+    see the whole run. *)
 
 type retry_policy =
   | Immediate  (** re-issue an aborted attempt on the next scheduled slot *)

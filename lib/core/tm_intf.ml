@@ -68,21 +68,18 @@ module type Generic = sig
 end
 
 (** The direct-style instance: t-operations are plain calls, run inside a
-    fiber-backed process. *)
+    process of a [Fibers] machine. *)
 module type S = Generic with type 'a m := 'a
 
 type tm = (module S)
 
 (** The step-form instance: t-operations are step-machine programs
-    ({!Ptm_machine.Proc.Step.t}), runnable on either machine backend —
-    driven directly under [Steps], via {!Ptm_machine.Proc.Step.perform}
-    under [Fibers]. *)
+    ({!Ptm_machine.Proc.Step.t}), run by a [Steps] machine. *)
 module type S_step = Generic with type 'a m := 'a Ptm_machine.Proc.Step.t
 
-type tm_step = (module S_step)
-
 (** A TM in both forms: the direct instance with its step instance as
-    [Stepwise]. Every registry TM has this shape. *)
+    [Stepwise]. Every registry TM has this shape; {!Runner.spawn} picks the
+    instance that matches the machine's engine. *)
 module type Both = sig
   include S
 

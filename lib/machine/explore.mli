@@ -11,14 +11,14 @@
     positioned at that node. How it gets one depends on the machine, which
     decides for itself ({!Machine.restorable}):
 
-    - {e Restoring} (the [Steps] engine, every program installed with
-      {!Machine.spawn_step}): the search saves the node once
+    - {e Restoring} (the [Steps] engine, whose programs are step
+      programs): the search saves the node once
       ({!Machine.save}) and restores it before each further branch. Step
       programs must then keep their host state in {!Proc.S} vars or
       machine cells, so a parked closure resumed from a restored node
       replays the same steps; the domain's {!Proc.Trail} is on for the
       duration of each search and emptied when it returns or unwinds.
-    - {e Replaying} (any program in a fiber, e.g. the [Fibers] engine):
+    - {e Replaying} (the [Fibers] engine, whose programs run in fibers):
       fiber continuations are one-shot, so each further branch restarts a
       pooled machine in place ({!Machine.restart}) and re-executes the
       schedule prefix on it. Finished machines go back to a per-worker

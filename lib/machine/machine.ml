@@ -20,8 +20,8 @@ let () =
 let no_plan : Fault.spec array = [||]
 let no_aborts : int array = [||]
 
-(* A parked process is either a fiber outcome (effect-handler backend) or a
-   step-machine outcome (closure backend); the constructors of the two
+(* A parked process is a fiber outcome on a [Fibers] machine or a
+   step-machine outcome on a [Steps] machine; the constructors of the two
    outcome types mirror each other, so every case analysis below treats them
    through parallel arms. *)
 type pstate =
@@ -63,9 +63,6 @@ type t = {
   mutable base_cells : int;
   (* Response of the last executed memory step ({!last_resp}). *)
   mutable last_resp : Value.t;
-  (* Some program runs in a fiber, whose continuations are one-shot: such
-     a machine cannot be restored to a saved node. *)
-  mutable fibers : bool;
 }
 
 let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
@@ -90,7 +87,6 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     nspawned = 0;
     base_cells = -1;
     last_resp = Value.Unit;
-    fibers = false;
   }
 
 let nprocs t = Array.length t.procs
@@ -121,7 +117,14 @@ let rec drain t pid (o : pstate) : pstate =
 
 let is_idle s = match s.state with P_idle -> true | _ -> false
 
-let pre_spawn t pid (s : slot) =
+(* The engine is the machine's program form: a [Fibers] machine runs
+   direct programs, a [Steps] machine step programs. *)
+let pre_spawn t pid (s : slot) engine =
+  if t.engine <> engine then
+    invalid_arg
+      (match engine with
+      | Fibers -> "Machine.spawn: a Steps machine runs step programs"
+      | Steps -> "Machine.spawn_step: a Fibers machine runs direct programs");
   if not (is_idle s) then invalid_arg "Machine.spawn: process already spawned";
   if t.base_cells < 0 then t.base_cells <- Memory.size t.memory;
   if s.prog = Prog_none then begin
@@ -131,27 +134,15 @@ let pre_spawn t pid (s : slot) =
 
 let spawn t pid f =
   let s = slot t pid in
-  pre_spawn t pid s;
+  pre_spawn t pid s Fibers;
   s.prog <- Prog_fun f;
-  t.fibers <- true;
   s.state <- drain t pid (F (Proc.start f))
-
-(* A step program runs on whichever backend the machine was created with:
-   under [Steps] it is driven directly (no fiber is ever created for it);
-   under [Fibers] it is interpreted via {!Proc.Step.perform} inside an
-   effect-handler process, performing the same effects in the same order. *)
-let start_step t p =
-  match t.engine with
-  | Steps -> S (Proc.Step.start p)
-  | Fibers ->
-      t.fibers <- true;
-      F (Proc.start (fun () -> Proc.Step.perform p))
 
 let spawn_step t pid p =
   let s = slot t pid in
-  pre_spawn t pid s;
+  pre_spawn t pid s Steps;
   s.prog <- Prog_step p;
-  s.state <- drain t pid (start_step t p)
+  s.state <- drain t pid (S (Proc.Step.start p))
 
 let reset t =
   if t.base_cells >= 0 then Memory.truncate t.memory t.base_cells;
@@ -174,7 +165,7 @@ let restart t =
     let s = t.procs.(pid) in
     match s.prog with
     | Prog_fun f -> s.state <- drain t pid (F (Proc.start f))
-    | Prog_step p -> s.state <- drain t pid (start_step t p)
+    | Prog_step p -> s.state <- drain t pid (S (Proc.Step.start p))
     | Prog_none -> invariant t pid s "spawn order lists a pid with no program"
   done
 
@@ -219,11 +210,11 @@ let saved_make t =
     sv_trail = 0;
   }
 
-let restorable t = not t.fibers
+let restorable t = t.engine = Steps
 
 let save t sv =
-  if t.fibers then
-    invalid_arg "Machine.save: a program runs in a fiber (one-shot)";
+  if t.engine <> Steps then
+    invalid_arg "Machine.save: a Fibers machine's continuations are one-shot";
   if Array.length sv.sv_state <> Array.length t.procs then
     invalid_arg "Machine.save: buffer made for another machine";
   for i = 0 to Array.length t.procs - 1 do

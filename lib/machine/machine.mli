@@ -1,8 +1,9 @@
 (** The simulated asynchronous shared-memory machine (paper, Section 2).
 
     A machine bundles a shared {!Memory}, an execution {!Trace}, and a table
-    of processes. Processes are spawned with a program (an OCaml closure using
-    the {!Proc} operations) and advanced one step at a time by a scheduler;
+    of processes. Processes are spawned with a program in the machine's form
+    (a direct-style closure using the {!Proc} operations, or a
+    {!Proc.Step} program) and advanced one step at a time by a scheduler;
     every step applies exactly one primitive to one base object and records
     one event. The machine is fully deterministic: an execution is a function
     of the programs and the schedule. *)
@@ -11,17 +12,19 @@ type t
 
 type pid = int
 
+(** The engine is the form of the machine's programs. A program text
+    written once over {!Proc.S} runs its direct instance on [Fibers] and its
+    step instance on [Steps], with the same events, statuses, step counts
+    and fault semantics on both. *)
 type engine =
   | Fibers
-      (** processes as effect-handler coroutines — the reference backend,
-          able to run arbitrary direct-style closures ({!spawn}) and
-          step-machine programs (via {!Proc.Step.perform}) *)
+      (** direct-style closures ({!spawn}) as effect-handler coroutines,
+          one fiber switch per step; continuations are one-shot, so a
+          search replays schedule prefixes on a restarted machine *)
   | Steps
-      (** step-machine programs driven directly by closure application: no
-          fiber is created and no stack switch happens per step. Only
-          {!spawn_step} programs can run on this backend; {!spawn} always
-          uses fibers. Bit-identical to [Fibers] on traces, statuses, step
-          counts and fault semantics by construction. *)
+      (** step-machine programs ({!spawn_step}) driven by closure
+          application: no fiber is created and no stack switch happens per
+          step, and a search restores saved nodes ({!restorable}) *)
 
 exception
   Invariant of { pid : int; slot : int; seq : int; what : string }
@@ -47,8 +50,8 @@ val create : ?trace:Trace.sink -> ?engine:engine -> nprocs:int -> unit -> t
     responses and step counts — but no trace entry is allocated per step;
     offline trace analyses are then unavailable.
 
-    [engine] (default {!Fibers}) selects the process backend for
-    {!spawn_step} programs; executions are bit-identical across engines. *)
+    [engine] (default {!Fibers}) declares the form of the programs the
+    machine runs: {!spawn} on [Fibers], {!spawn_step} on [Steps]. *)
 
 val nprocs : t -> int
 val engine : t -> engine
@@ -59,18 +62,16 @@ val alloc : t -> ?owner:pid -> name:string -> Value.t -> Memory.addr
 (** Allocate a base object (set-up, not a step). *)
 
 val spawn : t -> pid -> (unit -> unit) -> unit
-(** Install and start [pid]'s program; runs it up to its first effect.
-    Raises [Invalid_argument] if [pid] already has a program. Direct-style
-    closures always run on the fiber backend, whatever the engine. *)
+(** Install and start [pid]'s direct-style program in a fiber; runs it up
+    to its first effect. Raises [Invalid_argument] if [pid] already has a
+    program or the machine's engine is {!Steps}. *)
 
 val spawn_step : t -> pid -> unit Proc.Step.t -> unit
-(** Install and start a step-machine program on the machine's engine:
-    driven directly under {!Steps}, interpreted via {!Proc.Step.perform}
-    inside a fiber under {!Fibers} — same effects, same order, either way.
-    The program value is retained for {!restart}, which re-runs it from
-    scratch; its construction must defer side effects per the
-    {!Proc.Step.suspend} discipline. Raises [Invalid_argument] if [pid]
-    already has a program. *)
+(** Install and start [pid]'s step-machine program; runs it up to its
+    first effect. The program value is retained for {!restart}, which
+    re-runs it from scratch; its construction must defer side effects per
+    the {!Proc.Step.suspend} discipline. Raises [Invalid_argument] if [pid]
+    already has a program or the machine's engine is {!Fibers}. *)
 
 val reset : t -> unit
 (** Return the machine to its post-allocation initial state in place: every
@@ -112,9 +113,8 @@ val saved_make : t -> saved
 (** A buffer sized for [t]'s processes. *)
 
 val restorable : t -> bool
-(** No program runs in a fiber: the machine uses the [Steps] engine and
-    every program was installed with {!spawn_step}. Fiber continuations
-    are one-shot, so only such a machine can be restored. *)
+(** The machine's engine is {!Steps}. Fiber continuations are one-shot, so
+    only a [Steps] machine can be restored. *)
 
 val save : t -> saved -> unit
 (** Overwrite the buffer with [t]'s current node. Allocates nothing once

@@ -119,10 +119,8 @@ end
 (* A [Step] process is an explicit value: running it one step applies  *)
 (* an ordinary OCaml closure to the pending response, no fiber switch  *)
 (* involved. The [outcome] constructors mirror the fiber outcomes      *)
-(* above one for one, so the machine treats either backend through the *)
-(* same case analysis; [perform] interprets a step program inside a    *)
-(* fiber, performing the same effects in the same order, which is what *)
-(* makes the two backends bit-identical by construction.               *)
+(* above one for one, so the machine treats either engine through the  *)
+(* same case analysis.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The undo trail behind step-instance vars: while a search has it on,
@@ -245,25 +243,4 @@ module Step = struct
 
   let resume_unit (k : unit -> outcome) : outcome =
     try k () with e -> Failed e
-
-  let perform (type a) (p : a t) : a =
-    let cell : a option ref = ref None in
-    let rec drive = function
-      | Done -> ()
-      | Failed e -> raise e
-      | Wants_mem (req, k) -> drive (k (Effect.perform (Apply req)))
-      | Wants_note (n, k) ->
-          Effect.perform (Note n);
-          drive (k ())
-      | Wants_pause k ->
-          Effect.perform Pause;
-          drive (k ())
-    in
-    drive
-      (p (fun x ->
-           cell := Some x;
-           Done));
-    match !cell with
-    | Some x -> x
-    | None -> invalid_arg "Proc.Step.perform: program did not deliver a value"
 end

@@ -54,9 +54,13 @@ val sc : Memory.addr -> Value.t -> bool
 
     - {!Direct}, with [type 'a t = 'a] and [bind x f = f x]: each primitive
       is the effect above, so a program is plain code running inside a
-      [Fibers]-backed process;
+      process of a [Fibers] machine ({!Machine.spawn});
     - {!Step}, with programs as explicit continuation-passing values that
-      the [Steps] engine advances by ordinary function calls.
+      a [Steps] machine advances by ordinary function calls
+      ({!Machine.spawn_step}).
+
+    Each engine runs one form, so comparing the engines on a program
+    compares its two instances.
 
     {b Bind where built.} Under {!Direct} a primitive runs the moment its
     program value is built, whereas under {!Step} it runs when the program
@@ -165,12 +169,8 @@ end
     function call — no fiber switch per step. The closures are multi-shot
     for programs that keep their host state in vars: resuming one twice
     from the same saved node, with the trail undone in between, replays
-    the same steps. The constructors
-    mirror {!outcome} one for one, and {!Step.perform} interprets a step
-    program inside an effect-handler process performing the identical effect
-    sequence, so a step program run under either machine backend produces
-    bit-identical traces by construction (the fiber path remains the
-    reference semantics). *)
+    the same steps. The constructors mirror {!outcome} one for one. Only a
+    [Steps] machine runs step programs ({!Machine.spawn_step}). *)
 
 module Step : sig
   type outcome =
@@ -193,10 +193,4 @@ module Step : sig
 
   val resume_unit : (unit -> outcome) -> outcome
   (** Resume a [Wants_note]/[Wants_pause] closure. *)
-
-  val perform : 'a t -> 'a
-  (** Interpret a step program inside an effect-handler process (callable
-      only from a process body): performs {!Apply}/{!Note}/{!Pause} for each
-      [Wants_*] in program order. This is the bridge that runs step-form
-      code on the fiber backend. *)
 end

@@ -17,5 +17,5 @@
 include Ptm_core.Tm_intf.S
 
 module Stepwise : Ptm_core.Tm_intf.S_step
-(** The step instance of the same program text, runnable on either
-    {!Ptm_machine.Machine} backend. *)
+(** The step instance of the same program text, run by a [Steps]
+    {!Ptm_machine.Machine}. *)

@@ -36,8 +36,8 @@ module Make (_ : CONFIG) (P : Ptm_machine.Proc.S) :
     otherwise. *)
 
 module Stepwise : Ptm_core.Tm_intf.S_step
-(** The Karma default's step instance, runnable on either
-    {!Ptm_machine.Machine} backend. *)
+(** The Karma default's step instance, run by a [Steps]
+    {!Ptm_machine.Machine}. *)
 
 (** The other contention managers, each in both forms. *)
 

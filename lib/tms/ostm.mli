@@ -19,7 +19,7 @@
 include Ptm_core.Tm_intf.S
 
 module Stepwise : Ptm_core.Tm_intf.S_step
-(** The step instance of the same program text, runnable on either
-    {!Ptm_machine.Machine} backend. Helping is an iterative loop over an
+(** The step instance of the same program text, run by a [Steps]
+    {!Ptm_machine.Machine}. Helping is an iterative loop over an
     explicit continuation stack, so helping chains of any length run in
     constant OCaml stack, in both instances: no depth limit. *)

@@ -3,7 +3,6 @@ module Tm = Ptm_core.Tm_intf
 type entry = (module Tm.Both)
 
 let direct (module T : Tm.Both) : Tm.tm = (module T)
-let step (module T : Tm.Both) : Tm.tm_step = (module T.Stepwise)
 
 (* The families, one hand-written list each; every other list below is a
    view of these. *)

@@ -1,14 +1,14 @@
 (** All TM implementations, for generic tests, benches and experiments.
 
     Every TM is written once over the program signature and comes in both
-    forms ({!Ptm_core.Tm_intf.Both}). The registry keeps one hand-written
-    list per family; every other list is a view of those: {!direct} gives
-    the direct-style form, {!step} the step form, of the same entry. *)
+    forms ({!Ptm_core.Tm_intf.Both}); {!Ptm_core.Runner.spawn} runs an
+    entry in a machine's form. The registry keeps one hand-written list per
+    family; every other list is a view of those, and {!direct} gives an
+    entry's direct-style form. *)
 
 type entry = (module Ptm_core.Tm_intf.Both)
 
 val direct : entry -> Ptm_core.Tm_intf.tm
-val step : entry -> Ptm_core.Tm_intf.tm_step
 
 (** {1 Families} *)
 

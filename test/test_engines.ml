@@ -1,12 +1,14 @@
-(* Engine-differential tests: the Steps backend must be bit-identical to
-   the Fibers backend — on fixed fixtures, on random programs with random
-   schedules and fault plans (QCheck), and on whole explorations — and the
-   two instances of every registry TM's one program text (direct on
-   Fibers, step on either engine) must be event-identical. Also: the OSTM deep-helping regression (chains far beyond the old
-   recursion guard), the typed Bounds_error raised when a lower-bound
-   construction diverges, checkpoint/resume crash-safety (including a real
-   [kill -9] mid-exploration), and frontier determinism across domain
-   counts. *)
+(* Engine-differential tests. Each engine runs one program form, so the
+   engines are compared on the two instances of one program text: the
+   direct instance on Fibers against the step instance on Steps, for every
+   registry TM's fixture, for random raw programs with random schedules and
+   fault plans (QCheck), and for whole explorations, where the Fibers
+   search replays prefixes and the Steps search restores saved nodes. Also:
+   a machine refuses a program of the other form, the OSTM deep-helping
+   regression (chains far beyond the old recursion guard), the typed
+   Bounds_error raised when a lower-bound construction diverges,
+   checkpoint/resume crash-safety (including a real [kill -9]
+   mid-exploration), and frontier determinism across domain counts. *)
 
 open Ptm_machine
 open Ptm_core
@@ -43,10 +45,9 @@ let fingerprint ~nprocs m =
 (* ------------------------------------------------------------------ *)
 
 (* The canonical 2-process TM workload (as in test_explore): each process
-   writes one object and reads the other, transactionally — or, for a
-   single-object TM, writes and reads object 0. [observer] is attached
-   before anything is spawned, so an online monitor sees the t-operation
-   notes emitted while spawn runs each program to its first effect. *)
+   writes one object and reads the other, transactionally, retried once —
+   or, for a single-object TM, writes and reads object 0. The TM runs in
+   the engine's form. *)
 let single_object name =
   List.exists
     (fun (module T : Tm_intf.Both) -> String.equal T.name name)
@@ -55,37 +56,13 @@ let single_object name =
 let objs name pid =
   if single_object name then (0, 0) else (pid mod 2, (pid + 1) mod 2)
 
-let mk_step_tm ?observer (module T : Tm_intf.S_step) ~engine ~trace () =
+let mk_tm ((module T : Tm_intf.Both) as tm) ~engine ~trace () =
   let m = Machine.create ~trace ~engine ~nprocs:2 () in
-  Trace.set_observer (Machine.trace m) observer;
-  let module R = Runner.Make_step (T) in
-  let ctx = R.init m ~nobjs:2 in
-  for pid = 0 to 1 do
+  let tx pid =
     let w, r = objs T.name pid in
-    Machine.spawn_step m pid
-      (Sm.bind
-         (R.atomically ctx ~pid ~retries:1 (fun tx ->
-              Sm.bind (R.write ctx tx w (pid + 1)) (function
-                | Error `Abort -> Sm.return (Error `Abort)
-                | Ok () -> R.read ctx tx r)))
-         (fun _ -> Sm.return ()))
-  done;
-  m
-
-(* The same workload through the direct instance, on fibers. *)
-let mk_direct_tm (module T : Tm_intf.S) ~trace () =
-  let m = Machine.create ~trace ~nprocs:2 () in
-  let module R = Runner.Make (T) in
-  let ctx = R.init m ~nobjs:2 in
-  for pid = 0 to 1 do
-    let w, r = objs T.name pid in
-    Machine.spawn m pid (fun () ->
-        ignore
-          (R.atomically ctx ~pid ~retries:1 (fun tx ->
-               match R.write ctx tx w (pid + 1) with
-               | Error `Abort -> Error `Abort
-               | Ok () -> R.read ctx tx r)))
-  done;
+    [ [ Workload.W (w, pid + 1); Workload.R r ] ]
+  in
+  Runner.spawn m tm ~retries:1 { Workload.nobjs = 2; procs = Array.init 2 tx };
   m
 
 let schedules =
@@ -99,41 +76,44 @@ let schedules =
 (* Engine differentials                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every registry TM, all 21 names, in step form. *)
-let every_step_form = List.map Ptm_tms.Registry.step Ptm_tms.Registry.entries
+(* The engine is the machine's program form: a Fibers machine refuses a
+   step program and a Steps machine a direct one, and the refusal installs
+   nothing. *)
+let test_wrong_form_rejected () =
+  let refused what spawn =
+    match spawn () with
+    | () -> Alcotest.failf "%s was spawned" what
+    | exception Invalid_argument _ -> ()
+  in
+  let fibers = Machine.create ~nprocs:1 ()
+  and steps = Machine.create ~engine:Machine.Steps ~nprocs:1 () in
+  refused "a step program on a Fibers machine" (fun () ->
+      Machine.spawn_step fibers 0 (Sm.return ()));
+  refused "a direct program on a Steps machine" (fun () ->
+      Machine.spawn steps 0 ignore);
+  Machine.spawn fibers 0 ignore;
+  Machine.spawn_step steps 0 (Sm.return ());
+  Alcotest.(check (list bool))
+    "each machine still runs its own form; only Steps restores"
+    [ true; true; false; true ]
+    [
+      Machine.all_done fibers; Machine.all_done steps;
+      Machine.restorable fibers; Machine.restorable steps;
+    ]
 
-let test_fixture_differential () =
-  List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      List.iter
-        (fun (sname, sched) ->
-          let run engine =
-            let m = mk_step_tm tm ~engine ~trace:Trace.Full () in
-            sched m;
-            Machine.check_crashes m;
-            fingerprint ~nprocs:2 m
-          in
-          Alcotest.(check bool)
-            (T.name ^ " under " ^ sname ^ ": backends bit-identical")
-            true
-            (run Machine.Fibers = run Machine.Steps))
-        schedules)
-    every_step_form
-
-(* The two instances of each registry TM's one program text run the same
-   events: the step instance on Fibers (through [Proc.Step.perform]) and
-   the direct instance, plain code in a fiber. *)
+(* The two instances of each registry TM's one program text, all 21 names
+   under four schedules: the direct instance on Fibers and the step
+   instance on Steps run bit-identical executions. *)
 let test_step_vs_direct () =
   Alcotest.(check int)
     "21 registry names, each once" 21
     (List.length (List.sort_uniq compare Ptm_tms.Registry.names));
   List.iter
-    (fun e ->
-      let ((module T : Tm_intf.S_step) as tm) = Ptm_tms.Registry.step e in
+    (fun ((module T : Tm_intf.Both) as tm) ->
       List.iter
         (fun (sname, sched) ->
-          let fp mk =
-            let m = mk () in
+          let run engine =
+            let m = mk_tm tm ~engine ~trace:Trace.Full () in
             sched m;
             Machine.check_crashes m;
             fingerprint ~nprocs:2 m
@@ -141,8 +121,7 @@ let test_step_vs_direct () =
           Alcotest.(check bool)
             (T.name ^ " under " ^ sname ^ ": step form == direct form")
             true
-            (fp (mk_step_tm tm ~engine:Machine.Fibers ~trace:Trace.Full)
-            = fp (mk_direct_tm (Ptm_tms.Registry.direct e) ~trace:Trace.Full)))
+            (run Machine.Fibers = run Machine.Steps))
         schedules)
     Ptm_tms.Registry.entries
 
@@ -157,7 +136,7 @@ let full_budget = [ "undolog"; "ostm"; "norec"; "sgl"; "ofree" ]
    must not. *)
 let test_explore_differential () =
   List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
+    (fun ((module T : Tm_intf.Both) as tm) ->
       let max_paths =
         if List.mem T.name full_budget then None else Some 20_000
       in
@@ -165,7 +144,7 @@ let test_explore_differential () =
         (fun (mname, mode) ->
           let stats engine =
             Explore.run
-              ~mk:(mk_step_tm tm ~engine ~trace:Trace.Off)
+              ~mk:(mk_tm tm ~engine ~trace:Trace.Off)
               ~max_steps:32 ?max_paths ~mode ()
           in
           Alcotest.(check bool)
@@ -174,7 +153,7 @@ let test_explore_differential () =
             true
             (Explore.same_search (stats Machine.Fibers) (stats Machine.Steps)))
         [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
-    every_step_form
+    Ptm_tms.Registry.entries
 
 (* ------------------------------------------------------------------ *)
 (* Restore vs replay                                                   *)
@@ -206,9 +185,9 @@ let explore_leaves ?(max_steps = 24) ?(max_paths = 300) ?(crashes = 0)
   in
   (s, List.rev !leaves)
 
-(* The Fibers engine replays every further branch from a restarted machine;
-   the Steps engine restores the node it saved. Same search, same leaves,
-   leaf for leaf. *)
+(* The Fibers engine replays every further branch of the direct instance
+   from a restarted machine; the Steps engine restores the node of the
+   step instance it saved. Same search, same leaves, leaf for leaf. *)
 let restore_agrees ?max_steps ?max_paths ?crashes ?stalls ~mode mk =
   let sf, lf =
     explore_leaves ?max_steps ?max_paths ?crashes ?stalls ~mode mk
@@ -224,7 +203,7 @@ let sinks = [ ("off", Trace.Off); ("full", Trace.Full) ]
 
 let test_restore_vs_replay () =
   List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
+    (fun ((module T : Tm_intf.Both) as tm) ->
       List.iter
         (fun (mname, mode) ->
           List.iter
@@ -237,11 +216,11 @@ let test_restore_vs_replay () =
                        T.name mname crashes stalls sname)
                     true
                     (restore_agrees ~crashes ~stalls ~mode (fun engine () ->
-                         mk_step_tm tm ~engine ~trace ())))
+                         mk_tm tm ~engine ~trace ())))
                 sinks)
             [ (0, 0); (1, 0); (0, 1); (1, 1) ])
         [ ("naive", Explore.Naive); ("dpor", Explore.Dpor) ])
-    every_step_form
+    Ptm_tms.Registry.entries
 
 (* A restored Ring keeps the node's entries that later branches did not
    overwrite, so a leaf may retain fewer entries than a replayed one would;
@@ -253,7 +232,7 @@ let test_restore_ring_suffix () =
     la <= lb && a = List.filteri (fun i _ -> i >= lb - la) b
   in
   List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
+    (fun ((module T : Tm_intf.Both) as tm) ->
       let run trace =
         let leaves = ref [] in
         let final m =
@@ -262,7 +241,7 @@ let test_restore_ring_suffix () =
         in
         let s =
           Explore.run
-            ~mk:(mk_step_tm tm ~engine:Machine.Steps ~trace)
+            ~mk:(mk_tm tm ~engine:Machine.Steps ~trace)
             ~final ~max_steps:24 ~max_paths:300 ~mode:Explore.Dpor ~crashes:1
             ()
         in
@@ -274,45 +253,95 @@ let test_restore_ring_suffix () =
       Alcotest.(check bool)
         (T.name ^ ": every Ring leaf is a tail of its Full leaf") true
         (List.for_all2 suffix lr lf))
-    every_step_form
+    Ptm_tms.Registry.entries
+
+(* ------------------------------------------------------------------ *)
+(* Raw programs, written once over the program signature               *)
+(* ------------------------------------------------------------------ *)
+
+type op =
+  | R of int
+  | W of int * int
+  | C of int * int * int
+  | F of int * int
+  | Pause
+
+let pp_op = function
+  | R a -> Printf.sprintf "r%d" a
+  | W (a, v) -> Printf.sprintf "w%d=%d" a v
+  | C (a, e, d) -> Printf.sprintf "cas%d:%d>%d" a e d
+  | F (a, d) -> Printf.sprintf "faa%d+%d" a d
+  | Pause -> "p"
+
+module Raw (P : Proc.S) = struct
+  let ( let* ) = P.bind
+
+  let rec run addrs = function
+    | [] -> P.return ()
+    | op :: rest ->
+        let* () =
+          match op with
+          | R a -> P.map ignore (P.read addrs.(a))
+          | W (a, v) -> P.write addrs.(a) (Value.Int v)
+          | C (a, e, d) ->
+              P.map ignore
+                (P.cas addrs.(a) ~expected:(Value.Int e) ~desired:(Value.Int d))
+          | F (a, d) -> P.map ignore (P.faa addrs.(a) d)
+          | Pause -> P.pause ()
+        in
+        run addrs rest
+
+  (* Read [x] twice, then write how many reads there were, counted in a
+     plain [ref] ([leaky]) or in a var. *)
+  let count_reads ~leaky x =
+    P.suspend @@ fun () ->
+    if leaky then begin
+      let count = ref 0 in
+      let* _ = P.read x in
+      incr count;
+      let* _ = P.read x in
+      incr count;
+      P.write x (Value.Int !count)
+    end
+    else begin
+      let count = P.var 0 in
+      let* _ = P.read x in
+      P.set count (P.get count + 1);
+      let* _ = P.read x in
+      P.set count (P.get count + 1);
+      P.write x (Value.Int (P.get count))
+    end
+end
+
+module Raw_direct = Raw (Proc.Direct)
+module Raw_step = Raw (Proc.Step)
+
+(* Spawn a raw program's instance for the machine's engine. *)
+let spawn_raw m pid ~direct ~step =
+  match Machine.engine m with
+  | Machine.Fibers -> Machine.spawn m pid direct
+  | Machine.Steps -> Machine.spawn_step m pid step
 
 (* A program that keeps host state in a plain [ref] written after a wait
    breaks the var contract: a restored node resumes closures whose ref
    still holds a sibling branch's writes, so the leaves disagree with the
-   replaying search. *)
-let mk_leaky engine () =
+   replaying search, which re-runs the program and its [ref] from
+   scratch. *)
+let mk_counting ~leaky engine () =
   let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
   let x = Machine.alloc m ~name:"x" (Value.Int 0) in
   for pid = 0 to 1 do
-    Machine.spawn_step m pid
-      (Sm.suspend (fun () ->
-           let count = ref 0 in
-           let* _ = Sm.read x in
-           incr count;
-           let* _ = Sm.read x in
-           incr count;
-           Sm.write x (Value.Int !count)))
+    spawn_raw m pid
+      ~direct:(fun () -> Raw_direct.count_reads ~leaky x)
+      ~step:(Raw_step.count_reads ~leaky x)
   done;
   m
 
 let test_contract_breach_detected () =
   Alcotest.(check bool) "a ref written after a wait: restore <> replay" false
-    (restore_agrees ~mode:Explore.Naive mk_leaky);
+    (restore_agrees ~mode:Explore.Naive (mk_counting ~leaky:true));
   Alcotest.(check bool) "the same program over a var: restore == replay" true
-    (restore_agrees ~mode:Explore.Naive (fun engine () ->
-         let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
-         let x = Machine.alloc m ~name:"x" (Value.Int 0) in
-         for pid = 0 to 1 do
-           Machine.spawn_step m pid
-             (Sm.suspend (fun () ->
-                  let count = Sm.var 0 in
-                  let* _ = Sm.read x in
-                  Sm.set count (Sm.get count + 1);
-                  let* _ = Sm.read x in
-                  Sm.set count (Sm.get count + 1);
-                  Sm.write x (Value.Int (Sm.get count))))
-         done;
-         m))
+    (restore_agrees ~mode:Explore.Naive (mk_counting ~leaky:false))
 
 let trail_idle () =
   (not (Proc.Trail.active ())) && Proc.Trail.length () = 0
@@ -320,8 +349,8 @@ let trail_idle () =
 (* The trail is on only while a restoring search runs, and empty after it
    returns, trips its budget or unwinds. *)
 let test_trail_scoping () =
-  let tm = Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec")) in
-  let mk engine () = mk_step_tm tm ~engine ~trace:Trace.Off () in
+  let tm = Option.get (Ptm_tms.Registry.find "norec") in
+  let mk engine () = mk_tm tm ~engine ~trace:Trace.Off () in
   let on_during = ref [] in
   let final m =
     on_during := (Machine.restorable m, Proc.Trail.active ()) :: !on_during;
@@ -370,34 +399,10 @@ let test_trail_scoping () =
   Alcotest.(check bool) "a run outside the explorer logs nothing" true
     (trail_idle ())
 
+
 (* ------------------------------------------------------------------ *)
-(* Random-program differential (QCheck)                                *)
+(* Random raw programs (QCheck)                                        *)
 (* ------------------------------------------------------------------ *)
-
-type op = R of int | W of int * int | C of int * int * int | F of int * int | P
-
-let pp_op = function
-  | R a -> Printf.sprintf "r%d" a
-  | W (a, v) -> Printf.sprintf "w%d=%d" a v
-  | C (a, e, d) -> Printf.sprintf "cas%d:%d>%d" a e d
-  | F (a, d) -> Printf.sprintf "faa%d+%d" a d
-  | P -> "p"
-
-let rec steps_of_ops addrs = function
-  | [] -> Sm.return ()
-  | op :: rest ->
-      Sm.bind
-        (match op with
-        | R a -> Sm.bind (Sm.read addrs.(a)) (fun _ -> Sm.return ())
-        | W (a, v) -> Sm.write addrs.(a) (Value.Int v)
-        | C (a, e, d) ->
-            Sm.bind
-              (Sm.cas addrs.(a) ~expected:(Value.Int e)
-                 ~desired:(Value.Int d))
-              (fun _ -> Sm.return ())
-        | F (a, d) -> Sm.bind (Sm.faa addrs.(a) d) (fun _ -> Sm.return ())
-        | P -> Sm.pause ())
-        (fun () -> steps_of_ops addrs rest)
 
 let mk_random_case ~engine (ops0, ops1, faults) =
   let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
@@ -406,42 +411,49 @@ let mk_random_case ~engine (ops0, ops1, faults) =
         Machine.alloc m ~name:(Printf.sprintf "x%d" i) (Value.Int 0))
   in
   Machine.set_faults m faults;
-  Machine.spawn_step m 0 (steps_of_ops addrs ops0);
-  Machine.spawn_step m 1 (steps_of_ops addrs ops1);
+  List.iteri
+    (fun pid ops ->
+      spawn_raw m pid
+        ~direct:(fun () -> Raw_direct.run addrs ops)
+        ~step:(Raw_step.run addrs ops))
+    [ ops0; ops1 ];
   m
+
+let gen_op =
+  QCheck2.Gen.(
+    let addr = int_bound 2 in
+    frequency
+      [
+        (3, map (fun a -> R a) addr);
+        (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
+        (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
+        (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
+        (1, return Pause);
+      ])
+
+let pp_ops ops = String.concat ";" (List.map pp_op ops)
+
+(* A crash of process 0 or a stall of process 1, at a slot up to [at]. *)
+let gen_faults ~at ~steps =
+  QCheck2.Gen.(
+    oneof
+      [
+        return [];
+        map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound at);
+        map2
+          (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
+          (int_bound at) (int_range 1 steps);
+      ])
 
 let qcheck_engine_differential =
   let gen =
     QCheck2.Gen.(
-      let addr = int_bound 2 in
-      let op =
-        frequency
-          [
-            (3, map (fun a -> R a) addr);
-            (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
-            (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
-            (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
-            (1, return P);
-          ]
-      in
-      let prog = list_size (int_bound 8) op in
-      let faults =
-        oneof
-          [
-            return [];
-            map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound 6);
-            map2
-              (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
-              (int_bound 6) (int_range 1 4);
-          ]
-      in
-      pair (pair prog prog) (pair faults (int_bound 9999)))
+      let prog = list_size (int_bound 8) gen_op in
+      pair (pair prog prog) (pair (gen_faults ~at:6 ~steps:4) (int_bound 9999)))
   in
   let print ((ops0, ops1), (faults, seed)) =
-    Printf.sprintf "p0=[%s] p1=[%s] faults=%d seed=%d"
-      (String.concat ";" (List.map pp_op ops0))
-      (String.concat ";" (List.map pp_op ops1))
-      (List.length faults) seed
+    Printf.sprintf "p0=[%s] p1=[%s] faults=%d seed=%d" (pp_ops ops0)
+      (pp_ops ops1) (List.length faults) seed
   in
   QCheck2.Test.make ~count:200 ~print
     ~name:"random programs + faults: Steps == Fibers" gen
@@ -459,35 +471,14 @@ let qcheck_engine_differential =
 let qcheck_restore_differential =
   let gen =
     QCheck2.Gen.(
-      let addr = int_bound 2 in
-      let op =
-        frequency
-          [
-            (3, map (fun a -> R a) addr);
-            (3, map2 (fun a v -> W (a, v)) addr (int_bound 9));
-            (2, map3 (fun a e d -> C (a, e, d)) addr (int_bound 3) (int_bound 9));
-            (1, map2 (fun a d -> F (a, d)) addr (int_range 1 3));
-            (1, return P);
-          ]
-      in
-      let prog = list_size (int_bound 6) op in
-      let faults =
-        oneof
-          [
-            return [];
-            map (fun at -> [ Fault.crash ~pid:0 ~at ]) (int_bound 4);
-            map2
-              (fun at steps -> [ Fault.stall ~pid:1 ~at ~steps ])
-              (int_bound 4) (int_range 1 3);
-          ]
-      in
-      pair (pair prog prog) (pair faults (pair bool (pair (int_bound 1) (int_bound 1)))))
+      let prog = list_size (int_bound 6) gen_op in
+      pair (pair prog prog)
+        (pair (gen_faults ~at:4 ~steps:3)
+           (pair bool (pair (int_bound 1) (int_bound 1)))))
   in
   let print ((ops0, ops1), (faults, (dpor, (crashes, stalls)))) =
     Printf.sprintf "p0=[%s] p1=[%s] faults=%d %s crashes=%d stalls=%d"
-      (String.concat ";" (List.map pp_op ops0))
-      (String.concat ";" (List.map pp_op ops1))
-      (List.length faults)
+      (pp_ops ops0) (pp_ops ops1) (List.length faults)
       (if dpor then "dpor" else "naive")
       crashes stalls
   in
@@ -502,51 +493,11 @@ let qcheck_restore_differential =
 (* Direct instance vs step instance, whole registry (QCheck)           *)
 (* ------------------------------------------------------------------ *)
 
-(* One workload driver, written once like the TMs: each process runs its
-   transactions through the instrumented TM, one retry per abort. *)
-module Drive
-    (P : Proc.S)
-    (R : Runner.Instrumented with type 'a m := 'a P.t) =
-struct
-  let ( let* ) = P.bind
-
-  let rec ops ctx tx = function
-    | [] -> P.return (Ok ())
-    | Workload.R x :: rest -> (
-        let* r = R.read ctx tx x in
-        match r with Ok _ -> ops ctx tx rest | Error e -> P.return (Error e))
-    | Workload.W (x, v) :: rest -> (
-        let* r = R.write ctx tx x v in
-        match r with Ok () -> ops ctx tx rest | Error e -> P.return (Error e))
-
-  let proc ctx ~pid txs =
-    P.iter
-      (fun spec ->
-        P.map ignore (R.atomically ctx ~pid ~retries:1 (fun tx -> ops ctx tx spec)))
-      txs
-end
-
 let run_instance e ~engine (w : Workload.t) faults seed =
   let nprocs = Array.length w.procs in
   let m = Machine.create ~trace:Trace.Full ~engine ~nprocs () in
   Machine.set_faults m faults;
-  (match engine with
-  | Machine.Fibers ->
-      let (module T : Tm_intf.S) = Ptm_tms.Registry.direct e in
-      let module R = Runner.Make (T) in
-      let module D = Drive (Proc.Direct) (R) in
-      let ctx = R.init m ~nobjs:w.nobjs in
-      Array.iteri
-        (fun pid txs -> Machine.spawn m pid (fun () -> D.proc ctx ~pid txs))
-        w.procs
-  | Machine.Steps ->
-      let (module T : Tm_intf.S_step) = Ptm_tms.Registry.step e in
-      let module R = Runner.Make_step (T) in
-      let module D = Drive (Proc.Step) (R) in
-      let ctx = R.init m ~nobjs:w.nobjs in
-      Array.iteri
-        (fun pid txs -> Machine.spawn_step m pid (D.proc ctx ~pid txs))
-        w.procs);
+  Runner.spawn m e ~retries:1 w;
   (try Sched.random ~seed ~max_steps:3_000 m with Sched.Out_of_steps -> ());
   fingerprint ~nprocs m
 
@@ -609,6 +560,7 @@ let qcheck_instances_differential =
       let w = { Workload.nobjs = 3; procs } in
       run_instance e ~engine:Machine.Fibers w faults seed
       = run_instance e ~engine:Machine.Steps w faults seed)
+
 
 (* ------------------------------------------------------------------ *)
 (* OSTM deep-helping regression                                        *)
@@ -954,14 +906,14 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "fixtures bit-identical" `Quick
-            test_fixture_differential;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
           Alcotest.test_case "explorer stats equal" `Slow
             test_explore_differential;
           of_q qcheck_engine_differential;
           of_q qcheck_instances_differential;
+          Alcotest.test_case "a machine refuses the other form" `Quick
+            test_wrong_form_rejected;
         ] );
       ( "restore",
         [

@@ -39,35 +39,27 @@ let explore_lock ?(max_steps = 24) ?(max_paths = 1_000_000)
     true
     (s.Explore.paths > 100)
 
+(* One attempt per process of a registry TM's direct instance. *)
+let mk_workload tm (w : Workload.t) () =
+  let m = Machine.create ~nprocs:(Array.length w.procs) () in
+  Runner.spawn m tm ~retries:0 w;
+  m
+
 (* TM workload: T0 = read X0; write X1; commit — T1 = write X0; read X1;
    commit. All interleavings must yield opaque histories. *)
-let mk_tm (module T : Tm_intf.S) () =
-  let module R = Runner.Make (T) in
-  let m = Machine.create ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:2 in
-  Machine.spawn m 0 (fun () ->
-      let tx = R.begin_tx ctx ~pid:0 in
-      match R.read ctx tx 0 with
-      | Error `Abort -> ()
-      | Ok _ -> (
-          match R.write ctx tx 1 10 with
-          | Error `Abort -> ()
-          | Ok () -> ignore (R.commit ctx tx)));
-  Machine.spawn m 1 (fun () ->
-      let tx = R.begin_tx ctx ~pid:1 in
-      match R.write ctx tx 0 20 with
-      | Error `Abort -> ()
-      | Ok () -> (
-          match R.read ctx tx 1 with
-          | Error `Abort -> ()
-          | Ok _ -> ignore (R.commit ctx tx)));
-  m
+let mk_tm tm =
+  mk_workload tm
+    Workload.
+      {
+        nobjs = 2;
+        procs = [| [ [ R 0; W (1, 10) ] ]; [ [ W (0, 20); R 1 ] ] |];
+      }
 
 let opaque_final m =
   let h = History.of_trace (Machine.trace m) in
   Checker.is_ok (Checker.opaque h)
 
-let explore_tm ?(max_steps = 40) (module T : Tm_intf.S) () =
+let explore_tm ?(max_steps = 40) (module T : Tm_intf.Both) () =
   let s =
     Explore.run ~mk:(mk_tm (module T)) ~final:opaque_final ~max_steps
       ~max_paths:1_000_000 ()
@@ -82,27 +74,18 @@ let explore_tm ?(max_steps = 40) (module T : Tm_intf.S) () =
 (* on a single t-object — in EVERY schedule at least one must commit.  *)
 (* ------------------------------------------------------------------ *)
 
-let mk_single_object (module T : Tm_intf.S) () =
-  let module R = Runner.Make (T) in
-  let m = Machine.create ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:1 in
-  for pid = 0 to 1 do
-    Machine.spawn m pid (fun () ->
-        let tx = R.begin_tx ctx ~pid in
-        match R.read ctx tx 0 with
-        | Error `Abort -> ()
-        | Ok _ -> (
-            match R.write ctx tx 0 (pid + 1) with
-            | Error `Abort -> ()
-            | Ok () -> ignore (R.commit ctx tx)))
-  done;
-  m
+let mk_single_object tm =
+  mk_workload tm
+    {
+      Workload.nobjs = 1;
+      procs = Array.init 2 (fun pid -> Workload.[ [ R 0; W (0, pid + 1) ] ]);
+    }
 
 let some_commit m =
   let h = History.of_trace (Machine.trace m) in
   List.exists (fun t -> t.History.status = History.Committed) h.History.txns
 
-let explore_strongly_progressive (module T : Tm_intf.S) () =
+let explore_strongly_progressive (module T : Tm_intf.Both) () =
   let s =
     Explore.run
       ~mk:(mk_single_object (module T))
@@ -256,7 +239,7 @@ let test_undolog_aba_reduction () =
 
 let dpor_tm_cases =
   List.filter_map
-    (fun (module T : Tm_intf.S) ->
+    (fun (module T : Tm_intf.Both) ->
       if T.name = "ostm" then None
       else
         Some
@@ -265,7 +248,7 @@ let dpor_tm_cases =
                  (differential ~name:T.name
                     ~mk:(mk_tm (module T))
                     ~final:opaque_final ()))))
-    Ptm_tms.Registry.all
+    Ptm_tms.Registry.base
 
 (* OSTM's helping protocol exceeds the naive budget at full depth, so the
    differential runs at a shallower bound where the naive search completes;
@@ -297,20 +280,20 @@ let test_ostm_dpor_full_depth () =
 
 let dpor_single_object_cases =
   List.map
-    (fun (module T : Tm_intf.S) ->
+    (fun (module T : Tm_intf.Both) ->
       Alcotest.test_case T.name `Slow (fun () ->
           ignore
             (differential ~name:T.name
                ~mk:(mk_single_object (module T))
                ~final:some_commit ())))
     [
-      (module Ptm_tms.Oneshot : Tm_intf.S);
-      (module Ptm_tms.Oneshot_llsc : Tm_intf.S);
-      (module Ptm_tms.Sgl : Tm_intf.S);
-      (module Ptm_tms.Dstm : Tm_intf.S);
+      (module Ptm_tms.Oneshot : Tm_intf.Both);
+      (module Ptm_tms.Oneshot_llsc : Tm_intf.Both);
+      (module Ptm_tms.Sgl : Tm_intf.Both);
+      (module Ptm_tms.Dstm : Tm_intf.Both);
       (* visread violates strong progressiveness: both searches must find
          the mutual-abort schedule (positive verdict on both sides). *)
-      (module Ptm_tms.Visread : Tm_intf.S);
+      (module Ptm_tms.Visread : Tm_intf.Both);
     ]
 
 (* A deliberately lossy counter: three processes increment non-atomically
@@ -344,7 +327,10 @@ let test_differential_lossy () =
 
 (* Random small workloads: the agreement must hold beyond the hand-picked
    configurations. Two processes, 1-2 transactional ops each, over three
-   TMs with very different conflict behaviour. *)
+   TMs with very different conflict behaviour. The largest naive trees the
+   generator can draw (visread, both processes running [R0;R1] or both
+   [R1;R0]) have 1,629,732 leaves, so the naive search gets a budget that
+   completes every case. *)
 let prop_dpor_matches_naive =
   let open QCheck2 in
   let gen =
@@ -364,42 +350,21 @@ let prop_dpor_matches_naive =
   in
   Test.make ~count:12 ~name:"dpor agrees with naive on random workloads"
     ~print gen (fun (ti, ops0, ops1) ->
-      let tms =
-        [|
-          (module Ptm_tms.Dstm : Tm_intf.S);
-          (module Ptm_tms.Visread : Tm_intf.S);
-          (module Ptm_tms.Tl2 : Tm_intf.S);
-        |]
+      let tms : Ptm_tms.Registry.entry array =
+        Ptm_tms.[| (module Dstm); (module Visread); (module Tl2) |]
       in
-      let (module T) = tms.(ti) in
-      let mk () =
-        let module R = Runner.Make (T) in
-        let m = Machine.create ~nprocs:2 () in
-        let ctx = R.init m ~nobjs:2 in
-        let prog pid ops () =
-          let tx = R.begin_tx ctx ~pid in
-          let rec go = function
-            | [] -> ignore (R.commit ctx tx)
-            | (obj, write) :: rest ->
-                let ok =
-                  if write then
-                    match R.write ctx tx obj (pid + 1) with
-                    | Ok () -> true
-                    | Error `Abort -> false
-                  else
-                    match R.read ctx tx obj with
-                    | Ok _ -> true
-                    | Error `Abort -> false
-                in
-                if ok then go rest
-          in
-          go ops
-        in
-        Machine.spawn m 0 (prog 0 ops0);
-        Machine.spawn m 1 (prog 1 ops1);
-        m
+      let tx pid =
+        List.map (fun (obj, write) ->
+            if write then Workload.W (obj, pid + 1) else Workload.R obj)
       in
-      let naive = Explore.run ~mk ~final:opaque_final ~max_steps:40 () in
+      let mk =
+        mk_workload tms.(ti)
+          { Workload.nobjs = 2; procs = [| [ tx 0 ops0 ]; [ tx 1 ops1 ] |] }
+      in
+      let naive =
+        Explore.run ~mk ~final:opaque_final ~max_steps:40 ~max_paths:2_000_000
+          ()
+      in
       let dpor =
         Explore.run ~mk ~final:opaque_final ~max_steps:40 ~mode:Explore.Dpor
           ()
@@ -830,21 +795,21 @@ let bakery_random_sweep () =
 
 let tm_cases =
   List.map
-    (fun (module T : Tm_intf.S) ->
+    (fun (module T : Tm_intf.Both) ->
       if T.name = "ostm" then
         Alcotest.test_case "ostm (random sweep)" `Slow ostm_random_sweep
       else Alcotest.test_case T.name `Slow (explore_tm (module T)))
-    Ptm_tms.Registry.all
+    Ptm_tms.Registry.base
 
 let strong_cases =
   List.map
-    (fun (module T : Tm_intf.S) ->
+    (fun (module T : Tm_intf.Both) ->
       Alcotest.test_case T.name `Slow (explore_strongly_progressive (module T)))
     [
-      (module Ptm_tms.Oneshot : Tm_intf.S);
-      (module Ptm_tms.Oneshot_llsc : Tm_intf.S);
-      (module Ptm_tms.Sgl : Tm_intf.S);
-      (module Ptm_tms.Dstm : Tm_intf.S);
+      (module Ptm_tms.Oneshot : Tm_intf.Both);
+      (module Ptm_tms.Oneshot_llsc : Tm_intf.Both);
+      (module Ptm_tms.Sgl : Tm_intf.Both);
+      (module Ptm_tms.Dstm : Tm_intf.Both);
     ]
   @ [
       Alcotest.test_case "visread upgrade all-abort" `Quick

@@ -168,35 +168,23 @@ let test_timestamp_starves_on_elder_corpse () =
 (* DPOR engine bit-identity, per CM variant                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The E14-style two-process conflict fixture, explored exhaustively on
-   both engines for each CM: the searches must be the same
+(* The E14-style two-process conflict fixture, one attempt each, explored
+   exhaustively on both engines for each CM (the direct instance on
+   Fibers, the step instance on Steps): the searches must be the same
    ([Explore.same_search]; the Steps search restores where the Fibers one
    replays) and violation-free, with every leaf's history passing both
    checkers. *)
-let mk_conflict (module T : Tm_intf.S_step) engine () =
-  let module R = Runner.Make_step (T) in
-  let module Sm = Proc.Step in
+let mk_conflict tm engine () =
   let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:2 in
-  Machine.spawn_step m 0
-    (Sm.bind (R.begin_tx ctx ~pid:0) (fun tx ->
-         Sm.bind (R.read ctx tx 0) (function
-           | Error `Abort -> Sm.return ()
-           | Ok _ ->
-               Sm.bind (R.write ctx tx 1 10) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok () -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
-  Machine.spawn_step m 1
-    (Sm.bind (R.begin_tx ctx ~pid:1) (fun tx ->
-         Sm.bind (R.write ctx tx 0 20) (function
-           | Error `Abort -> Sm.return ()
-           | Ok () ->
-               Sm.bind (R.read ctx tx 1) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok _ -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
+  Runner.spawn m tm ~retries:0
+    Workload.
+      {
+        nobjs = 2;
+        procs = [| [ [ R 0; W (1, 10) ] ]; [ [ W (0, 20); R 1 ] ] |];
+      };
   m
 
-let explore_cm ~crashes (module T : Tm_intf.S_step) engine =
+let explore_cm ~crashes tm engine =
   let final m =
     let entries = Trace.entries (Machine.trace m) in
     let sv = fst (Opacity_stream.check_entries entries) in
@@ -207,16 +195,16 @@ let explore_cm ~crashes (module T : Tm_intf.S_step) engine =
     | _ -> false
   in
   Explore.run
-    ~mk:(mk_conflict (module T) engine)
+    ~mk:(mk_conflict tm engine)
     ~final ~max_steps:80 ~max_paths:500_000 ~mode:Explore.Dpor ~crashes ()
 
 let test_cm_engine_bit_identity () =
   List.iter
-    (fun (module T : Tm_intf.S_step) ->
+    (fun ((module T : Tm_intf.Both) as tm) ->
       List.iter
         (fun crashes ->
-          let f = explore_cm ~crashes (module T) Machine.Fibers in
-          let s = explore_cm ~crashes (module T) Machine.Steps in
+          let f = explore_cm ~crashes tm Machine.Fibers in
+          let s = explore_cm ~crashes tm Machine.Steps in
           Alcotest.(check bool)
             (Printf.sprintf "%s (crashes %d): engines search the same tree"
                T.name crashes)
@@ -231,7 +219,7 @@ let test_cm_engine_bit_identity () =
                crashes)
             true (f.Explore.paths > 0))
         [ 0; 1 ])
-    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.cms)
+    Ptm_tms.Registry.cms
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: ofree vs dstm differential under random fault plans         *)

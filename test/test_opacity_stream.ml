@@ -466,32 +466,20 @@ let test_monitor_differential_sweep () =
 (* Explorer leaf-by-leaf differential                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The E14-style two-process step-form TM conflict workload; the [final]
-   predicate cross-checks both checkers on every leaf. *)
-let mk_tm_leaf (module T : Tm_intf.S_step) engine () =
-  let module R = Runner.Make_step (T) in
-  let module Sm = Proc.Step in
-  let m = Machine.create ~trace:Trace.Full ~engine ~nprocs:2 () in
-  let ctx = R.init m ~nobjs:2 in
-  Machine.spawn_step m 0
-    (Sm.bind (R.begin_tx ctx ~pid:0) (fun tx ->
-         Sm.bind (R.read ctx tx 0) (function
-           | Error `Abort -> Sm.return ()
-           | Ok _ ->
-               Sm.bind (R.write ctx tx 1 10) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok () -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
-  Machine.spawn_step m 1
-    (Sm.bind (R.begin_tx ctx ~pid:1) (fun tx ->
-         Sm.bind (R.write ctx tx 0 20) (function
-           | Error `Abort -> Sm.return ()
-           | Ok () ->
-               Sm.bind (R.read ctx tx 1) (function
-                 | Error `Abort -> Sm.return ()
-                 | Ok _ -> Sm.bind (R.commit ctx tx) (fun _ -> Sm.return ())))));
+(* The E14-style two-process TM conflict workload, one attempt each, as
+   the direct instance on Fibers; the [final] predicate cross-checks both
+   checkers on every leaf. *)
+let mk_tm_leaf tm () =
+  let m = Machine.create ~trace:Trace.Full ~nprocs:2 () in
+  Runner.spawn m tm ~retries:0
+    Workload.
+      {
+        nobjs = 2;
+        procs = [| [ [ R 0; W (1, 10) ] ]; [ [ W (0, 20); R 1 ] ] |];
+      };
   m
 
-let leaf_agreement ~crashes (module T : Tm_intf.S_step) =
+let leaf_agreement ~crashes ((module T : Tm_intf.Both) as tm) =
   let checked = ref 0 in
   let final m =
     incr checked;
@@ -505,9 +493,8 @@ let leaf_agreement ~crashes (module T : Tm_intf.S_step) =
     | _ -> false
   in
   let s =
-    Explore.run
-      ~mk:(mk_tm_leaf (module T) Machine.Fibers)
-      ~final ~max_steps:60 ~max_paths:200_000 ~mode:Explore.Dpor ~crashes ()
+    Explore.run ~mk:(mk_tm_leaf tm) ~final ~max_steps:60 ~max_paths:200_000
+      ~mode:Explore.Dpor ~crashes ()
   in
   Alcotest.(check int)
     (T.name ^ ": no leaf disagreed (or failed both checkers)")
@@ -515,46 +502,44 @@ let leaf_agreement ~crashes (module T : Tm_intf.S_step) =
   Alcotest.(check bool) (T.name ^ ": leaves checked") true (!checked > 0)
 
 (* The five TMs that were first written in step form. *)
-let leaf_tms : Tm_intf.tm_step list =
+let leaf_tms : Ptm_tms.Registry.entry list =
   Ptm_tms.
-    [ (module Undolog.Stepwise); (module Ostm.Stepwise);
-      (module Norec.Stepwise); (module Sgl.Stepwise); (module Ofree.Stepwise) ]
+    [ (module Undolog); (module Ostm); (module Norec); (module Sgl);
+      (module Ofree) ]
 
 let test_explorer_leaf_differential () =
   List.iter (fun tm -> leaf_agreement ~crashes:0 tm) leaf_tms
 
 let test_explorer_leaf_differential_crashes () =
   (* crash budget 1: leaves include crash-truncated histories *)
-  leaf_agreement ~crashes:1 (module Ptm_tms.Norec.Stepwise : Tm_intf.S_step)
+  leaf_agreement ~crashes:1 (module Ptm_tms.Norec : Tm_intf.Both)
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: random step programs, both engines, replay invariance       *)
+(* QCheck: random programs, both instances, replay invariance          *)
 (* ------------------------------------------------------------------ *)
 
 (* Build a random per-process transaction program (reads/writes over a tiny
-   object set) in step form, run it to quiescence on the given engine under
-   a random fault plan, and return the recorded entries. *)
+   object set), run it to quiescence in the engine's form (the direct
+   instance on Fibers, the step instance on Steps) under a random fault
+   plan, and return the recorded entries. *)
 let random_run ~rng_seed engine =
   let rng = Random.State.make [| rng_seed |] in
   let nprocs = 2 + Random.State.int rng 2 in
   let nobjs = 2 in
-  let tms = leaf_tms in
-  let (module T : Tm_intf.S_step) =
-    List.nth tms (Random.State.int rng (List.length tms))
-  in
-  let program =
+  let tm = List.nth leaf_tms (Random.State.int rng (List.length leaf_tms)) in
+  let procs =
     (* per pid: txs_per_proc transactions of ops_per_tx random ops; drawn
        BEFORE the machine exists so both engines replay the same program *)
     Array.init nprocs (fun _ ->
-        Array.init
+        List.init
           (1 + Random.State.int rng 2)
           (fun _ ->
-            Array.init
+            List.init
               (1 + Random.State.int rng 3)
               (fun _ ->
                 let x = Random.State.int rng nobjs in
-                if Random.State.bool rng then `R x
-                else `W (x, 1 + Random.State.int rng 5))))
+                if Random.State.bool rng then Workload.R x
+                else Workload.W (x, 1 + Random.State.int rng 5))))
   in
   let faults =
     match Random.State.int rng 4 with
@@ -574,38 +559,9 @@ let random_run ~rng_seed engine =
         ]
     | _ -> [ Fault.abort ~pid:(Random.State.int rng nprocs) ~op:0 ]
   in
-  let module R = Runner.Make_step (T) in
-  let module Sm = Proc.Step in
   let m = Machine.create ~trace:Trace.Full ~engine ~nprocs () in
-  let ctx = R.init m ~nobjs in
-  Array.iteri
-    (fun pid txs ->
-      let body ops tx =
-        Array.fold_right
-          (fun op k ->
-            match op with
-            | `R x ->
-                Sm.bind (R.read ctx tx x) (function
-                  | Error `Abort -> Sm.return (Error `Abort)
-                  | Ok _ -> k)
-            | `W (x, v) ->
-                Sm.bind (R.write ctx tx x v) (function
-                  | Error `Abort -> Sm.return (Error `Abort)
-                  | Ok () -> k))
-          ops
-          (Sm.return (Ok ()))
-      in
-      let prog =
-        Array.fold_right
-          (fun ops k ->
-            Sm.bind
-              (R.atomically ctx ~pid ~retries:2 (body ops))
-              (fun _ -> k))
-          txs (Sm.return ())
-      in
-      Machine.spawn_step m pid prog)
-    program;
   Machine.set_faults m faults;
+  Runner.spawn m tm ~retries:2 { Workload.nobjs; procs };
   (try Sched.round_robin ~max_steps:20_000 m with Sched.Out_of_steps -> ());
   Trace.entries (Machine.trace m)
 

@@ -8,17 +8,14 @@
    registry TM, and — via QCheck — random mixes and fault plans on both
    machine engines); every schedule of a fixture where a stable window
    meets a hold to validate is opaque, with both checkers agreeing; the
-   one sharded body's step instance is bit-identical across engines and
-   event-identical to its direct instance, also under the load engine's
-   contended traffic; and a revalidation re-samples only the shards whose
-   version moved, and restarts when a commit overtakes its pass. *)
+   one sharded body's step instance on Steps is bit-identical to its
+   direct instance on Fibers, also under contended hot-key traffic; and a
+   revalidation re-samples only the shards whose version moved, and
+   restarts when a commit overtakes its pass, in both instances. *)
 
 open Ptm_machine
 open Ptm_core
 
-module Sm = Proc.Step
-
-let ( let* ) = Sm.bind
 let of_q t = QCheck_alcotest.to_alcotest t
 
 module X1 = struct
@@ -242,7 +239,7 @@ let test_cross_shard_opacity () =
     Ptm_tms.Registry.sharded
 
 (* ------------------------------------------------------------------ *)
-(* Step-form instantiations: engines and forms agree                    *)
+(* The two instances agree                                             *)
 (* ------------------------------------------------------------------ *)
 
 let status_tag m pid =
@@ -258,183 +255,87 @@ let fingerprint ~nprocs m =
     List.init nprocs (Machine.steps_of m),
     List.init nprocs (status_tag m) )
 
-(* Interpret a workload transaction as a step program over an
-   instrumented context. *)
-let rec prog_of_ops read write = function
-  | [] -> Sm.return (Ok ())
-  | op :: rest -> (
-      let* r =
-        match op with
-        | Workload.R x ->
-            let* r = read x in
-            Sm.return (Result.map (fun (_ : int) -> ()) r)
-        | Workload.W (x, v) -> write x v
-      in
-      match r with
-      | Error `Abort -> Sm.return (Error `Abort)
-      | Ok () -> prog_of_ops read write rest)
-
 let nprocs_of (w : Workload.t) = Array.length w.Workload.procs
 
-let mk_step_run (module T : Tm_intf.S_step) ?observer ?(faults = []) ~engine
-    (w : Workload.t) =
-  let nprocs = nprocs_of w in
-  let m = Machine.create ~engine ~nprocs () in
+(* [w] through the runner's driver in the engine's form: the direct
+   instance on Fibers, the step instance on Steps. *)
+let mk_run tm ?observer ?(faults = []) ?(retries = 2) ~engine (w : Workload.t)
+    =
+  let m = Machine.create ~engine ~nprocs:(nprocs_of w) () in
   Trace.set_observer (Machine.trace m) observer;
-  let module R = Runner.Make_step (T) in
-  let ctx = R.init m ~nobjs:w.Workload.nobjs in
   Machine.set_faults m faults;
-  Array.iteri
-    (fun pid txs ->
-      Machine.spawn_step m pid
-        (Sm.iter
-           (fun ops ->
-             let* (_ : (unit, Tm_intf.abort) result) =
-               R.atomically ctx ~pid ~retries:2 (fun tx ->
-                   prog_of_ops (R.read ctx tx) (R.write ctx tx) ops)
-             in
-             Sm.return ())
-           txs))
-    w.Workload.procs;
+  Runner.spawn m tm ~retries w;
   m
 
-let mk_direct_run (module T : Tm_intf.S) (w : Workload.t) =
-  let nprocs = nprocs_of w in
-  let m = Machine.create ~nprocs () in
-  let module R = Runner.Make (T) in
-  let ctx = R.init m ~nobjs:w.Workload.nobjs in
-  Array.iteri
-    (fun pid txs ->
-      Machine.spawn m pid (fun () ->
-          List.iter
-            (fun ops ->
-              let (_ : (unit, Tm_intf.abort) result) =
-                R.atomically ctx ~pid ~retries:2 (fun tx ->
-                    List.fold_left
-                      (fun acc op ->
-                        match acc with
-                        | Error `Abort -> acc
-                        | Ok () -> (
-                            match op with
-                            | Workload.R x ->
-                                Result.map
-                                  (fun (_ : int) -> ())
-                                  (R.read ctx tx x)
-                            | Workload.W (x, v) -> R.write ctx tx x v))
-                      (Ok ()) ops)
-              in
-              ())
-            txs))
-    w.Workload.procs;
-  m
+let run_fp ?retries tm ~engine ~seed w =
+  let m = mk_run tm ?retries ~engine w in
+  Sched.random ~seed m;
+  Machine.check_crashes m;
+  fingerprint ~nprocs:(nprocs_of w) m
 
 let cross_shard_w =
   Workload.bank ~nprocs:3 ~naccounts:8 ~transfers_per_proc:3 ~seed:17
 
-let test_step_engines_bit_identical () =
-  List.iter
-    (fun ((module T : Tm_intf.S_step) as tm) ->
-      List.iter
-        (fun seed ->
-          let run engine =
-            let m = mk_step_run tm ~engine cross_shard_w in
-            Sched.random ~seed m;
-            Machine.check_crashes m;
-            fingerprint ~nprocs:(nprocs_of cross_shard_w) m
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s seed %d: Steps == Fibers" T.name seed)
-            true
-            (run Machine.Fibers = run Machine.Steps))
-        [ 1; 7; 42 ])
-    (List.map Ptm_tms.Registry.step Ptm_tms.Registry.x4)
-
 (* The one sharded body's two instances run the same events. *)
 let test_step_vs_direct () =
   List.iter
-    (fun e ->
-      let ((module T : Tm_intf.S_step) as tm) = Ptm_tms.Registry.step e in
-      let fp mk =
-        let m = mk () in
-        Sched.random ~seed:7 m;
-        Machine.check_crashes m;
-        fingerprint ~nprocs:(nprocs_of cross_shard_w) m
-      in
-      Alcotest.(check bool)
-        (T.name ^ ": step form == direct form")
-        true
-        (fp (fun () -> mk_step_run tm ~engine:Machine.Fibers cross_shard_w)
-        = fp (fun () ->
-              mk_direct_run (Ptm_tms.Registry.direct e) cross_shard_w)))
+    (fun ((module T : Tm_intf.Both) as tm) ->
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: step form == direct form" T.name seed)
+            true
+            (run_fp tm ~engine:Machine.Fibers ~seed cross_shard_w
+            = run_fp tm ~engine:Machine.Steps ~seed cross_shard_w))
+        [ 1; 7; 42 ])
     Ptm_tms.Registry.x4
 
-(* A step instance's t-operations performed inside the caller's fiber, so
-   the step instance can serve where a direct TM is expected (under
-   [Load], in a direct-style scenario). *)
-module Performed (T : Tm_intf.S_step) : Tm_intf.S = struct
-  include T
-
-  let read t tx x = Proc.Step.perform (T.read t tx x)
-  let write t tx x v = Proc.Step.perform (T.write t tx x v)
-  let try_commit t tx = Proc.Step.perform (T.try_commit t tx)
-end
-
 (* ------------------------------------------------------------------ *)
-(* Under load: the direct and step instances serve identical runs       *)
+(* Under contention: the two instances serve identical runs            *)
 (* ------------------------------------------------------------------ *)
 
-(* The hot-key mix with retries that never run out: contended enough to
+(* A hot-key mix with retries that never run out: contended enough to
    reach the revalidation restarts and the stable-window re-samples, where
    a single event of difference between the instances shifts every later
-   interleaving and so every counter. *)
-let twin_cfg seed =
-  {
-    Load.default_config with
-    clients = 16;
-    nprocs = 4;
-    nobjs = 64;
-    txs_per_client = 8;
-    mix =
-      {
-        Load.dist = Workload.Uniform;
-        hotspot = Some (4, 0.5);
-        write_ratio = 0.5;
-        ops_min = 2;
-        ops_max = 6;
-      };
-    seed;
-    retries = 1000;
-  }
+   interleaving. *)
+let hot_w seed =
+  Workload.random ~seed ~nprocs:4 ~nobjs:64 ~txs_per_proc:8 ~ops_per_tx:4
+    ~hotspot:(4, 0.5) ()
+
+let aborts (entries, _, _) =
+  List.length
+    (List.filter
+       (function
+         | Trace.Note { note = History.Tx_res { res = History.RAbort; _ }; _ }
+           ->
+             true
+         | _ -> false)
+       entries)
 
 let test_twins_under_load () =
-  let performed name : Tm_intf.tm =
-    let (module T : Tm_intf.S_step) =
-      Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find name))
-    in
-    (module Performed (T))
-  in
-  let pairs =
-    List.map
-      (fun name -> (name, performed name))
-      [ "norec.x4"; "sgl.x4"; "ofree.x4"; "undolog.x4" ]
-  in
-  let counters (r : Load.result) =
-    (r.Load.committed, r.aborted, r.failed, r.steps, r.wasted)
-  in
   List.iter
-    (fun (name, step) ->
-      let direct = Option.get (Ptm_tms.Registry.by_name name) in
-      let differing =
-        List.filter
-          (fun seed ->
-            counters (Load.run direct (twin_cfg seed))
-            <> counters (Load.run step (twin_cfg seed)))
-          (List.init 100 (fun i -> i + 1) @ [ 176; 267 ])
+    (fun name ->
+      let tm = Option.get (Ptm_tms.Registry.find name) in
+      let run engine seed =
+        run_fp tm ~retries:1000 ~engine ~seed (hot_w seed)
+      in
+      let seeds = List.init 100 (fun i -> i + 1) @ [ 176; 267 ] in
+      let runs =
+        List.map
+          (fun seed -> (seed, run Machine.Fibers seed, run Machine.Steps seed))
+          seeds
       in
       Alcotest.(check (list int))
-        (name ^ ": seeds where the step instance's counters differ")
-        [] differing)
-    pairs
+        (name ^ ": seeds where the step instance's execution differs")
+        []
+        (List.filter_map
+           (fun (seed, d, s) -> if d = s then None else Some seed)
+           runs);
+      Alcotest.(check bool)
+        (name ^ ": the mix is contended (some attempt aborts)")
+        true
+        (List.exists (fun (_, d, _) -> aborts d > 0) runs))
+    [ "norec.x4"; "sgl.x4"; "ofree.x4"; "undolog.x4" ]
 
 (* ------------------------------------------------------------------ *)
 (* Selective revalidation: only the shards that moved are re-sampled    *)
@@ -463,49 +364,137 @@ module Norec_step_rec = struct
   let create = recording create
 end
 
-(* Eight objects under four shards (object [x] in shard [x mod 4]). The
-   reader caches object 0 (shard 0) and object 1 (shard 1), the writer
-   then commits [writes] (all in shard 1), and the reader's next uncached
-   read, of object 2, finds shard 1's version moved and revalidates.
-   Returns that read's result and the memory events it issued. *)
-let selective_scenario (module T : Tm_intf.S) writes =
-  inner_ranges := [];
-  let m = Machine.create ~nprocs:2 () in
-  let t = T.create m ~nobjs:8 in
-  let cached = ref false and third = ref None in
-  Machine.spawn m 0 (fun () ->
-      let tx = T.fresh t ~pid:0 ~id:1 in
-      ignore (T.read t tx 0 : (int, Tm_intf.abort) result);
-      ignore (T.read t tx 1 : (int, Tm_intf.abort) result);
-      cached := true;
-      third := Some (T.read t tx 2));
-  Machine.spawn m 1 (fun () ->
-      let tx = T.fresh t ~pid:1 ~id:2 in
-      List.iter
-        (fun (x, v) -> ignore (T.write t tx x v : (unit, Tm_intf.abort) result))
-        writes;
-      match T.try_commit t tx with
-      | Ok () -> ()
-      | Error `Abort -> failwith "the lone writer aborted");
-  while not !cached do
-    ignore (Machine.step m 0 : Machine.step_result)
-  done;
-  ignore (Sched.solo m 1 : [ `Done | `Paused ]);
-  let from = Trace.length (Machine.trace m) in
-  ignore (Sched.solo m 0 : [ `Done | `Paused ]);
-  Machine.check_crashes m;
-  let events = ref [] in
-  Trace.iter_from (Machine.trace m) from (function
-    | Trace.Mem e -> events := e :: !events
-    | Trace.Note _ -> ());
-  (m, Option.get !third, List.rev !events)
+(* A program form: an instance of the program signature and the engine
+   that runs it. *)
+module type Form = sig
+  include Proc.S
+
+  val engine : Machine.engine
+  val spawn : Machine.t -> int -> (unit -> unit t) -> unit
+end
+
+module Direct_form = struct
+  include Proc.Direct
+
+  let engine = Machine.Fibers
+  let spawn = Machine.spawn
+end
+
+module Step_form = struct
+  include Proc.Step
+
+  let engine = Machine.Steps
+  let spawn m pid p = Machine.spawn_step m pid (p ())
+end
+
+(* The scripted revalidation scenarios, written once over the program
+   form: the direct rows run norec.x4's direct instance on Fibers, the
+   step rows its step instance on Steps. Each returns the machine and the
+   result of the reader's third read. *)
+module Scripts (P : Form) (T : Tm_intf.Generic with type 'a m := 'a P.t) =
+struct
+  let ( let* ) = P.bind
+
+  (* Read objects 0 and 1, raise [cached], then read object 2. *)
+  let reader t ~cached ~third () =
+    P.suspend @@ fun () ->
+    let tx = T.fresh t ~pid:0 ~id:1 in
+    let* (_ : (int, Tm_intf.abort) result) = T.read t tx 0 in
+    let* (_ : (int, Tm_intf.abort) result) = T.read t tx 1 in
+    cached := true;
+    let* r = T.read t tx 2 in
+    third := Some r;
+    P.return ()
+
+  let commit t ~pid ~id writes =
+    P.suspend @@ fun () ->
+    let tx = T.fresh t ~pid ~id in
+    let* () =
+      P.iter (fun (x, v) -> P.map ignore (T.write t tx x v)) writes
+    in
+    let* r = T.try_commit t tx in
+    match r with
+    | Ok () -> P.return ()
+    | Error `Abort -> failwith "a lone writer aborted"
+
+  let setup ~nprocs =
+    let m = Machine.create ~engine:P.engine ~nprocs () in
+    let t = T.create m ~nobjs:8 in
+    let cached = ref false and third = ref None in
+    P.spawn m 0 (reader t ~cached ~third);
+    (m, t, cached, third)
+
+  let step_until_cached m cached =
+    while not !cached do
+      ignore (Machine.step m 0 : Machine.step_result)
+    done
+
+  (* Eight objects under four shards (object [x] in shard [x mod 4]). The
+     reader caches object 0 (shard 0) and object 1 (shard 1), the writer
+     then commits [writes] (all in shard 1), and the reader's next
+     uncached read, of object 2, finds shard 1's version moved and
+     revalidates. Also returns the memory events that read issued. *)
+  let selective writes =
+    inner_ranges := [];
+    let m, t, cached, third = setup ~nprocs:2 in
+    P.spawn m 1 (fun () -> commit t ~pid:1 ~id:2 writes);
+    step_until_cached m cached;
+    ignore (Sched.solo m 1 : [ `Done | `Paused ]);
+    let from = Trace.length (Machine.trace m) in
+    ignore (Sched.solo m 0 : [ `Done | `Paused ]);
+    Machine.check_crashes m;
+    let events = ref [] in
+    Trace.iter_from (Machine.trace m) from (function
+      | Trace.Mem e -> events := e :: !events
+      | Trace.Note _ -> ());
+    (m, Option.get !third, List.rev !events)
+
+  (* Objects 0, 1, 2 sit in shards 0, 1, 2. The reader caches x = obj 0
+     and y = obj 1; one commit writes y and z = obj 2, and the reader
+     reads z (post-commit), finds shard 1 moved and revalidates. Just
+     after its pass has read shard 0's word, a second writer commits
+     x := 5 and then y back to 0, so the pass skips x, re-samples y equal
+     to its cached value, and only the closing word check sees shard 0
+     move. The read set {x = 0, y = 0, z = 7} was never simultaneously
+     committed, so the read of z must abort. *)
+  let overtaken () =
+    let m, t, cached, third = setup ~nprocs:3 in
+    let word0 = List.hd (addrs_matching m (contains_sub ~sub:".lock[0]")) in
+    P.spawn m 1 (fun () -> commit t ~pid:1 ~id:2 [ (1, 7); (2, 7) ]);
+    P.spawn m 2 (fun () ->
+        let* () = commit t ~pid:2 ~id:3 [ (0, 5) ] in
+        commit t ~pid:2 ~id:4 [ (1, 0) ]);
+    step_until_cached m cached;
+    ignore (Sched.solo m 1 : [ `Done | `Paused ]);
+    (* the steadiness check reads shard 0's word first, the pass second *)
+    let reads_of_word0 = ref 0 in
+    while !reads_of_word0 < 2 do
+      let from = Trace.length (Machine.trace m) in
+      ignore (Machine.step m 0 : Machine.step_result);
+      Trace.iter_from (Machine.trace m) from (function
+        | Trace.Mem { pid = 0; addr; prim = Primitive.Read; _ }
+          when addr = word0 ->
+            incr reads_of_word0
+        | _ -> ())
+    done;
+    ignore (Sched.solo m 2 : [ `Done | `Paused ]);
+    ignore (Sched.solo m 0 : [ `Done | `Paused ]);
+    Machine.check_crashes m;
+    Option.get !third
+end
+
+module Direct_scripts =
+  Scripts (Direct_form) (Ptm_tms.Sharded.Make (X4) (Norec_rec))
+
+module Step_scripts =
+  Scripts (Step_form) (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))
 
 let test_selective_resample () =
   List.iter
-    (fun (form, tm) ->
+    (fun (form, scenario) ->
       List.iter
         (fun (what, writes, changed) ->
-          let m, third, events = selective_scenario tm writes in
+          let m, third, events = scenario writes in
           let label s = Printf.sprintf "%s, writer %s: %s" form what s in
           let named sub = addrs_matching m (contains_sub ~sub) in
           let inner s (e : Trace.mem_event) =
@@ -541,78 +530,16 @@ let test_selective_resample () =
           ("writes object 5 only", [ (5, 7) ], false);
           ("rewrites object 1's value", [ (1, 0) ], false);
         ])
-    [
-      ("direct", (module Ptm_tms.Sharded.Make (X4) (Norec_rec) : Tm_intf.S));
-      ( "step",
-        (module Performed (Ptm_tms.Sharded.Make_step (X4) (Norec_step_rec))) );
-    ]
-
-(* Objects 0, 1, 2 sit in shards 0, 1, 2. The reader caches x = obj 0 and
-   y = obj 1; one commit writes y and z = obj 2, and the reader reads z
-   (post-commit), finds shard 1 moved and revalidates. Just after its
-   pass has read shard 0's word, a second writer commits x := 5 and then
-   y back to 0, so the pass skips x, re-samples y equal to its cached
-   value, and only the closing word check sees shard 0 move. The read
-   set {x = 0, y = 0, z = 7} was never simultaneously committed, so the
-   read of z must abort. *)
-let overtaken_pass (module T : Tm_intf.S) =
-  let m = Machine.create ~nprocs:3 () in
-  let t = T.create m ~nobjs:8 in
-  let word0 = List.hd (addrs_matching m (contains_sub ~sub:".lock[0]")) in
-  let cached = ref false and third = ref None in
-  Machine.spawn m 0 (fun () ->
-      let tx = T.fresh t ~pid:0 ~id:1 in
-      ignore (T.read t tx 0 : (int, Tm_intf.abort) result);
-      ignore (T.read t tx 1 : (int, Tm_intf.abort) result);
-      cached := true;
-      third := Some (T.read t tx 2));
-  let commit pid id writes () =
-    let tx = T.fresh t ~pid ~id in
-    List.iter
-      (fun (x, v) -> ignore (T.write t tx x v : (unit, Tm_intf.abort) result))
-      writes;
-    match T.try_commit t tx with
-    | Ok () -> ()
-    | Error `Abort -> failwith "a lone writer aborted"
-  in
-  Machine.spawn m 1 (commit 1 2 [ (1, 7); (2, 7) ]);
-  Machine.spawn m 2 (fun () ->
-      commit 2 3 [ (0, 5) ] ();
-      commit 2 4 [ (1, 0) ] ());
-  while not !cached do
-    ignore (Machine.step m 0 : Machine.step_result)
-  done;
-  ignore (Sched.solo m 1 : [ `Done | `Paused ]);
-  (* the steadiness check reads shard 0's word first, the pass second *)
-  let reads_of_word0 = ref 0 in
-  while !reads_of_word0 < 2 do
-    let from = Trace.length (Machine.trace m) in
-    ignore (Machine.step m 0 : Machine.step_result);
-    Trace.iter_from (Machine.trace m) from (function
-      | Trace.Mem { pid = 0; addr; prim = Primitive.Read; _ }
-        when addr = word0 ->
-          incr reads_of_word0
-      | _ -> ())
-  done;
-  ignore (Sched.solo m 2 : [ `Done | `Paused ]);
-  ignore (Sched.solo m 0 : [ `Done | `Paused ]);
-  Machine.check_crashes m;
-  Option.get !third
+    [ ("direct", Direct_scripts.selective); ("step", Step_scripts.selective) ]
 
 let test_overtaken_pass () =
   List.iter
-    (fun (form, tm) ->
+    (fun (form, overtaken) ->
       Alcotest.(check bool)
         (form ^ ": the read of z aborts")
         true
-        (Result.is_error (overtaken_pass tm)))
-    [
-      ( "direct",
-        (module Ptm_tms.Sharded.Make (X4) (Ptm_tms.Norec) : Tm_intf.S) );
-      ( "step",
-        (module Performed
-                  (Ptm_tms.Sharded.Make_step (X4) (Ptm_tms.Norec.Stepwise))) );
-    ]
+        (Result.is_error (overtaken ())))
+    [ ("direct", Direct_scripts.overtaken); ("step", Step_scripts.overtaken) ]
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive: stable windows passing a hold to validate                *)
@@ -627,27 +554,17 @@ let test_overtaken_pass () =
    some leaf P1 reads shard 0's word while P0 holds it to validate — the
    only hold to validate this fixture makes. *)
 let test_dpor_validate_hold () =
-  let (module T : Tm_intf.S_step) =
-    Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec.x4"))
+  let tm = Option.get (Ptm_tms.Registry.find "norec.x4") in
+  let w =
+    Workload.
+      {
+        nobjs = 2;
+        procs =
+          [| [ [ R 0; W (1, 10) ] ]; [ [ R 1; R 0 ] ];
+             [ [ W (0, 20); W (1, 21) ] ] |];
+      }
   in
-  let module R = Runner.Make_step (T) in
-  let progs =
-    Workload.[| [ R 0; W (1, 10) ]; [ R 1; R 0 ]; [ W (0, 20); W (1, 21) ] |]
-  in
-  let mk () =
-    let m = Machine.create ~engine:Machine.Steps ~nprocs:3 () in
-    let ctx = R.init m ~nobjs:2 in
-    Array.iteri
-      (fun pid ops ->
-        Machine.spawn_step m pid
-          (let* (_ : (unit, Tm_intf.abort) result) =
-             R.atomically ctx ~pid ~retries:1 (fun tx ->
-                 prog_of_ops (R.read ctx tx) (R.write ctx tx) ops)
-           in
-           Sm.return ()))
-      progs;
-    m
-  in
+  let mk () = mk_run tm ~retries:1 ~engine:Machine.Steps w in
   let leaves = ref 0 and overlaps = ref 0 in
   let final m =
     incr leaves;
@@ -723,9 +640,7 @@ let qcheck_cross_shard_opacity =
             faults))
       seed
   in
-  let tm =
-    Ptm_tms.Registry.step (Option.get (Ptm_tms.Registry.find "norec.x4"))
-  in
+  let tm = Option.get (Ptm_tms.Registry.find "norec.x4") in
   QCheck2.Test.make ~count:120 ~print
     ~name:"sharded: random mixes + faults opacity-clean on both engines" gen
     (fun (w, (faults, seed)) ->
@@ -734,7 +649,7 @@ let qcheck_cross_shard_opacity =
           (fun engine ->
             let chk = Opacity_stream.create () in
             let m =
-              mk_step_run tm ~engine ~faults
+              mk_run tm ~engine ~faults
                 ~observer:(Opacity_stream.on_entry chk)
                 w
             in
@@ -783,8 +698,6 @@ let () =
         ] );
       ( "engines",
         [
-          Alcotest.test_case "Steps == Fibers" `Quick
-            test_step_engines_bit_identical;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
           Alcotest.test_case "twins agree under load" `Quick
