@@ -1,14 +1,15 @@
 (* Engine-differential tests. Each engine runs one program form, so the
    engines are compared on the two instances of one program text: the
    direct instance on Fibers against the step instance on Steps, for every
-   registry TM's fixture, for random raw programs with random schedules and
-   fault plans (QCheck), and for whole explorations, where the Fibers
-   search replays prefixes and the Steps search restores saved nodes. Also:
-   a machine refuses a program of the other form, the OSTM deep-helping
-   regression (chains far beyond the old recursion guard), the typed
-   Bounds_error raised when a lower-bound construction diverges,
-   checkpoint/resume crash-safety (including a real [kill -9]
-   mid-exploration), and frontier determinism across domain counts. *)
+   registry TM's fixture (with and without fixed fault plans), for random
+   raw programs with random schedules and fault plans (QCheck), and for
+   whole explorations, where the Fibers search replays prefixes and the
+   Steps search restores saved nodes. Also: a machine refuses a program of
+   the other form, the OSTM deep-helping regression (chains far beyond the
+   old recursion guard), the typed Bounds_error raised when a lower-bound
+   construction diverges, checkpoint/resume crash-safety (including a real
+   [kill -9] mid-exploration), and frontier determinism across domain
+   counts. *)
 
 open Ptm_machine
 open Ptm_core
@@ -47,7 +48,7 @@ let fingerprint ~nprocs m =
 (* The canonical 2-process TM workload (as in test_explore): each process
    writes one object and reads the other, transactionally, retried once —
    or, for a single-object TM, writes and reads object 0. The TM runs in
-   the engine's form. *)
+   the engine's form, under the fault plan [faults] (none by default). *)
 let single_object name =
   List.exists
     (fun (module T : Tm_intf.Both) -> String.equal T.name name)
@@ -56,8 +57,9 @@ let single_object name =
 let objs name pid =
   if single_object name then (0, 0) else (pid mod 2, (pid + 1) mod 2)
 
-let mk_tm ((module T : Tm_intf.Both) as tm) ~engine ~trace () =
+let mk_tm ?(faults = []) ((module T : Tm_intf.Both) as tm) ~engine ~trace () =
   let m = Machine.create ~trace ~engine ~nprocs:2 () in
+  Machine.set_faults m faults;
   let tx pid =
     let w, r = objs T.name pid in
     [ [ Workload.W (w, pid + 1); Workload.R r ] ]
@@ -65,11 +67,12 @@ let mk_tm ((module T : Tm_intf.Both) as tm) ~engine ~trace () =
   Runner.spawn m tm ~retries:1 { Workload.nobjs = 2; procs = Array.init 2 tx };
   m
 
-let schedules =
-  ("round-robin", fun m -> Sched.round_robin m)
+let schedules ?max_steps () =
+  ("round-robin", fun m -> Sched.round_robin ?max_steps m)
   :: List.map
        (fun seed ->
-         (Printf.sprintf "random seed %d" seed, fun m -> Sched.random ~seed m))
+         ( Printf.sprintf "random seed %d" seed,
+           fun m -> Sched.random ~seed ?max_steps m ))
        [ 1; 7; 42 ]
 
 (* ------------------------------------------------------------------ *)
@@ -122,7 +125,41 @@ let test_step_vs_direct () =
             (T.name ^ " under " ^ sname ^ ": step form == direct form")
             true
             (run Machine.Fibers = run Machine.Steps))
-        schedules)
+        (schedules ()))
+    Ptm_tms.Registry.entries
+
+(* The same fixtures under fixed fault plans: process 0 crash-stops at its
+   second slot, process 1 stalls for four slots from its second, or process
+   0's first t-operation is aborted before it reaches the TM. A survivor
+   may spin on a word the crashed process holds, so each run stops at a
+   step budget, and the two engines must reach it alike. *)
+let fixture_faults =
+  [
+    ("crash p0@1", [ Fault.crash ~pid:0 ~at:1 ]);
+    ("stall p1@1+4", [ Fault.stall ~pid:1 ~at:1 ~steps:4 ]);
+    ("abort p0 op 0", [ Fault.abort ~pid:0 ~op:0 ]);
+  ]
+
+let test_fixture_differential () =
+  List.iter
+    (fun ((module T : Tm_intf.Both) as tm) ->
+      List.iter
+        (fun (fname, faults) ->
+          List.iter
+            (fun (sname, sched) ->
+              let run engine =
+                let m = mk_tm ~faults tm ~engine ~trace:Trace.Full () in
+                (try sched m with Sched.Out_of_steps -> ());
+                Machine.check_crashes m;
+                fingerprint ~nprocs:2 m
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s under %s, %s: engines bit-identical"
+                   T.name sname fname)
+                true
+                (run Machine.Fibers = run Machine.Steps))
+            (schedules ~max_steps:3_000 ()))
+        fixture_faults)
     Ptm_tms.Registry.entries
 
 (* The five TMs first written in step form explore their whole tree under
@@ -906,6 +943,8 @@ let () =
     [
       ( "differential",
         [
+          Alcotest.test_case "fixtures bit-identical" `Quick
+            test_fixture_differential;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
           Alcotest.test_case "explorer stats equal" `Slow

@@ -290,6 +290,41 @@ let test_step_vs_direct () =
         [ 1; 7; 42 ])
     Ptm_tms.Registry.x4
 
+(* The same bank run under fixed fault plans: process 0 crash-stops at its
+   seventh slot, process 1 stalls for five slots from its fifth, or process
+   2's second t-operation is aborted before it reaches the TM. A survivor
+   may spin on a lock word the crashed process holds, so each run stops at
+   a step budget, and the two engines must reach it alike. *)
+let bank_faults =
+  [
+    ("crash p0@6", [ Fault.crash ~pid:0 ~at:6 ]);
+    ("stall p1@4+5", [ Fault.stall ~pid:1 ~at:4 ~steps:5 ]);
+    ("abort p2 op 1", [ Fault.abort ~pid:2 ~op:1 ]);
+  ]
+
+let test_engines_under_faults () =
+  List.iter
+    (fun ((module T : Tm_intf.Both) as tm) ->
+      List.iter
+        (fun (fname, faults) ->
+          List.iter
+            (fun seed ->
+              let run engine =
+                let m = mk_run tm ~faults ~engine cross_shard_w in
+                (try Sched.random ~seed ~max_steps:20_000 m
+                 with Sched.Out_of_steps -> ());
+                Machine.check_crashes m;
+                fingerprint ~nprocs:(nprocs_of cross_shard_w) m
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed %d, %s: Steps == Fibers" T.name seed
+                   fname)
+                true
+                (run Machine.Fibers = run Machine.Steps))
+            [ 1; 7; 42 ])
+        bank_faults)
+    Ptm_tms.Registry.x4
+
 (* ------------------------------------------------------------------ *)
 (* Under contention: the two instances serve identical runs            *)
 (* ------------------------------------------------------------------ *)
@@ -698,6 +733,7 @@ let () =
         ] );
       ( "engines",
         [
+          Alcotest.test_case "Steps == Fibers" `Quick test_engines_under_faults;
           Alcotest.test_case "step form == direct form" `Quick
             test_step_vs_direct;
           Alcotest.test_case "twins agree under load" `Quick
