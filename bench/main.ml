@@ -1148,13 +1148,12 @@ let e18_load ?(quick = false) () =
      collided. dstm's survivors abort unboundedly on the corpse's orec,
      so any finite window still catches the lock-based TMs. *)
   let crash_window = 4 * crash_clients in
-  Fmt.pr
-    "@.crash cell: p1 crash-stops at its 30th slot, livelock window %d, \
-     write-heavy mix@."
-    crash_window;
-  Fmt.pr "%-12s %9s %7s %7s %10s %9s  %s@." "tm" "committed" "failed"
-    "unstart" "steps" "busy/cmt" "outcome";
-  let crash_cfg =
+  (* What a crash catches depends on what p1 holds at that slot, so the
+     payoff is swept over where p1 stops; the slot-30 runs are the
+     baseline's cells. *)
+  let crash_slots = [ 10; 20; 30; 40; 50; 60; 80; 100 ] in
+  let cell_slot = 30 in
+  let crash_cfg at =
     {
       Load.default_config with
       Load.clients = crash_clients;
@@ -1171,74 +1170,112 @@ let e18_load ?(quick = false) () =
         };
       seed = 18;
       retries = 32;
-      faults = [ Ptm_machine.Fault.crash ~pid:1 ~at:30 ];
+      faults = [ Ptm_machine.Fault.crash ~pid:1 ~at ];
       livelock_window = Some crash_window;
       max_slots = 2_000_000;
       sample = 0.25;
       rmr_models = Ptm_machine.Rmr.all_models;
     }
   in
-  let lock_latched = ref 0 in
+  let latched (r : Load.result) = r.Load.starved <> [] || r.Load.out_of_slots in
+  let sweep =
+    List.map
+      (fun (module T : Tm_intf.S) ->
+        ( T.name,
+          List.map
+            (fun at ->
+              let r = Load.run (module T) (crash_cfg at) in
+              if violated "e18" (Printf.sprintf "crash@%d" at) r then
+                incr violations;
+              (at, r))
+            crash_slots ))
+      (e18_ofree_tms @ e18_contrast_tms
+      @ [ Option.get (Ptm_tms.Registry.by_name "sgl.x4") ])
+  in
+  Fmt.pr
+    "@.crash cell: p1 crash-stops at its %dth slot, livelock window %d, \
+     write-heavy mix@."
+    cell_slot crash_window;
+  Fmt.pr "%-12s %9s %7s %7s %10s %9s  %s@." "tm" "committed" "failed"
+    "unstart" "steps" "busy/cmt" "outcome";
   List.iter
-    (fun (module T : Tm_intf.S) ->
-      let r = Load.run (module T) crash_cfg in
-      let latched = r.Load.starved <> [] || r.Load.out_of_slots in
-      let is_ofree =
-        List.exists
-          (fun (module O : Tm_intf.S) -> O.name = T.name)
-          e18_ofree_tms
-      in
-      Fmt.pr "%-12s %9d %7d %7d %10d %9.1f  %s@." T.name r.Load.committed
+    (fun (name, runs) ->
+      let r = List.assoc cell_slot runs in
+      Fmt.pr "%-12s %9d %7d %7d %10d %9.1f  %s@." name r.Load.committed
         r.Load.failed r.Load.unstarted r.Load.steps (busy_per_commit r)
         (if r.Load.starved <> [] then
            Printf.sprintf "LIVELOCK starved p[%s]"
              (String.concat ";" (List.map string_of_int r.Load.starved))
          else if r.Load.out_of_slots then "OUT OF SLOTS"
          else "completed");
-      (* The default (Karma) variant must commit through the corpse: no
-         latch, and every survivor's transaction gets through — waiting
-         accrues karma, so steal wars and corpse conflicts both resolve.
-         The other managers are reported, not asserted: Aggressive can
-         livelock on mutual steals and Greedy/Timestamp starves behind
-         an elder corpse — CM choice deciding liveness is the finding,
-         not a bench failure. *)
-      if T.name = "ofree" then begin
-        if latched then begin
-          Fmt.pr "e18: %s latched under the crash — obstruction freedom \
-                  broken@." T.name;
-          exit 1
-        end;
-        (* survivors own 3/4 of the offered load; committing at least
-           half the total means the run kept flowing through the corpse
-           (retry-exhausted stragglers under the write-heavy mix are
-           reported above, not hidden) *)
-        if 2 * r.Load.committed < crash_clients * crash_txs then begin
-          Fmt.pr "e18: %s committed only %d of %d under the crash@." T.name
-            r.Load.committed (crash_clients * crash_txs);
-          exit 1
-        end
+      cells := load_cell "e18-crash" r :: !cells)
+    sweep;
+  Fmt.pr
+    "@.crash sweep: committed of %d, by the slot p1 crash-stops at \
+     (* latched)@."
+    (crash_clients * crash_txs);
+  Fmt.pr "%-12s%s@." "tm"
+    (String.concat "" (List.map (Printf.sprintf " %6d") crash_slots));
+  List.iter
+    (fun (name, runs) ->
+      Fmt.pr "%-12s%s@." name
+        (String.concat ""
+           (List.map
+              (fun (_, r) ->
+                Printf.sprintf " %5d%s" r.Load.committed
+                  (if latched r then "*" else " "))
+              runs)))
+    sweep;
+  (* The default (Karma) variant must commit through the corpse wherever
+     it lies: no latch, and every survivor's transaction gets through —
+     waiting accrues karma, so steal wars and corpse conflicts both
+     resolve. The other managers are reported, not asserted: Aggressive
+     can livelock on mutual steals and Greedy/Timestamp starves behind an
+     elder corpse — CM choice deciding liveness is the finding, not a
+     bench failure. Survivors own 3/4 of the offered load; committing at
+     least half the total means the run kept flowing through the corpse
+     (retry-exhausted stragglers under the write-heavy mix are reported
+     above, not hidden). *)
+  List.iter
+    (fun (at, r) ->
+      if latched r then begin
+        Fmt.pr "e18: ofree latched under a crash at slot %d — obstruction \
+                freedom broken@." at;
+        exit 1
       end;
-      if (not is_ofree) && latched then incr lock_latched;
-      cells := cell "crash" r :: !cells)
-    (e18_ofree_tms @ e18_contrast_tms
-    @ [ Option.get (Ptm_tms.Registry.by_name "sgl.x4") ]);
-  if !lock_latched = 0 then begin
+      if 2 * r.Load.committed < crash_clients * crash_txs then begin
+        Fmt.pr "e18: ofree committed only %d of %d under a crash at slot %d@."
+          r.Load.committed (crash_clients * crash_txs) at;
+        exit 1
+      end)
+    (List.assoc "ofree" sweep);
+  let is_ofree name =
+    List.exists (fun (module O : Tm_intf.S) -> O.name = name) e18_ofree_tms
+  in
+  let lock_latched =
+    List.fold_left
+      (fun n (name, runs) ->
+        if is_ofree name then n
+        else n + List.length (List.filter (fun (_, r) -> latched r) runs))
+      0 sweep
+  in
+  if lock_latched = 0 then begin
     Fmt.pr
-      "e18: no lock-based TM latched under the crash — the contrast cell \
-       lost its contrast@.";
+      "e18: no lock-based TM latched under a crash at any slot — the \
+       contrast cell lost its contrast@.";
     exit 1
   end;
   Fmt.pr
     "@.The price: on the contended mixes ofree pays more busy steps and \
      RMRs per commit than@.the lock-based TMs (stolen ownership \
-     re-executes the victim's work; every@.acquisition is a CAS). The payoff: under \
-     crash-stop %d lock-based cell(s)@.latched near zero commits while \
-     ofree under Karma kept committing the@.survivors' load.\
-     @.CM choice decides liveness \
+     re-executes the victim's work; every@.acquisition is a CAS). The \
+     payoff: under crash-stop %d lock-based run(s) of the@.sweep latched \
+     (livelock or out of slots) while ofree under Karma kept@.committing \
+     the survivors' load wherever the crash fell.@.CM choice decides liveness \
      even inside the obstruction-free family: Aggressive@.can livelock on \
      mutual steals and Greedy/Timestamp starves behind a corpse@.holding \
      an elder stamp; Karma's wait-accrual ages every waiter past both.@."
-    !lock_latched;
+    lock_latched;
   if !violations > 0 then begin
     Fmt.pr "e18: %d opacity violation(s)@." !violations;
     exit 1

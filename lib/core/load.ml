@@ -5,11 +5,13 @@ open Ptm_machine
    online so nothing scales with run length.
 
    Multiplexing is at {e transaction} granularity: a machine process runs a
-   client scheduler that picks the next due client, executes one whole
-   transaction (with retries) on its behalf, and moves on. The streaming
-   opacity checker's per-pid well-formedness (one outstanding t-operation
-   per process) is thereby preserved — concurrency comes from the machine
-   interleaving processes at step granularity, as always.
+   client scheduler that takes the earliest-due client off a heap of its
+   clients, executes one whole transaction (with retries) on its behalf,
+   and moves on. A client's generator is made at its first transaction, so
+   set-up costs O(1) per client and choosing the next one O(log C). The
+   streaming opacity checker's per-pid well-formedness (one outstanding
+   t-operation per process) is thereby preserved — concurrency comes from
+   the machine interleaving processes at step granularity, as always.
 
    Time, per process, is its own machine step count ({!Machine.steps_of}):
    open-loop clients arrive on a fixed step period (a FIFO backlog builds up
@@ -274,24 +276,97 @@ let filter_entry f (e : Trace.entry) =
 (* Clients                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A process's clients waiting for service, as a binary min-heap of client
+   indices keyed by (due time, index): the earliest-due client first, the
+   lowest index among ties. The heap owns the due times. *)
+module Due = struct
+  type t = { due : int array; heap : int array; mutable size : int }
+
+  let before t i j =
+    let di = t.due.(i) and dj = t.due.(j) in
+    di < dj || (di = dj && i < j)
+
+  let rec sift_down t k =
+    let l = (2 * k) + 1 in
+    if l < t.size then begin
+      let c =
+        if l + 1 < t.size && before t t.heap.(l + 1) t.heap.(l) then l + 1
+        else l
+      in
+      if before t t.heap.(c) t.heap.(k) then begin
+        let x = t.heap.(k) in
+        t.heap.(k) <- t.heap.(c);
+        t.heap.(c) <- x;
+        sift_down t c
+      end
+    end
+
+  let create due =
+    let n = Array.length due in
+    let t = { due; heap = Array.init n Fun.id; size = n } in
+    for k = (n / 2) - 1 downto 0 do
+      sift_down t k
+    done;
+    t
+
+  let is_empty t = t.size = 0
+  let due t i = t.due.(i)
+
+  let next t ~now =
+    if t.size > 0 && t.due.(t.heap.(0)) <= now then Some t.heap.(0) else None
+
+  let retime t at =
+    t.due.(t.heap.(0)) <- at;
+    sift_down t 0
+
+  let remove t =
+    t.size <- t.size - 1;
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+end
+
 type client = {
-  rng : Random.State.t;
-  sampled : bool;
+  id : int;
+  mutable rng : Random.State.t option;
+      (** made at the client's first transaction, or at set-up when an
+          open-loop phase is drawn *)
+  mutable sampled : bool;  (** the first draw of [rng], once it is made *)
   mutable txs_left : int;
-  mutable due_at : int;  (** next arrival (open) / re-arm time (closed) *)
 }
 
 (* Deterministic per-client generator streams: derived from the run seed
    and the client id, independent of scheduling. *)
 let client_rng ~seed cid = Random.State.make [| 0x10ad; seed; cid |]
 
-let gen_tx ~(mix : mix) ~sampler ~next_value cl =
+let draw_sampled ~sample rng =
+  sample > 0.0 && Random.State.float rng 1.0 < sample
+
+let rng_of ~seed ~sample cl =
+  match cl.rng with
+  | Some rng -> rng
+  | None ->
+      let rng = client_rng ~seed cl.id in
+      cl.sampled <- draw_sampled ~sample rng;
+      cl.rng <- Some rng;
+      rng
+
+(* A client that never made its generator is counted by the draw it would
+   have made first, without making it where [sample] decides alone: 0 never
+   draws, and a draw in [0, 1) always falls below 1. *)
+let monitored ~seed ~sample cl =
+  match cl.rng with
+  | Some _ -> cl.sampled
+  | None ->
+      sample >= 1.0
+      || (sample > 0.0 && draw_sampled ~sample (client_rng ~seed cl.id))
+
+let gen_tx ~(mix : mix) ~sampler ~next_value rng =
   let n =
-    mix.ops_min + Random.State.int cl.rng (mix.ops_max - mix.ops_min + 1)
+    mix.ops_min + Random.State.int rng (mix.ops_max - mix.ops_min + 1)
   in
   List.init n (fun _ ->
-      let x = Workload.Sampler.draw sampler cl.rng in
-      if Random.State.float cl.rng 1.0 < mix.write_ratio then
+      let x = Workload.Sampler.draw sampler rng in
+      if Random.State.float rng 1.0 < mix.write_ratio then
         Workload.W (x, next_value ())
       else Workload.R x)
 
@@ -349,31 +424,20 @@ let run (module T : Tm_intf.S) cfg =
           ~name:(Printf.sprintf "load.scratch.p%d" pid)
           (Value.Int 0))
   in
-  (* clients, dealt round-robin over processes *)
-  let monitored = ref 0 in
+  let seed = cfg.seed and sample = cfg.sample in
+  (* clients, dealt round-robin over processes: client [cid] is process
+     [cid mod nprocs]'s [cid / nprocs]-th *)
   let clients_of =
-    let all =
-      Array.init cfg.clients (fun cid ->
-          let rng = client_rng ~seed:cfg.seed cid in
-          let sampled =
-            cfg.sample > 0.0 && Random.State.float rng 1.0 < cfg.sample
-          in
-          if sampled then incr monitored;
-          (* open-loop arrival phases are spread over the period so clients
-             of one process don't arrive in lockstep *)
-          let due_at =
-            match cfg.model with
-            | Open_loop { period } ->
-                if period = 0 then 0 else Random.State.int rng period
-            | Closed_loop _ -> 0
-          in
-          { rng; sampled; txs_left = cfg.txs_per_client; due_at })
-    in
     Array.init cfg.nprocs (fun pid ->
-        Array.of_list
-          (List.filteri
-             (fun i _ -> i mod cfg.nprocs = pid)
-             (Array.to_list all)))
+        Array.init
+          ((cfg.clients - pid + cfg.nprocs - 1) / cfg.nprocs)
+          (fun i ->
+            {
+              id = (i * cfg.nprocs) + pid;
+              rng = None;
+              sampled = false;
+              txs_left = cfg.txs_per_client;
+            }))
   in
   let chk, filter =
     if cfg.sample > 0.0 then begin
@@ -412,34 +476,33 @@ let run (module T : Tm_intf.S) cfg =
       value_ctr.(pid) <- value_ctr.(pid) + 1;
       ((pid + 1) * 1_000_000_000) + value_ctr.(pid)
     in
-    (* earliest-due ready client, FIFO within a tick (stable index order);
-       [None] when every remaining client is due in the future *)
-    let pick now =
-      let best = ref None in
-      Array.iter
-        (fun cl ->
-          if cl.txs_left > 0 && cl.due_at <= now then
-            match !best with
-            | Some b when b.due_at <= cl.due_at -> ()
-            | _ -> best := Some cl)
-        mine;
-      !best
-    in
-    let exhausted () =
-      Array.for_all (fun cl -> cl.txs_left = 0) mine
+    (* the clients with transactions left; open-loop arrival phases are
+       spread over the period so clients of one process don't arrive in
+       lockstep, drawn right after the sampled flag *)
+    let queue =
+      if cfg.txs_per_client = 0 then Due.create [||]
+      else
+        Due.create
+          (match cfg.model with
+          | Open_loop { period } when period > 0 ->
+              Array.map
+                (fun cl -> Random.State.int (rng_of ~seed ~sample cl) period)
+                mine
+          | _ -> Array.make (Array.length mine) 0)
     in
     Machine.spawn m pid (fun () ->
-        while not (exhausted ()) && not (gave_up ()) do
-          let now = Machine.steps_of m pid in
-          match pick now with
+        while not (Due.is_empty queue) && not (gave_up ()) do
+          match Due.next queue ~now:(Machine.steps_of m pid) with
           | None ->
               idle.(pid) <- idle.(pid) + 1;
               ignore (Proc.read scratch.(pid) : Value.t)
-          | Some cl ->
+          | Some i ->
+              let cl = mine.(i) in
+              let rng = rng_of ~seed ~sample cl in
               (match filter with
               | Some f -> f.cur_sampled.(pid) <- cl.sampled
               | None -> ());
-              let ops = gen_tx ~mix:cfg.mix ~sampler ~next_value cl in
+              let ops = gen_tx ~mix:cfg.mix ~sampler ~next_value rng in
               let rec attempt k =
                 let s0 = Machine.steps_of m pid in
                 let tx = R.begin_tx ctx ~pid in
@@ -472,10 +535,12 @@ let run (module T : Tm_intf.S) cfg =
               in
               attempt 0;
               cl.txs_left <- cl.txs_left - 1;
-              (match cfg.model with
-              | Open_loop { period } -> cl.due_at <- cl.due_at + period
-              | Closed_loop { think } ->
-                  cl.due_at <- Machine.steps_of m pid + think)
+              if cl.txs_left = 0 then Due.remove queue
+              else
+                Due.retime queue
+                  (match cfg.model with
+                  | Open_loop { period } -> Due.due queue i + period
+                  | Closed_loop { think } -> Machine.steps_of m pid + think)
         done)
   done;
   (* the drive loop: round-robin over runnable processes, feeding the RMR
@@ -539,7 +604,11 @@ let run (module T : Tm_intf.S) cfg =
       | _ -> []);
     verdict = Option.map Opacity_stream.verdict chk;
     monitor_stats = Option.map Opacity_stream.stats chk;
-    monitored_clients = !monitored;
+    monitored_clients =
+      Array.fold_left
+        (Array.fold_left (fun n cl ->
+             if monitored ~seed ~sample cl then n + 1 else n))
+        0 clients_of;
     out_of_slots = !out_of_slots;
     wall;
   }

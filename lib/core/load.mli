@@ -3,9 +3,15 @@
     transactions against any registry TM.
 
     Each machine process runs a {e client scheduler} multiplexing its share
-    of the clients at transaction granularity: pick the next due client,
-    run one whole transaction (with retries) on its behalf through the
-    instrumented {!Runner} layer, move on. Per-process time is the
+    of the clients at transaction granularity: take the earliest-due client
+    (the lowest client id among ties) off a {!Due} heap, run one whole
+    transaction (with retries) on its behalf through the instrumented
+    {!Runner} layer, put the client back under its next due time (or drop
+    it when it has no transactions left), move on. Choosing a client costs
+    O(log C) in the process's C clients. A client's generator
+    ([Random.State.make] of the seed and its id) is made at its first
+    transaction, so set-up costs O(1) per client; only an open-loop phase
+    over a period above 0 is drawn at set-up. Per-process time is the
     process's own step count; when no client is due, the slot is spent on a
     scratch-cell read (an idle tick) so time keeps flowing. Before retry [k]
     of an aborted transaction (counting from 0) the process backs off for
@@ -97,6 +103,8 @@ type result = {
   verdict : Opacity_stream.verdict option;  (** [None] when [sample = 0] *)
   monitor_stats : Opacity_stream.stats option;
   monitored_clients : int;
+      (** clients whose sampled flag, their generator's first draw, is
+          set; a client that never started counts by that draw too *)
   out_of_slots : bool;
   wall : float;  (** processor seconds ([Sys.time]) inside the drive loop *)
 }
@@ -116,6 +124,34 @@ val validate : config -> unit
     empty or starts below 1, [write_ratio] or [sample] outside [[0, 1]],
     a [monitor_frontier] or [max_slots] below 1, or a hotspot or Zipf
     theta {!Workload.Sampler.make} rejects. *)
+
+(** A process's waiting clients: a binary min-heap of the indices
+    [0 .. n-1] keyed by (due time, index), so the earliest-due index comes
+    first and the lowest index among ties — what a scan of the clients in
+    index order keeping the first strictly earlier one chooses. Exposed for
+    tests. *)
+module Due : sig
+  type t
+
+  val create : int array -> t
+  (** [create due] queues every index of [due], [due.(i)] its due time.
+      The heap owns [due] from then on. *)
+
+  val is_empty : t -> bool
+
+  val next : t -> now:int -> int option
+  (** The least queued index if it is due ([<= now]); [None] when the
+      queue is empty or its least index is due later. *)
+
+  val due : t -> int -> int
+  (** The current due time of an index. *)
+
+  val retime : t -> int -> unit
+  (** [retime t at] moves the least queued index to due time [at]. *)
+
+  val remove : t -> unit
+  (** Dequeues the least queued index. *)
+end
 
 val run : (module Tm_intf.S) -> config -> result
 (** Run one load cell to completion (every client out of transactions) or

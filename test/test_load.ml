@@ -284,6 +284,207 @@ let test_contended_cell_completes () =
       Alcotest.(check int) (tm_name ^ ": nothing abandoned") 0 r.Load.failed)
     [ "lazy-orec"; "dstm"; "tl2" ]
 
+(* ------------------------------------------------------------------ *)
+(* Clients: the served order, the due heap, set-up cost                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every counter of a run, the monitor's verdict and the monitored count;
+   [wall] alone is left out. *)
+let pinned (r : Load.result) =
+  Printf.sprintf
+    "%d committed, %d aborted, %d failed, %d unstarted, %d steps (%d wasted, \
+     %d idle), rmr [%s], starved [%s], %d monitored, out of slots %b, %s"
+    r.Load.committed r.Load.aborted r.Load.failed r.Load.unstarted
+    r.Load.steps r.Load.wasted r.Load.idle
+    (String.concat "; "
+       (List.map (fun (m, n) -> Printf.sprintf "%s %d" m n) r.Load.rmr))
+    (String.concat "; " (List.map string_of_int r.Load.starved))
+    r.Load.monitored_clients r.Load.out_of_slots
+    (match r.Load.verdict with
+    | None -> "unmonitored"
+    | Some v -> Format.asprintf "%a" Opacity_stream.pp_verdict v)
+
+(* Cells off the perf gate's closed-loop, think-0 path, where not every
+   client starts due at 0: open-loop phases, think time, partial sampling,
+   a crash and a livelock latch. The expected lines are what the linear
+   scan over each process's clients served ([ptm load] at its default
+   seed prints the same counters). *)
+let test_served_order_pinned () =
+  let cell tm_name cfg expected =
+    let (module T) = Option.get (Ptm_tms.Registry.by_name tm_name) in
+    Alcotest.(check string) tm_name expected (pinned (Load.run (module T) cfg))
+  in
+  let d = Load.default_config in
+  let inconclusive seq =
+    Printf.sprintf
+      "inconclusive: frontier exceeded 256 states at seq %d (pathological \
+       commit-window overlap)"
+      seq
+  in
+  cell "tl2"
+    {
+      d with
+      Load.clients = 300;
+      txs_per_client = 7;
+      model = Load.Open_loop { period = 37 };
+      sample = 0.25;
+      rmr_models = Ptm_machine.Rmr.all_models;
+    }
+    ("2100 committed, 957 aborted, 0 failed, 0 unstarted, 47913 steps (8189 \
+      wasted, 3539 idle), rmr [CC/WT 26306; CC/WB 20479; DSM 44374], starved \
+      [], 64 monitored, out of slots false, "
+    ^ inconclusive 1655);
+  cell "norec.x4"
+    {
+      d with
+      Load.clients = 301;
+      txs_per_client = 5;
+      model = Load.Closed_loop { think = 13 };
+      sample = 0.5;
+      rmr_models = Ptm_machine.Rmr.all_models;
+    }
+    ("1504 committed, 155 aborted, 1 failed, 0 unstarted, 89955 steps (23195 \
+      wasted, 13878 idle), rmr [CC/WT 27677; CC/WB 20405; DSM 76077], \
+      starved [], 153 monitored, out of slots false, "
+    ^ inconclusive 6621);
+  cell "dstm"
+    {
+      d with
+      Load.clients = 40;
+      txs_per_client = 9;
+      model = Load.Open_loop { period = 0 };
+      faults = [ Ptm_machine.Fault.crash ~pid:2 ~at:300 ];
+      livelock_window = Some 80;
+      sample = 0.3;
+      max_slots = 300_000;
+    }
+    "208 committed, 705 aborted, 39 failed, 113 unstarted, 299999 steps (4145 \
+     wasted, 292186 idle), rmr [], starved [], 12 monitored, out of slots \
+     true, opaque"
+
+(* The heap against the scan it replaced: over random due times, retimes
+   and removals, [Due.next] names what a scan of the live indices in order,
+   keeping the first strictly earlier due one, names — the earliest due,
+   the lowest index among ties, and nothing when the earliest is due
+   later. *)
+let scan due live now =
+  let best = ref None in
+  Array.iteri
+    (fun i d ->
+      if live.(i) && d <= now then
+        match !best with
+        | Some b when due.(b) <= d -> ()
+        | _ -> best := Some i)
+    due;
+  !best
+
+let prop_due_matches_scan =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      pair
+        (list_size (1 -- 40) (int_bound 20))
+        (list_size (0 -- 120) (pair (int_bound 4) (int_range (-1) 30))))
+  in
+  let print (dues, ops) =
+    Printf.sprintf "due=[%s] ops=[%s]"
+      (String.concat ";" (List.map string_of_int dues))
+      (String.concat ";"
+         (List.map (fun (dt, at) -> Printf.sprintf "+%d:%d" dt at) ops))
+  in
+  Test.make ~count:500 ~name:"due heap chooses what the scan chose" ~print gen
+    (fun (dues, ops) ->
+      let due = Array.of_list dues in
+      let live = Array.map (fun _ -> true) due in
+      let q = Load.Due.create (Array.copy due) in
+      let now = ref 0 in
+      (* each op advances the clock by [dt], then serves the chosen index,
+         if any: [at < 0] removes it, otherwise it is due again at
+         [now + at] *)
+      List.for_all
+        (fun (dt, at) ->
+          now := !now + dt;
+          let expected = scan due live !now in
+          let chosen = Load.Due.next q ~now:!now in
+          let agree =
+            chosen = expected
+            && Load.Due.is_empty q = not (Array.exists Fun.id live)
+          in
+          (match chosen with
+          | Some i when at < 0 ->
+              live.(i) <- false;
+              Load.Due.remove q
+          | Some i ->
+              due.(i) <- !now + at;
+              Load.Due.retime q (!now + at);
+              assert (Load.Due.due q i = due.(i))
+          | None -> ());
+          agree)
+        ops)
+
+(* Set-up allocates O(1) words per client: no generator is made before a
+   client's first transaction. With no transactions at all, the words a
+   run allocates grow by at most 16 per client between 256 and 4,352
+   clients (making a generator alone allocates ~60). The clients are
+   spread over 32 processes so that every per-process array stays under
+   the minor heap's 256-word limit: [Gc.minor_words] then sees every word,
+   exactly, where OCaml 5's major-heap counters lag. *)
+let test_setup_words_per_client () =
+  let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
+  List.iter
+    (fun sample ->
+      let words clients =
+        let cfg =
+          {
+            Load.default_config with
+            Load.clients;
+            nprocs = 32;
+            txs_per_client = 0;
+            sample;
+          }
+        in
+        let before = Gc.minor_words () in
+        ignore (Load.run (module T) cfg : Load.result);
+        Gc.minor_words () -. before
+      in
+      ignore (words 256 : float);
+      let per_client = (words 4352 -. words 256) /. 4096. in
+      Alcotest.(check bool)
+        (Printf.sprintf "sample %.1f: %.1f words per client <= 16" sample
+           per_client)
+        true (per_client <= 16.))
+    [ 0.0; 1.0 ]
+
+(* A run the slot budget stops before most clients start still counts
+   the monitored clients of the whole run: those never started by the
+   draw their stream would make first. *)
+let test_monitored_without_starting () =
+  let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
+  let monitored sample max_slots =
+    let cfg =
+      {
+        Load.default_config with
+        Load.clients = 400;
+        txs_per_client = 4;
+        sample;
+        max_slots;
+      }
+    in
+    let r = Load.run (module T) cfg in
+    if max_slots < Load.default_config.Load.max_slots then
+      Alcotest.(check bool)
+        "most clients never started" true
+        (r.Load.out_of_slots && r.Load.unstarted > 3 * 400);
+    r.Load.monitored_clients
+  in
+  let full = monitored 0.25 Load.default_config.Load.max_slots in
+  Alcotest.(check bool)
+    "a strict subset monitored" true
+    (full > 0 && full < 400);
+  Alcotest.(check int) "sample 0.25" full (monitored 0.25 200);
+  Alcotest.(check int) "sample 1.0" 400 (monitored 1.0 200);
+  Alcotest.(check int) "sample 0" 0 (monitored 0.0 200)
+
 let test_bad_configs () =
   let (module T) = Option.get (Ptm_tms.Registry.by_name "norec") in
   let expect name cfg =
@@ -345,5 +546,15 @@ let () =
           Alcotest.test_case "contended cell completes" `Quick
             test_contended_cell_completes;
           Alcotest.test_case "config validation" `Quick test_bad_configs;
+        ] );
+      ( "clients",
+        [
+          Alcotest.test_case "served order pinned" `Quick
+            test_served_order_pinned;
+          QCheck_alcotest.to_alcotest prop_due_matches_scan;
+          Alcotest.test_case "set-up words per client" `Quick
+            test_setup_words_per_client;
+          Alcotest.test_case "monitored count without starting" `Quick
+            test_monitored_without_starting;
         ] );
     ]
