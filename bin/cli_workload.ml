@@ -113,12 +113,8 @@ let run_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("off", Ptm_core.Runner.Monitor_off);
-               ("stream", Ptm_core.Runner.Monitor_stream);
-             ])
-          Ptm_core.Runner.Monitor_off
+          (enum [ ("off", false); ("stream", true) ])
+          false
       & info [ "monitor" ] ~docv:"MONITOR"
           ~doc:
             "Online opacity monitor: $(b,stream) attaches the streaming \
@@ -163,18 +159,18 @@ let run_cmd =
           Fmt.(list ~sep:comma int)
           ps);
     let monitor_bad =
-      match o.Ptm_core.Runner.monitor with
-      | Ptm_core.Runner.Not_monitored -> false
-      | Ptm_core.Runner.Monitor_ok st ->
+      match (o.Ptm_core.Runner.verdict, o.Ptm_core.Runner.monitor_stats) with
+      | Some Ptm_core.Opacity_stream.Opaque, Some st ->
           Fmt.pr "monitor: opaque (%a)@." Ptm_core.Opacity_stream.pp_stats st;
           false
-      | Ptm_core.Runner.Opacity_violation v ->
+      | Some (Ptm_core.Opacity_stream.Violation v), _ ->
           Fmt.pr "monitor: VIOLATION %a@." Ptm_core.Opacity_stream.pp_violation
             v;
           true
-      | Ptm_core.Runner.Monitor_inconclusive why ->
+      | Some (Ptm_core.Opacity_stream.Inconclusive why), _ ->
           Fmt.pr "monitor: inconclusive (%s)@." why;
           false
+      | _ -> false
     in
     let verdict =
       Ptm_core.Checker.strictly_serializable o.Ptm_core.Runner.history

@@ -247,9 +247,13 @@ let has_expandable ~except st =
     (fun id l -> id <> except && l.l_pending && not (IMap.is_empty l.l_wbuf))
     st.live
 
+exception Expansion_cap
+
 (* Closure of [sts] under speculative commit linearization (every order, all
-   subsets) of pending updating transactions other than [except]. *)
-let expand ~except sts =
+   subsets) of pending updating transactions other than [except]. It grows
+   exponentially with the number of overlapping pending commits, so it stops
+   with [Expansion_cap] rather than hold more than [limit] states. *)
+let expand ~limit ~except sts =
   if not (List.exists (has_expandable ~except) sts) then sts
   else begin
     let seen = Hashtbl.create 16 in
@@ -257,6 +261,7 @@ let expand ~except sts =
     let rec go st =
       let k = key st in
       if not (Hashtbl.mem seen k) then begin
+        if Hashtbl.length seen >= limit then raise Expansion_cap;
         Hashtbl.add seen k ();
         out := st :: !out;
         IMap.iter
@@ -388,7 +393,15 @@ let op_equal a b =
   | History.Try_commit, History.Try_commit -> true
   | _ -> false
 
+(* The bound on one linearization closure. The event keeps only the
+   closure's states that pass it, so a closure can outgrow the frontier cap
+   on histories whose frontier stays under it: at one cap, three cells of
+   the quick E17/E18 baseline that decide opaque end inconclusive, at four
+   none does. *)
+let expansion_limit t = 4 * t.cap
+
 let process t ~seq ev =
+  let limit = expansion_limit t in
   match ev with
   | Inv { pid; tx; op } ->
       let fresh =
@@ -463,7 +476,7 @@ let process t ~seq ev =
                          first: branch over them *)
                       List.filter_map
                         (fun st' -> step_read st' tx x v)
-                        (expand ~except:tx [ st ]))
+                        (expand ~limit ~except:tx [ st ]))
                 t.frontier
             in
             if results = [] then
@@ -492,7 +505,7 @@ let process t ~seq ev =
         | History.Try_commit, History.RCommit ->
             (* mandatory branching: concurrent pending commits may linearize
                in either order inside their overlapping windows *)
-            let candidates = expand ~except:tx t.frontier in
+            let candidates = expand ~limit ~except:tx t.frontier in
             let results =
               List.filter_map
                 (fun st ->
@@ -541,7 +554,15 @@ let on_event t ?seq ev =
   | None ->
       let seq = match seq with Some s -> s | None -> t.events in
       t.events <- t.events + 1;
-      process t ~seq ev;
+      (try process t ~seq ev
+       with Expansion_cap ->
+         t.latched <-
+           Some
+             (Inconclusive
+                (Printf.sprintf
+                   "commit linearizations exceeded %d states (4 x the \
+                    frontier cap) at seq %d"
+                   (expansion_limit t) seq)));
       (match t.latched with
       | Some _ -> t.frontier <- []
       | None ->

@@ -36,7 +36,10 @@
     commits. The frontier is deduplicated and in practice stays at a handful
     of states (its size is bounded by the number of processes able to hold a
     pending try-commit); a configurable cap turns pathological branching into
-    an {!Inconclusive} verdict instead of a blow-up.
+    an {!Inconclusive} verdict instead of a blow-up. The same cap, times
+    four, bounds the states one event may enumerate while it linearizes
+    pending commits, whose closure grows exponentially with the number of
+    overlapping pending commits.
 
     Per-event cost is O(log live) amortized; checking a 10⁶-event history is
     a matter of seconds ([bench/main.exe -- e15] measures it).
@@ -79,7 +82,9 @@ type verdict =
       (** the consumed prefix ending at [v_seq] is not opaque (or not
           well-formed); the checker is latched and ignores further events *)
   | Inconclusive of string
-      (** the frontier exceeded its cap — undecided, never wrong *)
+      (** the frontier exceeded its cap, or one event's closure of pending
+          commit linearizations exceeded four times the cap — undecided,
+          never wrong *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
@@ -109,8 +114,9 @@ type t
 
 val create : ?max_frontier:int -> unit -> t
 (** A fresh checker in the initial automaton state (every t-object holds
-    {!Tm_intf.init_value}). [max_frontier] (default 256) caps the frontier;
-    exceeding it yields {!Inconclusive}. *)
+    {!Tm_intf.init_value}). [max_frontier] (default 256) caps the frontier,
+    and [4 * max_frontier] the states one event's linearization of pending
+    commits may hold; exceeding either yields {!Inconclusive}. *)
 
 val on_event : t -> ?seq:int -> event -> unit
 (** Feed one history event. [seq] (default: the running event count) is the

@@ -247,14 +247,6 @@ module Livelock = struct
     match d.starved_at_trip with Some ps -> ps | None -> looping d
 end
 
-type monitor = Monitor_off | Monitor_stream
-
-type monitor_result =
-  | Not_monitored
-  | Monitor_ok of Opacity_stream.stats
-  | Opacity_violation of Opacity_stream.violation
-  | Monitor_inconclusive of string
-
 type outcome = {
   machine : Machine.t;
   history : History.t;
@@ -262,7 +254,8 @@ type outcome = {
   aborts : int;
   starved : int list;
   out_of_steps : bool;
-  monitor : monitor_result;
+  verdict : Opacity_stream.verdict option;
+  monitor_stats : Opacity_stream.stats option;
 }
 
 type schedule = Round_robin | Random_sched of int
@@ -274,7 +267,7 @@ let validate_policy = function
         invalid_arg "Runner.run: need base >= 0, factor >= 1, cap >= base"
 
 let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
-    ?(faults = []) ?livelock_window ?max_steps ?(monitor = Monitor_off)
+    ?(faults = []) ?livelock_window ?max_steps ?(monitor = false)
     ~schedule (w : Workload.t) =
   validate_policy policy;
   let module R = Make (T) in
@@ -286,13 +279,13 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
      note observer — it sees every t-operation boundary as it is recorded
      (under any sink) and never influences the run. *)
   let mon =
-    match monitor with
-    | Monitor_off -> None
-    | Monitor_stream ->
-        let mon = Opacity_stream.create () in
-        Ptm_machine.Trace.set_observer (Machine.trace machine)
-          (Some (Opacity_stream.on_entry mon));
-        Some mon
+    if not monitor then None
+    else begin
+      let mon = Opacity_stream.create () in
+      Ptm_machine.Trace.set_observer (Machine.trace machine)
+        (Some (Opacity_stream.on_entry mon));
+      Some mon
+    end
   in
   let backoff =
     Array.init nprocs (fun i ->
@@ -354,16 +347,8 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     | Some d when Livelock.tripped d -> Livelock.starved d
     | _ -> []
   in
-  let monitor =
-    match mon with
-    | None -> Not_monitored
-    | Some m -> (
-        Ptm_machine.Trace.set_observer (Machine.trace machine) None;
-        match Opacity_stream.verdict m with
-        | Opacity_stream.Opaque -> Monitor_ok (Opacity_stream.stats m)
-        | Opacity_stream.Violation v -> Opacity_violation v
-        | Opacity_stream.Inconclusive msg -> Monitor_inconclusive msg)
-  in
+  if Option.is_some mon then
+    Ptm_machine.Trace.set_observer (Machine.trace machine) None;
   {
     machine;
     history;
@@ -371,5 +356,6 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     aborts = !aborts;
     starved;
     out_of_steps;
-    monitor;
+    verdict = Option.map Opacity_stream.verdict mon;
+    monitor_stats = Option.map Opacity_stream.stats mon;
   }

@@ -117,26 +117,6 @@ module Livelock : sig
       otherwise the pids with a live abort streak now. *)
 end
 
-type monitor =
-  | Monitor_off
-  | Monitor_stream
-      (** attach a streaming opacity checker ({!Opacity_stream}) to the
-          machine trace's note observer: the whole run — faults, retries,
-          back-off included — is checked online, under any trace sink, at
-          zero influence on the run itself *)
-
-type monitor_result =
-  | Not_monitored
-  | Monitor_ok of Opacity_stream.stats
-      (** the run's history is opaque; the stats report the monitor's
-          resource use *)
-  | Opacity_violation of Opacity_stream.violation
-      (** the history is not opaque — the violation pinpoints the first
-          inconsistent event *)
-  | Monitor_inconclusive of string
-      (** the monitor's frontier cap tripped (never wrong, merely
-          undecided) *)
-
 type outcome = {
   machine : Machine.t;
   history : History.t;
@@ -148,9 +128,11 @@ type outcome = {
   out_of_steps : bool;
       (** the scheduler hit its step budget with runnable processes left —
           e.g. processes spinning on a base object held by a crashed peer *)
-  monitor : monitor_result;
-      (** the online checker's verdict ({!Not_monitored} unless [monitor]
-          was {!Monitor_stream}) *)
+  verdict : Opacity_stream.verdict option;
+      (** the online checker's verdict, [None] unless [monitor] was set *)
+  monitor_stats : Opacity_stream.stats option;
+      (** the online checker's resource use, [None] unless [monitor] was
+          set *)
 }
 
 type schedule = Round_robin | Random_sched of int  (** seeded *)
@@ -167,7 +149,7 @@ val run :
   ?faults:Fault.spec list ->
   ?livelock_window:int ->
   ?max_steps:int ->
-  ?monitor:monitor ->
+  ?monitor:bool ->
   schedule:schedule ->
   Workload.t ->
   outcome
@@ -194,7 +176,10 @@ val run :
     instead of raising {!Sched.Out_of_steps} (expected under crash faults
     when survivors spin on objects the crashed process holds).
 
-    [monitor] (default {!Monitor_off}) arms the streaming opacity checker
-    over the run; its verdict lands in the outcome's [monitor] field. On a
-    violation-free run the outcome is identical to an unmonitored run
-    (the monitor only observes trace notes). *)
+    [monitor] (default [false]) attaches a streaming opacity checker
+    ({!Opacity_stream}) to the machine trace's note observer: the whole
+    run — faults, retries, back-off included — is checked online, under any
+    trace sink, and its verdict and stats land in the outcome's [verdict]
+    and [monitor_stats] fields. On a violation-free run the outcome is
+    otherwise identical to an unmonitored run (the monitor only observes
+    trace notes). *)

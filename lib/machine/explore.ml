@@ -39,8 +39,8 @@ let reduction_ratio ~naive ~reduced =
 
 (* The search state is deliberately allocation-free: schedules are grow-only
    int arrays, process sets are int bitmasks (hence the [max_procs] bound),
-   and pending transitions are packed into ints. The machine's own stepping
-   (with the trace sink off) allocates only the re-boxed process state.
+   and pending transitions are packed into ints. A Steps machine's own
+   stepping (with the trace sink off) allocates nothing.
    A restorable machine ({!Machine.restorable}) is saved at each branching
    node into a per-depth buffer and restored for every further branch; any
    other machine replays the prefix on a pooled machine drawn from a free

@@ -20,30 +20,30 @@ let () =
 let no_plan : Fault.spec array = [||]
 let no_aborts : int array = [||]
 
-(* A parked process is a fiber outcome on a [Fibers] machine or a
-   step-machine outcome on a [Steps] machine; the constructors of the two
-   outcome types mirror each other, so every case analysis below treats them
-   through parallel arms. *)
-type pstate =
-  | P_idle
-  | F of Proc.outcome
-  | S of Proc.Step.outcome
+(* A parked process is a {!Proc.outcome} on either engine, stored unboxed.
+   A slot with no started program holds [idle], a [Failed] on an exception
+   no program can raise, and one with no program at all has [no_start] as
+   its start thunk. *)
+exception Not_started
 
-type prog =
-  | Prog_none
-  | Prog_fun of (unit -> unit)
-  | Prog_step of unit Proc.Step.t
+let idle = Proc.Failed Not_started
+let no_start () = idle
+
+let crashed = function
+  | Proc.Failed Not_started -> false
+  | Proc.Failed _ -> true
+  | _ -> false
 
 type slot = {
-  mutable state : pstate;
+  mutable state : Proc.outcome;
   mutable steps : int;
   mutable scheds : int;  (* scheduled slots consumed (steps + pauses + skips) *)
   mutable stall_left : int;  (* remaining no-op slots of an active stall *)
   mutable halted : bool;  (* crash-stopped by a fault; never runs again *)
-  mutable prog : prog;  (* retained for [restart] *)
+  mutable start : unit -> Proc.outcome;  (* retained for [restart] *)
   (* Installed fault plan for this pid: Crash/Stall specs sorted by [at]
      with a cursor, Abort op indices sorted (consulted by the runner via
-     [abort_due]). Like [prog], the plan survives [reset]/[restart]; only
+     [abort_due]). Like [start], the plan survives [reset]/[restart]; only
      the dynamic state (cursor, stall, halt) is cleared. *)
   mutable plan : Fault.spec array;
   mutable f_next : int;
@@ -73,12 +73,12 @@ let create ?(trace = Trace.Full) ?(engine = Fibers) ~nprocs () =
     procs =
       Array.init nprocs (fun _ ->
           {
-            state = P_idle;
+            state = idle;
             steps = 0;
             scheds = 0;
             stall_left = 0;
             halted = false;
-            prog = Prog_none;
+            start = no_start;
             plan = no_plan;
             f_next = 0;
             abort_plan = no_aborts;
@@ -103,46 +103,44 @@ let slot t pid =
 let invariant t pid (s : slot) what =
   raise (Invariant { pid; slot = s.scheds; seq = Trace.length t.trace; what })
 
+(* Resume a parked process. A step program's closure may raise, and that
+   exception crashes the process. A fiber's handler already turns its
+   exceptions into [Failed], and resuming a fiber inside a [try] cost about
+   7% of norec's load tx/s (2-core x86-64), so only [Steps] installs one. *)
+let resume t k v =
+  match t.engine with
+  | Steps -> ( try k v with e -> Proc.Failed e)
+  | Fibers -> k v
+
 (* Record notes until the process is parked on a memory request, a pause, or
    has finished. Notes are instantaneous and free. *)
-let rec drain t pid (o : pstate) : pstate =
+let rec drain t pid (o : Proc.outcome) : Proc.outcome =
   match o with
-  | F (Proc.Wants_note (n, k)) ->
+  | Proc.Wants_note (n, k) ->
       Trace.add_note t.trace ~pid n;
-      drain t pid (F (Effect.Deep.continue k ()))
-  | S (Proc.Step.Wants_note (n, k)) ->
-      Trace.add_note t.trace ~pid n;
-      drain t pid (S (Proc.Step.resume_unit k))
+      drain t pid (resume t k ())
   | o -> o
-
-let is_idle s = match s.state with P_idle -> true | _ -> false
 
 (* The engine is the machine's program form: a [Fibers] machine runs
    direct programs, a [Steps] machine step programs. *)
-let pre_spawn t pid (s : slot) engine =
+let install t pid engine start =
+  let s = slot t pid in
   if t.engine <> engine then
     invalid_arg
       (match engine with
       | Fibers -> "Machine.spawn: a Steps machine runs step programs"
       | Steps -> "Machine.spawn_step: a Fibers machine runs direct programs");
-  if not (is_idle s) then invalid_arg "Machine.spawn: process already spawned";
+  if s.state != idle then invalid_arg "Machine.spawn: process already spawned";
   if t.base_cells < 0 then t.base_cells <- Memory.size t.memory;
-  if s.prog = Prog_none then begin
+  if s.start == no_start then begin
     t.spawn_seq.(t.nspawned) <- pid;
     t.nspawned <- t.nspawned + 1
-  end
+  end;
+  s.start <- start;
+  s.state <- drain t pid (start ())
 
-let spawn t pid f =
-  let s = slot t pid in
-  pre_spawn t pid s Fibers;
-  s.prog <- Prog_fun f;
-  s.state <- drain t pid (F (Proc.start f))
-
-let spawn_step t pid p =
-  let s = slot t pid in
-  pre_spawn t pid s Steps;
-  s.prog <- Prog_step p;
-  s.state <- drain t pid (S (Proc.Step.start p))
+let spawn t pid f = install t pid Fibers (fun () -> Proc.start f)
+let spawn_step t pid p = install t pid Steps (fun () -> Proc.Step.start p)
 
 let reset t =
   if t.base_cells >= 0 then Memory.truncate t.memory t.base_cells;
@@ -150,7 +148,7 @@ let reset t =
   Trace.clear t.trace;
   Array.iter
     (fun s ->
-      s.state <- P_idle;
+      s.state <- idle;
       s.steps <- 0;
       s.scheds <- 0;
       s.stall_left <- 0;
@@ -163,10 +161,9 @@ let restart t =
   for i = 0 to t.nspawned - 1 do
     let pid = t.spawn_seq.(i) in
     let s = t.procs.(pid) in
-    match s.prog with
-    | Prog_fun f -> s.state <- drain t pid (F (Proc.start f))
-    | Prog_step p -> s.state <- drain t pid (S (Proc.Step.start p))
-    | Prog_none -> invariant t pid s "spawn order lists a pid with no program"
+    if s.start == no_start then
+      invariant t pid s "spawn order lists a pid with no program";
+    s.state <- drain t pid (s.start ())
   done
 
 (* ------------------------------------------------------------------ *)
@@ -181,7 +178,7 @@ let restart t =
 (* ------------------------------------------------------------------ *)
 
 type saved = {
-  sv_state : pstate array;
+  sv_state : Proc.outcome array;
   sv_steps : int array;
   sv_scheds : int array;
   sv_stall : int array;
@@ -197,7 +194,7 @@ type saved = {
 let saved_make t =
   let n = Array.length t.procs in
   {
-    sv_state = Array.make n P_idle;
+    sv_state = Array.make n idle;
     sv_steps = Array.make n 0;
     sv_scheds = Array.make n 0;
     sv_stall = Array.make n 0;
@@ -232,7 +229,7 @@ let save t sv =
   sv.sv_trace <- Trace.length t.trace;
   sv.sv_trail <- Proc.Trail.length ()
 
-let forget sv = Array.fill sv.sv_state 0 (Array.length sv.sv_state) P_idle
+let forget sv = Array.fill sv.sv_state 0 (Array.length sv.sv_state) idle
 
 let restore t sv =
   for i = 0 to Array.length t.procs - 1 do
@@ -312,9 +309,7 @@ let plan_due s =
 
 let running s =
   match s.state with
-  | F (Proc.Wants_mem _ | Proc.Wants_pause _)
-  | S (Proc.Step.Wants_mem _ | Proc.Step.Wants_pause _) ->
-      not s.halted
+  | Proc.Wants_mem _ | Proc.Wants_pause _ -> not s.halted
   | _ -> false
 
 let inject_crash t pid =
@@ -338,43 +333,26 @@ let stalled t pid = (slot t pid).stall_left > 0 && running (slot t pid)
 let status t pid =
   let s = slot t pid in
   match s.state with
-  | P_idle -> Idle
-  | F Proc.Done | S Proc.Step.Done -> Terminated
-  | F (Proc.Failed e) | S (Proc.Step.Failed e) -> Crashed e
-  | F (Proc.Wants_mem _ | Proc.Wants_pause _)
-  | S (Proc.Step.Wants_mem _ | Proc.Step.Wants_pause _) ->
+  | Proc.Failed Not_started -> Idle
+  | Proc.Done -> Terminated
+  | Proc.Failed e -> Crashed e
+  | Proc.Wants_mem _ | Proc.Wants_pause _ ->
       if s.halted then Halted else Runnable
-  | F (Proc.Wants_note _) | S (Proc.Step.Wants_note _) ->
+  | Proc.Wants_note _ ->
       invariant t pid s "undrained note outside a scheduled step"
 
 let poised t pid =
   let s = slot t pid in
   if s.halted then None
   else
-    match s.state with
-    | F (Proc.Wants_mem (req, _)) | S (Proc.Step.Wants_mem (req, _)) ->
-        Some req
-    | _ -> None
+    match s.state with Proc.Wants_mem (req, _) -> Some req | _ -> None
 
 (* Allocation-free status probes for the schedule explorer's inner loop. *)
 
 let is_runnable t pid = running t.procs.(pid)
 
-let is_failed t pid =
-  match (Array.unsafe_get t.procs pid).state with
-  | F (Proc.Failed _) | S (Proc.Step.Failed _) -> true
-  | _ -> false
-
-let any_crashed t =
-  let n = Array.length t.procs in
-  let rec go pid =
-    pid < n
-    &&
-    match t.procs.(pid).state with
-    | F (Proc.Failed _) | S (Proc.Step.Failed _) -> true
-    | _ -> go (pid + 1)
-  in
-  go 0
+let is_failed t pid = crashed (Array.unsafe_get t.procs pid).state
+let any_crashed t = Array.exists (fun s -> crashed s.state) t.procs
 
 (* Packed pending event for the explorer: [(addr lsl 1) lor trivial] for a
    memory request, [-1] for a pause, [-2] when not runnable. A slot whose
@@ -386,11 +364,10 @@ let packed_pend t pid =
   if s.halted then -2
   else
     match s.state with
-    | F (Proc.Wants_mem ({ Proc.addr; prim }, _))
-    | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, _)) ->
+    | Proc.Wants_mem ({ Proc.addr; prim }, _) ->
         if s.stall_left > 0 || plan_due s then -1
         else (addr lsl 1) lor (if Primitive.is_trivial prim then 1 else 0)
-    | F (Proc.Wants_pause _) | S (Proc.Step.Wants_pause _) -> -1
+    | Proc.Wants_pause _ -> -1
     | _ -> -2
 
 (* Consume one scheduled slot of a running process with the fault layer:
@@ -424,8 +401,7 @@ let fault_slot t pid s =
   end
   else false
 
-(* Apply the pending primitive and account for it; shared by the two
-   backend arms of [step_slot]. *)
+(* Apply the pending primitive and account for it. *)
 let exec_mem t (s : slot) ~pid ~addr ~prim =
   let resp =
     if Trace.recording t.trace then begin
@@ -450,36 +426,20 @@ let exec_mem t (s : slot) ~pid ~addr ~prim =
 
 let step_slot t pid (s : slot) : step_result =
   match s.state with
-  | P_idle
-  | F (Proc.Done | Proc.Failed _)
-  | S (Proc.Step.Done | Proc.Step.Failed _) ->
-      `Done
-  | F (Proc.Wants_note _) | S (Proc.Step.Wants_note _) ->
+  | Proc.Done | Proc.Failed _ -> `Done
+  | Proc.Wants_note _ ->
       invariant t pid s "undrained note outside a scheduled step"
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when s.halted ->
-      `Done
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when fault_slot t pid s ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when s.halted -> `Done
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when fault_slot t pid s ->
       (* the slot was consumed without a memory event, like a pause *)
       `Paused
-  | F (Proc.Wants_pause k) ->
+  | Proc.Wants_pause k ->
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k ()));
+      s.state <- drain t pid (resume t k ());
       `Paused
-  | S (Proc.Step.Wants_pause k) ->
-      s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume_unit k));
-      `Paused
-  | F (Proc.Wants_mem ({ Proc.addr; prim }, k)) ->
+  | Proc.Wants_mem ({ Proc.addr; prim }, k) ->
       let resp = exec_mem t s ~pid ~addr ~prim in
-      s.state <- drain t pid (F (Effect.Deep.continue k resp));
-      `Progress
-  | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, k)) ->
-      let resp = exec_mem t s ~pid ~addr ~prim in
-      s.state <- drain t pid (S (Proc.Step.resume k resp));
+      s.state <- drain t pid (resume t k resp);
       `Progress
 
 let step t pid : step_result = step_slot t pid (slot t pid)
@@ -494,33 +454,21 @@ let last_resp t = t.last_resp
 let feed t pid resp ~changed =
   let s = t.procs.(pid) in
   match s.state with
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when s.halted ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when s.halted ->
       invalid_arg "Machine.feed: process is halted"
-  | ( F (Proc.Wants_pause _ | Proc.Wants_mem _)
-    | S (Proc.Step.Wants_pause _ | Proc.Step.Wants_mem _) )
-    when fault_slot t pid s ->
+  | (Proc.Wants_pause _ | Proc.Wants_mem _) when fault_slot t pid s ->
       (* same gate as [step]: the logged position was a fault slot, which
          records the same notes and touches no memory *)
       ()
-  | F (Proc.Wants_pause k) ->
+  | Proc.Wants_pause k ->
       (* Pauses consume no event and record nothing, exactly like [step]. *)
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k ()))
-  | S (Proc.Step.Wants_pause k) ->
-      s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume_unit k))
-  | F (Proc.Wants_mem ({ Proc.addr; prim }, k)) ->
+      s.state <- drain t pid (resume t k ())
+  | Proc.Wants_mem ({ Proc.addr; prim }, k) ->
       Trace.add_mem t.trace ~pid ~addr prim resp changed;
       s.steps <- s.steps + 1;
       s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (F (Effect.Deep.continue k resp))
-  | S (Proc.Step.Wants_mem ({ Proc.addr; prim }, k)) ->
-      Trace.add_mem t.trace ~pid ~addr prim resp changed;
-      s.steps <- s.steps + 1;
-      s.scheds <- s.scheds + 1;
-      s.state <- drain t pid (S (Proc.Step.resume k resp))
+      s.state <- drain t pid (resume t k resp)
   | _ -> invalid_arg "Machine.feed: process not runnable"
 
 let steps_of t pid = (slot t pid).steps
@@ -530,19 +478,14 @@ let all_done t =
   Array.for_all
     (fun s ->
       s.halted
-      ||
-      match s.state with
-      | P_idle
-      | F (Proc.Done | Proc.Failed _)
-      | S (Proc.Step.Done | Proc.Step.Failed _) ->
-          true
-      | _ -> false)
+      || match s.state with Proc.Done | Proc.Failed _ -> true | _ -> false)
     t.procs
 
 let check_crashes t =
   Array.iter
     (fun s ->
       match s.state with
-      | F (Proc.Failed e) | S (Proc.Step.Failed e) -> raise e
+      | Proc.Failed Not_started -> ()
+      | Proc.Failed e -> raise e
       | _ -> ())
     t.procs

@@ -8,30 +8,47 @@ type _ Effect.t +=
 type outcome =
   | Done
   | Failed of exn
-  | Wants_mem of request * (Value.t, outcome) Effect.Deep.continuation
-  | Wants_note of Trace.note * (unit, outcome) Effect.Deep.continuation
-  | Wants_pause of (unit, outcome) Effect.Deep.continuation
+  | Wants_mem of request * (Value.t -> outcome)
+  | Wants_note of Trace.note * (unit -> outcome)
+  | Wants_pause of (unit -> outcome)
+
+(* The effect that [effc] just intercepted: the runtime calls the case that
+   [effc] returns at once, so each case reads its payload from here, and the
+   three cases are built once per process instead of once per effect. *)
+type caught = { mutable req : request; mutable note : Trace.note }
 
 let start f =
+  let c =
+    { req = { addr = 0; prim = Primitive.Read }; note = Trace.Label "" }
+  in
+  let on_apply =
+    Some
+      (fun (k : (Value.t, outcome) Effect.Deep.continuation) ->
+        Wants_mem (c.req, fun v -> Effect.Deep.continue k v))
+  and on_note =
+    Some
+      (fun (k : (unit, outcome) Effect.Deep.continuation) ->
+        Wants_note (c.note, fun () -> Effect.Deep.continue k ()))
+  and on_pause =
+    Some
+      (fun (k : (unit, outcome) Effect.Deep.continuation) ->
+        Wants_pause (fun () -> Effect.Deep.continue k ()))
+  in
   Effect.Deep.match_with f ()
     {
       retc = (fun () -> Done);
       exnc = (fun e -> Failed e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, outcome) Effect.Deep.continuation -> outcome) option ->
           match eff with
           | Apply req ->
-              Some
-                (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_mem (req, k))
+              c.req <- req;
+              on_apply
           | Note n ->
-              Some
-                (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_note (n, k))
-          | Pause ->
-              Some
-                (fun (k : (a, outcome) Effect.Deep.continuation) ->
-                  Wants_pause (k))
+              c.note <- n;
+              on_note
+          | Pause -> on_pause
           | _ -> None);
     }
 
@@ -118,9 +135,8 @@ end
 (*                                                                     *)
 (* A [Step] process is an explicit value: running it one step applies  *)
 (* an ordinary OCaml closure to the pending response, no fiber switch  *)
-(* involved. The [outcome] constructors mirror the fiber outcomes      *)
-(* above one for one, so the machine treats either engine through the  *)
-(* same case analysis.                                                 *)
+(* involved. It parks on the same [outcome] as a fiber, so the machine *)
+(* treats either engine through one case analysis.                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The undo trail behind step-instance vars: while a search has it on,
@@ -179,13 +195,6 @@ module Trail = struct
 end
 
 module Step = struct
-  type outcome =
-    | Done
-    | Failed of exn
-    | Wants_mem of request * (Value.t -> outcome)
-    | Wants_note of Trace.note * (unit -> outcome)
-    | Wants_pause of (unit -> outcome)
-
   type 'a t = ('a -> outcome) -> outcome
   type 'a var = 'a ref
 
@@ -237,10 +246,4 @@ module Step = struct
 
   let start (p : unit t) : outcome =
     try p (fun () -> Done) with e -> Failed e
-
-  let resume (k : Value.t -> outcome) (v : Value.t) : outcome =
-    try k v with e -> Failed e
-
-  let resume_unit (k : unit -> outcome) : outcome =
-    try k () with e -> Failed e
 end

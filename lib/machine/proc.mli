@@ -1,14 +1,18 @@
-(** Simulated processes as effect-handler coroutines.
+(** Simulated processes as coroutines parked on one outcome type.
 
-    A process is an OCaml computation that interacts with shared memory by
-    performing the {!Apply} effect; every performed [Apply] is one step (one
-    event) of the paper's model. Local computation between two primitive
-    applications is free, exactly as in the step model of Section 2.
+    A process interacts with shared memory only through primitive
+    applications; every application is one step (one event) of the paper's
+    model. Local computation between two primitive applications is free,
+    exactly as in the step model of Section 2. A process is written either
+    as direct-style code performing the {!Apply} effect, run in a fiber by
+    {!start}, or as a {!Step} program; both park on an {!outcome}.
 
-    The scheduler owns the continuation: after a process performs [Apply] it
-    is {e poised} to apply that event (the paper's "enabled event"); the event
-    actually takes effect only when the scheduler next steps the process, at
-    which point the primitive is applied to the then-current memory. *)
+    The scheduler owns the parked process: after a process asks to apply a
+    primitive it is {e poised} to apply that event (the paper's "enabled
+    event"); the event actually takes effect only when the scheduler next
+    steps the process, at which point the primitive is applied to the
+    then-current memory and the parked closure is resumed with the
+    response. *)
 
 type request = { addr : Memory.addr; prim : Primitive.t }
 
@@ -19,15 +23,24 @@ type _ Effect.t +=
         (** a voluntary stopping point: costs no step; used by experiment
             drivers to advance a process one t-operation at a time. *)
 
+(** A parked process. Each [Wants_*] constructor carries the closure that
+    resumes the process with the response. For a fiber ({!start}) that
+    closure continues a one-shot effect continuation, so it may be called
+    once; for a {!Step} program it is the program's own continuation, which
+    may be called again from a restored node (see {!S}). A fiber catches
+    its own exceptions into [Failed]; a step closure may raise, and the
+    machine catches that exception into [Failed] when it resumes one. *)
 type outcome =
   | Done
   | Failed of exn
-  | Wants_mem of request * (Value.t, outcome) Effect.Deep.continuation
-  | Wants_note of Trace.note * (unit, outcome) Effect.Deep.continuation
-  | Wants_pause of (unit, outcome) Effect.Deep.continuation
+  | Wants_mem of request * (Value.t -> outcome)
+  | Wants_note of Trace.note * (unit -> outcome)
+  | Wants_pause of (unit -> outcome)
 
 val start : (unit -> unit) -> outcome
-(** Run a process body until its first effect (or completion). *)
+(** Run a direct-style process body in a fiber until its first effect (or
+    completion); an exception it raises becomes [Failed]. Each [Wants_*]
+    closure it parks on continues the fiber's one-shot continuation. *)
 
 (** Effect-performing operations, callable only from inside a process body. *)
 
@@ -163,34 +176,19 @@ end
 (** Processes as defunctionalized step machines.
 
     A [Step.t] program is an explicit state value in continuation-passing
-    style: running it yields an {!Step.outcome} whose [Wants_*] constructors
-    carry a plain OCaml closure instead of an effect continuation, so the
-    scheduler advances the process with an ordinary (exception-catching)
-    function call — no fiber switch per step. The closures are multi-shot
-    for programs that keep their host state in vars: resuming one twice
-    from the same saved node, with the trail undone in between, replays
-    the same steps. The constructors mirror {!outcome} one for one. Only a
-    [Steps] machine runs step programs ({!Machine.spawn_step}). *)
+    style: running it yields an {!outcome} whose [Wants_*] closures are the
+    program's own continuation, so the scheduler advances the process with
+    an ordinary (exception-catching) function call — no fiber switch per
+    step. The closures are multi-shot for programs that keep their host
+    state in vars: resuming one twice from the same saved node, with the
+    trail undone in between, replays the same steps. Only a [Steps] machine
+    runs step programs ({!Machine.spawn_step}). *)
 
 module Step : sig
-  type outcome =
-    | Done
-    | Failed of exn
-    | Wants_mem of request * (Value.t -> outcome)
-    | Wants_note of Trace.note * (unit -> outcome)
-    | Wants_pause of (unit -> outcome)
-
   include S with type 'a t = ('a -> outcome) -> outcome
   (** A program delivering an ['a], as a function of its continuation. *)
 
   val start : unit t -> outcome
   (** Run a program until its first effect (or completion); an exception
       raised before the first effect becomes [Failed]. *)
-
-  val resume : (Value.t -> outcome) -> Value.t -> outcome
-  (** Resume a [Wants_mem] closure with a response, catching exceptions into
-      [Failed] exactly as the fiber handler does. *)
-
-  val resume_unit : (unit -> outcome) -> outcome
-  (** Resume a [Wants_note]/[Wants_pause] closure. *)
 end

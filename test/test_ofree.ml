@@ -257,21 +257,17 @@ let agree name (o : Runner.outcome) =
   | Checker.Not_serializable r ->
       QCheck2.Test.fail_reportf "%s: not serializable: %s" name r
   | _ -> ());
-  match (o.Runner.monitor, Checker.opaque o.Runner.history) with
-  | Runner.Monitor_ok _, Checker.Serializable _ -> ()
-  | Runner.Monitor_ok _, Checker.Dont_know _
-  | Runner.Monitor_inconclusive _, _ ->
+  match (o.Runner.verdict, Checker.opaque o.Runner.history) with
+  | Some Opacity_stream.Opaque, Checker.Serializable _ -> ()
+  | Some Opacity_stream.Opaque, Checker.Dont_know _
+  | Some (Opacity_stream.Inconclusive _), _ ->
       ()
-  | Runner.Opacity_violation _, Checker.Not_serializable _ -> ()
+  | Some (Opacity_stream.Violation _), Checker.Not_serializable _ -> ()
   | m, v ->
-      QCheck2.Test.fail_reportf "%s: monitor and offline disagree (%s vs %a)"
+      QCheck2.Test.fail_reportf "%s: monitor and offline disagree (%a vs %a)"
         name
-        (match m with
-        | Runner.Monitor_ok _ -> "ok"
-        | Runner.Opacity_violation _ -> "violation"
-        | Runner.Monitor_inconclusive _ -> "inconclusive"
-        | Runner.Not_monitored -> "not monitored")
-        Checker.pp_verdict v
+        Fmt.(option ~none:(any "not monitored") Opacity_stream.pp_verdict)
+        m Checker.pp_verdict v
 
 let qcheck_ofree_vs_dstm =
   QCheck2.Test.make ~count:120 ~name:"ofree vs dstm under random fault plans"
@@ -282,7 +278,7 @@ let qcheck_ofree_vs_dstm =
       in
       let run tm =
         Runner.run tm ~retries:2 ~faults:c.d_plan ~max_steps:60_000
-          ~monitor:Runner.Monitor_stream
+          ~monitor:true
           ~schedule:(Runner.Random_sched c.d_seed)
           w
       in

@@ -227,6 +227,49 @@ let test_bounded_state () =
           ntx words ceiling)
     [ 10_000; 100_000 ]
 
+(* Twenty writers each wait in try-commit on their own object, then a
+   reader sees the first writer's value: the read is consistent only after
+   some pending commits linearize, and the closure of their subsets and
+   orders has far more than 4 x 256 states. The checker latches
+   Inconclusive at the read and names that bound; an alarm turns a
+   checker that enumerates the whole closure into a failure, not a hang. *)
+exception Timed_out
+
+let test_expansion_bounded () =
+  let writers = 20 in
+  let pending =
+    List.concat_map
+      (fun w -> write_ w w w 1 @ [ inv w w History.Try_commit ])
+      (List.init writers Fun.id)
+  in
+  let entries = entries_of (pending @ read_ writers writers 0 1) in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
+  in
+  let verdict =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Unix.alarm 0 : int);
+        Sys.set_signal Sys.sigalrm previous)
+      (fun () ->
+        ignore (Unix.alarm 10 : int);
+        try Some (stream_verdict entries) with Timed_out -> None)
+  in
+  match verdict with
+  | None -> Alcotest.fail "the checker ran for more than 10 s"
+  | Some (Opacity_stream.Inconclusive msg) ->
+      let read_seq = (3 * writers) + 1 in
+      Alcotest.(check string)
+        "names the bound and the read"
+        (Printf.sprintf
+           "commit linearizations exceeded 1024 states (4 x the frontier \
+            cap) at seq %d"
+           read_seq)
+        msg
+  | Some v ->
+      Alcotest.failf "expected inconclusive, got %a" Opacity_stream.pp_verdict
+        v
+
 (* ------------------------------------------------------------------ *)
 (* Crash-truncation finalization (the try-commit ride-along bugfix)    *)
 (* ------------------------------------------------------------------ *)
@@ -398,14 +441,12 @@ let run_monitored (module T : Tm_intf.S) ~seed ~monitor faults =
     ~schedule:(Runner.Random_sched seed) w
 
 (* A monitored violation-free run is indistinguishable from an unmonitored
-   one, and the monitor's verdict is Monitor_ok. *)
+   one, and the monitor's verdict is Opaque. *)
 let test_monitor_transparent () =
   List.iter
     (fun (module T : Tm_intf.S) ->
-      let a = run_monitored (module T) ~seed:5 ~monitor:Runner.Monitor_off []
-      and b =
-        run_monitored (module T) ~seed:5 ~monitor:Runner.Monitor_stream []
-      in
+      let a = run_monitored (module T) ~seed:5 ~monitor:false []
+      and b = run_monitored (module T) ~seed:5 ~monitor:true [] in
       Alcotest.(check bool)
         (T.name ^ ": same history") true
         (a.Runner.history = b.Runner.history);
@@ -413,15 +454,16 @@ let test_monitor_transparent () =
         b.Runner.commits;
       Alcotest.(check int) (T.name ^ ": same aborts") a.Runner.aborts
         b.Runner.aborts;
-      (match a.Runner.monitor with
-      | Runner.Not_monitored -> ()
-      | _ -> Alcotest.failf "%s: unmonitored run reports a monitor" T.name);
-      match b.Runner.monitor with
-      | Runner.Monitor_ok _ -> ()
-      | Runner.Opacity_violation v ->
+      (match a.Runner.verdict with
+      | None -> ()
+      | Some _ ->
+          Alcotest.failf "%s: unmonitored run reports a monitor" T.name);
+      match b.Runner.verdict with
+      | Some Opacity_stream.Opaque -> ()
+      | Some (Opacity_stream.Violation v) ->
           Alcotest.failf "%s: monitor flagged a correct TM: %a" T.name
             Opacity_stream.pp_violation v
-      | _ -> Alcotest.failf "%s: expected Monitor_ok" T.name)
+      | _ -> Alcotest.failf "%s: expected Opaque" T.name)
     Ptm_tms.Registry.all
 
 (* Registry sweep under fault plans: the monitor's verdict agrees with the
@@ -438,25 +480,25 @@ let test_monitor_differential_sweep () =
               let o =
                 run_monitored
                   (module T)
-                  ~seed ~monitor:Runner.Monitor_stream faults
+                  ~seed ~monitor:true faults
               in
               let offline = Checker.opaque o.Runner.history in
-              match (o.Runner.monitor, offline) with
-              | Runner.Monitor_ok _, Checker.Serializable _ -> ()
-              | Runner.Monitor_ok _, Checker.Dont_know _
-              | Runner.Monitor_inconclusive _, _ ->
+              match (o.Runner.verdict, offline) with
+              | Some Opacity_stream.Opaque, Checker.Serializable _ -> ()
+              | Some Opacity_stream.Opaque, Checker.Dont_know _
+              | Some (Opacity_stream.Inconclusive _), _ ->
                   ()
-              | Runner.Opacity_violation _, Checker.Not_serializable _ -> ()
+              | Some (Opacity_stream.Violation _), Checker.Not_serializable _
+                ->
+                  ()
               | m, v ->
                   Alcotest.failf
-                    "%s seed %d: monitor and offline disagree (%s vs %a)"
+                    "%s seed %d: monitor and offline disagree (%a vs %a)"
                     T.name seed
-                    (match m with
-                    | Runner.Monitor_ok _ -> "ok"
-                    | Runner.Opacity_violation _ -> "violation"
-                    | Runner.Monitor_inconclusive _ -> "inconclusive"
-                    | Runner.Not_monitored -> "not monitored")
-                    Checker.pp_verdict v)
+                    Fmt.(
+                      option ~none:(any "not monitored")
+                        Opacity_stream.pp_verdict)
+                    m Checker.pp_verdict v)
             [ 1; 2; 3; 4 ])
         fault_plans)
     Ptm_tms.Registry.all;
@@ -620,6 +662,8 @@ let () =
         [
           Alcotest.test_case "bounded by the live window" `Quick
             test_bounded_state;
+          Alcotest.test_case "commit linearization bounded" `Quick
+            test_expansion_bounded;
         ] );
       ( "mutants",
         [

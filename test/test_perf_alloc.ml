@@ -7,8 +7,11 @@
    - [Memory.apply] allocates nothing for any primitive whose response is a
      bool, unit or small int (the preallocated [Value] constructors);
    - [Machine.step] on the Steps engine with the trace sink off allocates
-     exactly the re-boxed [S _] process state per step, so a tuple-returning
+     nothing: the parked outcome is stored unboxed, so a tuple-returning
      apply (or any other per-event allocation) on that path fails here;
+   - on the Fibers engine a direct read step and a note cost a fixed
+     number of words: the request, the effect, the continuation, the
+     parked outcome and the closure that resumes it;
    - a step-instance var's [set] allocates nothing while the undo trail is
      off, and saving and restoring a node into a grown buffer allocate
      nothing. *)
@@ -75,26 +78,60 @@ let test_apply_zero_alloc () =
 let spawn_spinner m addr =
   Machine.spawn_step m 0 (fun _k ->
       let rec o =
-        Proc.Step.Wants_mem ({ Proc.addr; prim = Primitive.Read }, fun _ -> o)
+        Proc.Wants_mem ({ Proc.addr; prim = Primitive.Read }, fun _ -> o)
       in
       o)
 
-(* The one allocation left on the step path: the parked outcome is stored
-   back into the process slot as a fresh [S o] box (header + one field). *)
-let step_words = 2.
+let step_words m =
+  words_per_call (fun n ->
+      for _ = 1 to n do
+        ignore (Machine.step m 0 : Machine.step_result)
+      done)
 
-let test_step_fixed_alloc () =
+let test_step_zero_alloc () =
   let m = Machine.create ~trace:Trace.Off ~engine:Machine.Steps ~nprocs:1 () in
   let addr = Machine.alloc m ~name:"x" (Value.Int 0) in
   spawn_spinner m addr;
-  let run n =
-    for _ = 1 to n do
-      ignore (Machine.step m 0 : Machine.step_result)
-    done
-  in
   Alcotest.(check (float 0.))
-    "minor words per Machine.step (Steps, trace off)" step_words
-    (words_per_call run)
+    "minor words per Machine.step (Steps, trace off)" 0. (step_words m)
+
+(* Words per [Machine.step] of a Fibers process that runs [body] on one
+   cell forever, with the trace off. *)
+let fiber_step_words body =
+  let m = Machine.create ~trace:Trace.Off ~nprocs:1 () in
+  let addr = Machine.alloc m ~name:"x" (Value.Int 0) in
+  Machine.spawn m 0 (fun () -> body addr);
+  step_words m
+
+let rec read_forever addr =
+  ignore (Proc.read addr : Value.t);
+  read_forever addr
+
+let note = Trace.Label "pin"
+
+let rec note_and_read_forever addr =
+  Proc.note note;
+  ignore (Proc.read addr : Value.t);
+  note_and_read_forever addr
+
+(* A direct read: the request, the [Apply] effect, the continuation, the
+   parked [Wants_mem] and the closure that resumes the continuation. The
+   handler's cases are built once per process, not once per effect. *)
+let fiber_read_words = 15.
+
+(* A note drained inside a step: the [Note] effect, the continuation, the
+   parked [Wants_note] and its resuming closure. *)
+let fiber_note_words = 12.
+
+let test_fiber_read_alloc () =
+  Alcotest.(check (float 0.))
+    "minor words per Machine.step (Fibers read, trace off)" fiber_read_words
+    (fiber_step_words read_forever)
+
+let test_fiber_note_alloc () =
+  Alcotest.(check (float 0.))
+    "minor words per note (Fibers, trace off)" fiber_note_words
+    (fiber_step_words note_and_read_forever -. fiber_step_words read_forever)
 
 (* Outside a search the trail is off, and a step-instance var's [set] is a
    plain store. *)
@@ -131,8 +168,12 @@ let () =
         [
           Alcotest.test_case "Memory.apply allocates nothing" `Quick
             test_apply_zero_alloc;
-          Alcotest.test_case "Machine.step allocates one box" `Quick
-            test_step_fixed_alloc;
+          Alcotest.test_case "Machine.step allocates nothing" `Quick
+            test_step_zero_alloc;
+          Alcotest.test_case "Fibers read step allocates 15 words" `Quick
+            test_fiber_read_alloc;
+          Alcotest.test_case "Fibers note allocates 12 words" `Quick
+            test_fiber_note_alloc;
           Alcotest.test_case "Proc.Step.set allocates nothing" `Quick
             test_var_set_zero_alloc;
           Alcotest.test_case "save and restore allocate nothing" `Quick

@@ -213,16 +213,16 @@ let test_cross_shard_opacity () =
         Workload.bank ~nprocs:3 ~naccounts:8 ~transfers_per_proc:4 ~seed:9
       in
       let o =
-        Runner.run (module T) ~retries:4 ~monitor:Runner.Monitor_stream
+        Runner.run (module T) ~retries:4 ~monitor:true
           ~schedule:(Runner.Random_sched 13) w
       in
       Alcotest.(check bool) (T.name ^ ": commits") true (o.Runner.commits > 0);
-      (match o.Runner.monitor with
-      | Runner.Monitor_ok _ -> ()
-      | Runner.Opacity_violation v ->
+      (match o.Runner.verdict with
+      | Some Opacity_stream.Opaque -> ()
+      | Some (Opacity_stream.Violation v) ->
           Alcotest.failf "%s: opacity violation: %a" T.name
             Opacity_stream.pp_violation v
-      | Runner.Not_monitored | Runner.Monitor_inconclusive _ ->
+      | None | Some (Opacity_stream.Inconclusive _) ->
           Alcotest.failf "%s: monitor gave no verdict" T.name);
       (* the run really was cross-shard: at least two distinct lock words
          saw traffic *)
