@@ -39,17 +39,14 @@ let polite_patience = 4
 let ts_patience = 8
 
 let create machine kind =
-  let cells prefix =
-    Array.init (Machine.nprocs machine) (fun i ->
-        Machine.alloc machine
-          ~name:(Printf.sprintf "cm.%s.p%d" prefix i)
-          (Value.Int 0))
+  let cells name =
+    Machine.alloc_array machine ~name (Machine.nprocs machine) (Value.Int 0)
   in
   {
     kind;
     mem = Machine.memory machine;
-    karma = cells "karma";
-    ts = cells "ts";
+    karma = cells "cm.karma";
+    ts = cells "cm.ts";
     clock = Machine.alloc machine ~name:"cm.clock" (Value.Int 0);
   }
 

@@ -383,10 +383,8 @@ let validate cfg =
   if cfg.max_slots < 1 then invalid_arg "Load: max_slots must be >= 1";
   (* the hotspot and Zipf checks are the sampler's own *)
   (try
-     ignore
-       (Workload.Sampler.make ?hotspot:cfg.mix.hotspot ~dist:cfg.mix.dist
-          ~nobjs:cfg.nobjs ()
-         : Workload.Sampler.t)
+     Workload.Sampler.check ?hotspot:cfg.mix.hotspot ~dist:cfg.mix.dist
+       ~nobjs:cfg.nobjs ()
    with Workload.Invalid_spec e ->
      invalid_arg ("Load: " ^ Workload.spec_error_to_string e));
   if cfg.clients < cfg.nprocs then
@@ -420,8 +418,7 @@ let run (module T : Tm_intf.S) cfg =
   let ctx = R.init m ~nobjs:cfg.nobjs in
   let scratch =
     Array.init cfg.nprocs (fun pid ->
-        Machine.alloc m ~owner:pid
-          ~name:(Printf.sprintf "load.scratch.p%d" pid)
+        Machine.alloc m ~owner:pid ~name:"load.scratch" ~index:pid
           (Value.Int 0))
   in
   let seed = cfg.seed and sample = cfg.sample in

@@ -123,7 +123,8 @@ val validate : config -> unit
     [retries], period or think time, a transaction-length range that is
     empty or starts below 1, [write_ratio] or [sample] outside [[0, 1]],
     a [monitor_frontier] or [max_slots] below 1, or a hotspot or Zipf
-    theta {!Workload.Sampler.make} rejects. *)
+    theta {!Workload.Sampler.check} rejects. It builds nothing: {!run}
+    builds the sampler once. *)
 
 (** A process's waiting clients: a binary min-heap of the indices
     [0 .. n-1] keyed by (due time, index), so the earliest-due index comes

@@ -48,10 +48,8 @@ struct
     let state = T.create machine ~nobjs in
     let next_id = Machine.alloc machine ~name:"runner.next_id" (Value.Int 0) in
     let opix =
-      Array.init (Machine.nprocs machine) (fun i ->
-          Machine.alloc machine
-            ~name:(Printf.sprintf "runner.opix.p%d" i)
-            (Value.Int 0))
+      Machine.alloc_array machine ~name:"runner.opix" (Machine.nprocs machine)
+        (Value.Int 0)
     in
     { state; machine; mem = Machine.memory machine; next_id; opix }
 
@@ -288,10 +286,7 @@ let run (module T : Tm_intf.S) ?(retries = 0) ?(policy = Immediate)
     end
   in
   let backoff =
-    Array.init nprocs (fun i ->
-        Machine.alloc machine
-          ~name:(Printf.sprintf "runner.backoff.p%d" i)
-          (Value.Int 0))
+    Machine.alloc_array machine ~name:"runner.backoff" nprocs (Value.Int 0)
   in
   let det =
     Option.map (fun window -> Livelock.create ~window ~nprocs ()) livelock_window

@@ -65,19 +65,23 @@ module Sampler = struct
     let total = cum.(nobjs - 1) in
     Array.map (fun x -> x /. total) cum
 
-  let make ?hotspot ~dist ~nobjs () =
-    if nobjs < 1 then invalid_arg "Workload.Sampler.make: nobjs must be >= 1";
+  let check ?hotspot ~dist ~nobjs () =
+    if nobjs < 1 then invalid_arg "Workload.Sampler: nobjs must be >= 1";
     (match hotspot with
     | Some (h, p) when h < 1 || h >= nobjs || p < 0.0 || p > 1.0 ->
         raise (Invalid_spec (Bad_hotspot { h; p; nobjs }))
     | _ -> ());
+    match dist with
+    | Zipf theta when theta < 0.0 || not (Float.is_finite theta) ->
+        raise (Invalid_spec (Bad_zipf { theta }))
+    | Uniform | Zipf _ -> ()
+
+  let make ?hotspot ~dist ~nobjs () =
+    check ?hotspot ~dist ~nobjs ();
     let cdf =
       match dist with
       | Uniform -> None
-      | Zipf theta ->
-          if theta < 0.0 || not (Float.is_finite theta) then
-            raise (Invalid_spec (Bad_zipf { theta }));
-          Some (zipf_cdf ~theta ~nobjs)
+      | Zipf theta -> Some (zipf_cdf ~theta ~nobjs)
     in
     { nobjs; hotspot; cdf }
 

@@ -40,8 +40,14 @@ val spec_error_to_string : spec_error -> string
 module Sampler : sig
   type t
 
+  val check : ?hotspot:int * float -> dist:dist -> nobjs:int -> unit -> unit
+  (** Validate a spec without building anything.
+      @raise Invalid_spec on an out-of-range hotspot or Zipf theta. *)
+
   val make : ?hotspot:int * float -> dist:dist -> nobjs:int -> unit -> t
-  (** @raise Invalid_spec on an out-of-range hotspot or Zipf theta. *)
+  (** {!check}, then build the sampler; a Zipf spec's cumulative weights
+      are computed here.
+      @raise Invalid_spec as {!check} does. *)
 
   val draw : t -> Random.State.t -> int
   (** One object index. With a hotspot [(h, p)]: probability [p] of a

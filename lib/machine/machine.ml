@@ -93,7 +93,8 @@ let nprocs t = Array.length t.procs
 let engine t = t.engine
 let memory t = t.memory
 let trace t = t.trace
-let alloc t ?owner ~name v = Memory.alloc t.memory ?owner ~name v
+let alloc t ?owner ?index ~name v = Memory.alloc t.memory ?owner ?index ~name v
+let alloc_array t ~name n v = Memory.alloc_array t.memory ~name n v
 
 let slot t pid =
   if pid < 0 || pid >= Array.length t.procs then

@@ -33,7 +33,9 @@ exception
             the global schedule index ({!Trace.length}) at the failure. This
             is raised (not asserted) so a long sweep's partial results
             survive and the failing position is diagnosable; it indicates a
-            corrupted schedule or fault plan, not a user program bug. *)
+            corrupted schedule or fault plan, or a program finding a machine
+            guarantee broken (OSTM's descriptor cells not consecutive), not
+            a user program bug. *)
 
 type status =
   | Idle  (** no program spawned *)
@@ -58,8 +60,13 @@ val engine : t -> engine
 val memory : t -> Memory.t
 val trace : t -> Trace.t
 
-val alloc : t -> ?owner:pid -> name:string -> Value.t -> Memory.addr
-(** Allocate a base object (set-up, not a step). *)
+val alloc :
+  t -> ?owner:pid -> ?index:int -> name:string -> Value.t -> Memory.addr
+(** Allocate a base object (set-up, not a step); see {!Memory.alloc}. *)
+
+val alloc_array : t -> name:string -> int -> Value.t -> Memory.addr array
+(** [alloc_array t ~name n v] allocates one cell per index [0 .. n-1], each
+    holding [v] and named [name[i]] ({!Memory.alloc_array}). *)
 
 val spawn : t -> pid -> (unit -> unit) -> unit
 (** Install and start [pid]'s direct-style program in a fiber; runs it up

@@ -6,7 +6,8 @@ type addr = int
 type cell = {
   mutable v : Value.t;
   init : Value.t;  (* value at [alloc] time, restored by [reset] *)
-  name : string;
+  name : string;  (* the allocator's name, shared by a whole array *)
+  index : int;  (* position in that array, -1 for a scalar cell *)
   owner : int option;
   mutable links : int;  (* bitmask of pids < 62 holding a valid load-link *)
   mutable links_hi : int list;  (* pids >= 62 holding a valid load-link *)
@@ -19,7 +20,7 @@ let create () = { cells = [||]; n = 0 }
 (* Filler for unallocated slots; never observable (reads bound-check
    against [n], and [alloc] overwrites the whole slot). *)
 let dummy =
-  { v = Value.Unit; init = Value.Unit; name = ""; owner = None;
+  { v = Value.Unit; init = Value.Unit; name = ""; index = -1; owner = None;
     links = 0; links_hi = [] }
 
 let grow t =
@@ -30,12 +31,20 @@ let grow t =
     t.cells <- fresh
   end
 
-let alloc t ?owner ~name v =
+(* A cell stores its allocator's name and its index, not the formatted
+   [name[index]]: formatting one per cell cost most of the words set-up
+   allocates, and only [name] reads it. *)
+let push t ~name ~index owner v =
   grow t;
   let a = t.n in
-  t.cells.(a) <- { v; init = v; name; owner; links = 0; links_hi = [] };
+  t.cells.(a) <- { v; init = v; name; index; owner; links = 0; links_hi = [] };
   t.n <- t.n + 1;
   a
+
+let alloc t ?owner ?(index = -1) ~name v = push t ~name ~index owner v
+
+let alloc_array t ~name n v =
+  Array.init n (fun index -> push t ~name ~index None v)
 
 let cell t a =
   if a < 0 || a >= t.n then invalid_arg "Memory: address out of range";
@@ -160,5 +169,9 @@ let restore_from t s =
 let peek t a = (cell t a).v
 let poke t a v = (cell t a).v <- v
 let owner t a = (cell t a).owner
-let name t a = (cell t a).name
+
+let name t a =
+  let c = cell t a in
+  if c.index < 0 then c.name else Printf.sprintf "%s[%d]" c.name c.index
+
 let size t = t.n

@@ -1,6 +1,6 @@
 (** Simulated shared memory: a growable store of base objects.
 
-    Each base object (cell) has a value, a human-readable name, an optional
+    Each base object (cell) has a value, a display name, an optional
     owner process (used by the DSM cost model of Section 5, where every
     register is local to exactly one process), and the set of outstanding
     load-links for LL/SC. *)
@@ -11,9 +11,14 @@ type addr = int
 
 val create : unit -> t
 
-val alloc : t -> ?owner:int -> name:string -> Value.t -> addr
+val alloc : t -> ?owner:int -> ?index:int -> name:string -> Value.t -> addr
 (** Allocate a fresh base object. Allocation is a set-up action of the
-    implementation, not a step of any process. *)
+    implementation, not a step of any process. With [index] the cell's
+    {!name} is [name[index]]; the string is formatted only when asked. *)
+
+val alloc_array : t -> name:string -> int -> Value.t -> addr array
+(** [alloc_array t ~name n v] allocates [n] consecutive cells holding [v],
+    named [name[0]] to [name[n-1]]. *)
 
 val apply : t -> pid:int -> addr -> Primitive.t -> Value.t
 (** [apply t ~pid a p] applies primitive [p] to base object [a] on behalf of
@@ -63,5 +68,9 @@ val poke : t -> addr -> Value.t -> unit
 (** Set a cell without producing an event (for test set-up only). *)
 
 val owner : t -> addr -> int option
+
 val name : t -> addr -> string
+(** The cell's name, [name[index]] when it was allocated with an index.
+    Formatted on each call (for tests and diagnostics). *)
+
 val size : t -> int

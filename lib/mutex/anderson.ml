@@ -17,8 +17,7 @@ type t = {
 let create machine ~nprocs =
   let slots =
     Array.init nprocs (fun i ->
-        Machine.alloc machine
-          ~name:(Printf.sprintf "anderson.slot[%d]" i)
+        Machine.alloc machine ~name:"anderson.slot" ~index:i
           (Value.Bool (i = 0)))
   in
   {

@@ -11,13 +11,11 @@ let create machine ~nprocs =
   {
     choosing =
       Array.init nprocs (fun p ->
-          Machine.alloc machine ~owner:p
-            ~name:(Printf.sprintf "bakery.choosing[%d]" p)
+          Machine.alloc machine ~owner:p ~name:"bakery.choosing" ~index:p
             (Value.Bool false));
     number =
       Array.init nprocs (fun p ->
-          Machine.alloc machine ~owner:p
-            ~name:(Printf.sprintf "bakery.number[%d]" p)
+          Machine.alloc machine ~owner:p ~name:"bakery.number" ~index:p
             (Value.Int 0));
   }
 

@@ -26,24 +26,19 @@ type t = {
 
 let create machine ~nprocs =
   (* one node per process plus the initial (released) node *)
-  let node p v =
-    Machine.alloc machine
-      ~name:(Printf.sprintf "clh.node[%s]" p)
-      (Value.Bool v)
+  let initial =
+    Machine.alloc machine ~name:"clh.node[init]" (Value.Bool false)
   in
-  let initial = node "init" false in
   let tail = Machine.alloc machine ~name:"clh.tail" (Value.Int initial) in
-  let local what p v =
-    Machine.alloc machine
-      ~name:(Printf.sprintf "clh.%s[%d]" what p)
-      (Value.Int v)
+  let node p =
+    Machine.alloc machine ~name:"clh.node" ~index:p (Value.Bool false)
   in
+  let local name p v = Machine.alloc machine ~name ~index:p (Value.Int v) in
   {
     mem = Machine.memory machine;
     tail;
-    my_node =
-      Array.init nprocs (fun p -> local "my_node" p (node (string_of_int p) false));
-    my_pred = Array.init nprocs (fun p -> local "my_pred" p (-1));
+    my_node = Array.init nprocs (fun p -> local "clh.my_node" p (node p));
+    my_pred = Array.init nprocs (fun p -> local "clh.my_pred" p (-1));
   }
 
 let get t a = Value.to_int (Memory.peek t.mem a)

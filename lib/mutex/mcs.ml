@@ -21,14 +21,11 @@ let create machine ~nprocs =
     tail = Machine.alloc machine ~name:"mcs.tail" nil;
     locked =
       Array.init nprocs (fun p ->
-          Machine.alloc machine ~owner:p
-            ~name:(Printf.sprintf "mcs.locked[%d]" p)
+          Machine.alloc machine ~owner:p ~name:"mcs.locked" ~index:p
             (Value.Bool false));
     next =
       Array.init nprocs (fun p ->
-          Machine.alloc machine ~owner:p
-            ~name:(Printf.sprintf "mcs.next[%d]" p)
-            nil);
+          Machine.alloc machine ~owner:p ~name:"mcs.next" ~index:p nil);
   }
 
 let enter t ~pid =

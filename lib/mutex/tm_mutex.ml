@@ -60,8 +60,7 @@ module Make (T : Ptm_core.Tm_intf.S) = struct
       mem = Machine.memory machine;
       face =
         Array.init nprocs (fun p ->
-            Machine.alloc machine ~owner:p
-              ~name:(Printf.sprintf "lm.face[%d]" p)
+            Machine.alloc machine ~owner:p ~name:"lm.face" ~index:p
               (Value.Int 0));
     }
 

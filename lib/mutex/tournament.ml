@@ -27,9 +27,7 @@ let create machine ~nprocs =
             Machine.alloc machine
               ~name:(Printf.sprintf "trn.flag[%d][%d]" i s)
               (Value.Bool false));
-      turn =
-        Machine.alloc machine ~name:(Printf.sprintf "trn.turn[%d]" i)
-          (Value.Int 0);
+      turn = Machine.alloc machine ~name:"trn.turn" ~index:i (Value.Int 0);
     }
   in
   { nodes = Array.init leaves mk_node (* index 0 unused *); leaves }

@@ -42,7 +42,7 @@ let create machine ~nprocs =
             Machine.alloc machine
               ~name:(Printf.sprintf "ya.c[%d][%d]" i s)
               nobody);
-      t_var = Machine.alloc machine ~name:(Printf.sprintf "ya.t[%d]" i) nobody;
+      t_var = Machine.alloc machine ~name:"ya.t" ~index:i nobody;
       p_flag =
         Array.init nprocs (fun p ->
             Machine.alloc machine ~owner:p

@@ -19,11 +19,11 @@ module Make (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       orecs =
-        Orec.alloc_array machine ~prefix:"lazy.orec" ~nobjs
-          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+        Machine.alloc_array machine ~name:"lazy.orec" nobjs
+          (Orec.pack ~ver:0 ~owner:Orec.none);
       data =
-        Orec.alloc_array machine ~prefix:"lazy.data" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"lazy.data" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

@@ -48,11 +48,9 @@ module Make (P : Proc.S) = struct
     {
       clock = Machine.alloc machine ~name:"mvtm.clock" (Value.Int 0);
       cells =
-        Array.init nobjs (fun i ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "mvtm.obj[%d]" i)
-              (pack ~owner:Orec.none
-                 (cons ~ver:0 ~v:Ptm_core.Tm_intf.init_value nil)));
+        Machine.alloc_array machine ~name:"mvtm.obj" nobjs
+          (pack ~owner:Orec.none
+             (cons ~ver:0 ~v:Ptm_core.Tm_intf.init_value nil));
     }
 
   type tx = {

@@ -20,8 +20,8 @@ module Make (P : Proc.S) = struct
     {
       seq = Machine.alloc machine ~name:"norec.seq" (Value.Int 0);
       data =
-        Orec.alloc_array machine ~prefix:"norec.data" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"norec.data" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

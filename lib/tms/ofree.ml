@@ -92,10 +92,8 @@ module Make (C : CONFIG) (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       headers =
-        Array.init nobjs (fun i ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "ofree.h[%d]" i)
-              (clean ~ver:0 ~v:Ptm_core.Tm_intf.init_value));
+        Machine.alloc_array machine ~name:"ofree.h" nobjs
+          (clean ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
       machine;
       cm = Cm.create machine C.cm;
     }
@@ -246,8 +244,7 @@ module Make (C : CONFIG) (P : Proc.S) = struct
               (* set-up allocation, not a step; explorer restarts re-land
                  it at the same address (the OSTM descriptor idiom) *)
               let d =
-                Machine.alloc t.machine
-                  ~name:(Printf.sprintf "ofree.st[%d]" tx.id)
+                Machine.alloc t.machine ~name:"ofree.st" ~index:tx.id
                   (Value.int_ active)
               in
               P.set tx.status (Some d);

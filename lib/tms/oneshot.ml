@@ -27,8 +27,8 @@ module Make (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       cells =
-        Orec.alloc_array machine ~prefix:"oneshot" ~nobjs
-          ~init:(pack ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"oneshot" nobjs
+          (pack ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

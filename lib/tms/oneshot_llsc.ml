@@ -19,8 +19,8 @@ module Make (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       cells =
-        Orec.alloc_array machine ~prefix:"oneshot-llsc" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"oneshot-llsc" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

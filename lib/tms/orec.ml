@@ -7,7 +7,3 @@ let pack ~ver ~owner = Value.Pair (Value.Int ver, Value.Int owner)
 let unpack v =
   let a, b = Value.to_pair v in
   (Value.to_int a, Value.to_int b)
-
-let alloc_array machine ~prefix ~nobjs ~init =
-  Array.init nobjs (fun i ->
-      Machine.alloc machine ~name:(Printf.sprintf "%s[%d]" prefix i) init)

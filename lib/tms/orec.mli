@@ -12,7 +12,3 @@ val none : int
 
 val pack : ver:int -> owner:int -> Value.t
 val unpack : Value.t -> int * int  (** [(ver, owner)] *)
-
-val alloc_array :
-  Machine.t -> prefix:string -> nobjs:int -> init:Value.t -> Memory.addr array
-(** Allocate one named cell per t-object. *)

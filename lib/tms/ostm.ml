@@ -77,20 +77,19 @@ module Make (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       headers =
-        Array.init nobjs (fun i ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "ostm.h[%d]" i)
-              (clean ~ver:0 ~v:Ptm_core.Tm_intf.init_value));
+        Machine.alloc_array machine ~name:"ostm.h" nobjs
+          (clean ~ver:0 ~v:Ptm_core.Tm_intf.init_value);
       machine;
     }
 
   type tx = {
     id : int;
+    pid : int;
     rset : (int * (int * int)) list P.var;  (* obj -> (ver, value) *)
     wbuf : (int * int) list P.var;  (* latest first *)
   }
 
-  let fresh _t ~pid:_ ~id = { id; rset = P.var []; wbuf = P.var [] }
+  let fresh _t ~pid ~id = { id; pid; rset = P.var []; wbuf = P.var [] }
 
   (* Suspended frames of in-progress completions: finding a header owned by
      a rival used to recurse into the rival's descriptor (with a depth-64
@@ -291,22 +290,24 @@ module Make (P : Proc.S) = struct
       in
       (* publish the descriptor: status, writes, reads, in three consecutive
          cells (set-up allocation + initializing stores) *)
+      let m = t.machine and index = tx.id in
       let desc =
-        Machine.alloc t.machine
-          ~name:(Printf.sprintf "ostm.desc[%d]" tx.id)
-          (Value.Int undecided)
+        Machine.alloc m ~name:"ostm.desc" ~index (Value.Int undecided)
       in
-      let wcell =
-        Machine.alloc t.machine
-          ~name:(Printf.sprintf "ostm.w[%d]" tx.id)
-          Value.Unit
-      in
-      let rcell =
-        Machine.alloc t.machine
-          ~name:(Printf.sprintf "ostm.r[%d]" tx.id)
-          Value.Unit
-      in
-      assert (wcell = desc + 1 && rcell = desc + 2);
+      let wcell = Machine.alloc m ~name:"ostm.w" ~index Value.Unit in
+      let rcell = Machine.alloc m ~name:"ostm.r" ~index Value.Unit in
+      if wcell <> desc + 1 || rcell <> desc + 2 then
+        raise
+          (Machine.Invariant
+             {
+               pid = tx.pid;
+               slot = Machine.scheds_of m tx.pid;
+               seq = Trace.length (Machine.trace m);
+               what =
+                 Printf.sprintf
+                   "ostm: descriptor cells %d, %d, %d not consecutive" desc
+                   wcell rcell;
+             });
       let* () = P.write (desc + 1) (encode_writes writes) in
       let* () = P.write (desc + 2) (encode_reads reads) in
       (* also validate the reads that overlap the write set: their expected

@@ -20,8 +20,8 @@ module Make (P : Proc.S) = struct
     {
       lock = Machine.alloc machine ~name:"sgl.lock" (Value.Bool false);
       data =
-        Orec.alloc_array machine ~prefix:"sgl.data" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"sgl.data" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = { holding : bool P.var }

@@ -111,10 +111,8 @@ struct
       { mem = Machine.memory machine; inner; word = [||]; sub_id = -1 }
     else
       let word =
-        Array.init C.shards (fun s ->
-            Machine.alloc machine
-              ~name:(Printf.sprintf "%s.lock[%d]" name s)
-              (Value.Int 0))
+        Machine.alloc_array machine ~name:(name ^ ".lock") C.shards
+          (Value.Int 0)
       in
       let sub_id =
         Machine.alloc machine ~name:(name ^ ".sub_id") (Value.Int 0)

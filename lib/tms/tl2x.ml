@@ -24,11 +24,11 @@ module Make (P : Proc.S) = struct
     {
       clock = Machine.alloc machine ~name:"tl2x.clock" (Value.Int 0);
       orecs =
-        Orec.alloc_array machine ~prefix:"tl2x.orec" ~nobjs
-          ~init:(Orec.pack ~ver:0 ~owner:Orec.none);
+        Machine.alloc_array machine ~name:"tl2x.orec" nobjs
+          (Orec.pack ~ver:0 ~owner:Orec.none);
       data =
-        Orec.alloc_array machine ~prefix:"tl2x.data" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"tl2x.data" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

@@ -28,11 +28,11 @@ module Make (P : Proc.S) = struct
   let create machine ~nobjs =
     {
       orecs =
-        Orec.alloc_array machine ~prefix:"vr.orec" ~nobjs
-          ~init:(pack ~writer:Orec.none ~readers:0);
+        Machine.alloc_array machine ~name:"vr.orec" nobjs
+          (pack ~writer:Orec.none ~readers:0);
       data =
-        Orec.alloc_array machine ~prefix:"vr.data" ~nobjs
-          ~init:(Value.Int Ptm_core.Tm_intf.init_value);
+        Machine.alloc_array machine ~name:"vr.data" nobjs
+          (Value.Int Ptm_core.Tm_intf.init_value);
     }
 
   type tx = {

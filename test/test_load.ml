@@ -455,6 +455,34 @@ let test_setup_words_per_client () =
         true (per_client <= 16.))
     [ 0.0; 1.0 ]
 
+(* Set-up allocates O(1) minor words per base object: a cell's name is
+   formatted only when asked, so with no transactions a run's minor words
+   grow by at most 12 per cell between 64 and 4,160 t-objects (a record
+   of 8 words; formatting each name cost about 52 more). Arrays that large
+   go straight to the major heap, so [Gc.minor_words] counts only what
+   each cell allocates itself. *)
+let test_setup_words_per_cell () =
+  List.iter
+    (fun tm ->
+      let (module T) = Option.get (Ptm_tms.Registry.by_name tm) in
+      let cells nobjs =
+        let m = Ptm_machine.Machine.create ~nprocs:1 () in
+        ignore (T.create m ~nobjs : T.t);
+        float_of_int (Ptm_machine.Memory.size (Ptm_machine.Machine.memory m))
+      in
+      let words nobjs =
+        let cfg = { Load.default_config with Load.nobjs; txs_per_client = 0 } in
+        let before = Gc.minor_words () in
+        ignore (Load.run (module T) cfg : Load.result);
+        Gc.minor_words () -. before
+      in
+      ignore (words 64 : float);
+      let per_cell = (words 4160 -. words 64) /. (cells 4160 -. cells 64) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per cell <= 12" tm per_cell)
+        true (per_cell <= 12.))
+    [ "norec"; "tl2" ]
+
 (* A run the slot budget stops before most clients start still counts
    the monitored clients of the whole run: those never started by the
    draw their stream would make first. *)
@@ -554,6 +582,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_due_matches_scan;
           Alcotest.test_case "set-up words per client" `Quick
             test_setup_words_per_client;
+          Alcotest.test_case "set-up words per cell" `Quick
+            test_setup_words_per_cell;
           Alcotest.test_case "monitored count without starting" `Quick
             test_monitored_without_starting;
         ] );

@@ -166,6 +166,55 @@ let test_memory_alloc () =
   Alcotest.(check (option int)) "y owned" (Some 2) (Memory.owner mem b);
   Alcotest.(check string) "name" "y" (Memory.name mem b)
 
+(* A cell keeps its allocator's name and index; [Memory.name] formats
+   [name[index]] when asked. *)
+let test_memory_names () =
+  let m = Machine.create ~nprocs:2 () in
+  let mem = Machine.memory m in
+  let s = Machine.alloc m ~name:"s" (Value.Int 0) in
+  let xs = Machine.alloc_array m ~name:"x" 3 (Value.Int 7) in
+  let o = Machine.alloc m ~owner:1 ~index:4 ~name:"o" Value.Unit in
+  Alcotest.(check string) "scalar" "s" (Memory.name mem s);
+  Alcotest.(check (list string))
+    "array" [ "x[0]"; "x[1]"; "x[2]" ]
+    (Array.to_list (Array.map (Memory.name mem) xs));
+  Alcotest.(check (list int))
+    "consecutive" [ s + 1; s + 2; s + 3 ] (Array.to_list xs);
+  Array.iter
+    (fun a -> Alcotest.check value "holds v" (Value.Int 7) (Memory.peek mem a))
+    xs;
+  Alcotest.(check string) "owned, indexed" "o[4]" (Memory.name mem o);
+  Alcotest.(check (option int)) "owner kept" (Some 1) (Memory.owner mem o)
+
+(* OSTM allocates its descriptor cells at commit, indexed by the
+   transaction's id. *)
+let test_ostm_descriptor_names () =
+  let module R = Ptm_core.Runner.Make (Ptm_tms.Ostm) in
+  let m = Machine.create ~nprocs:1 () in
+  let ctx = R.init m ~nobjs:2 in
+  let mem = Machine.memory m in
+  let base = Memory.size mem in
+  let ids = ref [] in
+  let tx x =
+    match
+      R.atomically ctx ~pid:0 ~retries:0 (fun tx ->
+          ids := R.tx_id tx :: !ids;
+          R.write ctx tx x 5)
+    with
+    | Ok () -> ()
+    | Error `Abort -> failwith "a solo transaction aborted"
+  in
+  Machine.spawn m 0 (fun () -> tx 0; tx 1);
+  Sched.round_robin m;
+  Machine.check_crashes m;
+  let names id =
+    List.map (fun k -> Printf.sprintf "ostm.%s[%d]" k id) [ "desc"; "w"; "r" ]
+  in
+  Alcotest.(check (list string))
+    "one descriptor per commit"
+    (List.concat_map names (List.rev !ids))
+    (List.init (Memory.size mem - base) (fun i -> Memory.name mem (base + i)))
+
 let test_memory_llsc () =
   let mem = Memory.create () in
   let a = Memory.alloc mem ~name:"x" (Value.Int 0) in
@@ -818,6 +867,9 @@ let () =
       ( "memory",
         [
           Alcotest.test_case "alloc" `Quick test_memory_alloc;
+          Alcotest.test_case "names on demand" `Quick test_memory_names;
+          Alcotest.test_case "ostm descriptor names" `Quick
+            test_ostm_descriptor_names;
           Alcotest.test_case "ll/sc invalidation" `Quick test_memory_llsc;
           Alcotest.test_case "ll/sc two linkers" `Quick
             test_memory_llsc_two_linkers;
